@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <fstream>
 
-#include "align/affine.hpp"
 #include "align/batch.hpp"
 #include "align/cigar.hpp"
 #include "align/exact.hpp"
@@ -155,19 +154,6 @@ void BM_KmerCounting(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_KmerCounting);
-
-void BM_AffineSmithWaterman(benchmark::State& state) {
-  const BenchData& d = data();
-  const std::span<const std::uint8_t> a(d.a_false.data(), 750);
-  const std::span<const std::uint8_t> b(d.b_false.data(), 750);
-  for (auto _ : state) {
-    const auto result = align::affine_smith_waterman(a, b);
-    benchmark::DoNotOptimize(result.score);
-  }
-  state.counters["cells/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * 750 * 750, benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_AffineSmithWaterman);
 
 void BM_BandedTraceback(benchmark::State& state) {
   const BenchData& d = data();

@@ -2,9 +2,12 @@
 // Alignment results and the seed type used by seed-and-extend.
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "seq/read_store.hpp"
+#include "util/wire.hpp"
 
 namespace gnb::align {
 
@@ -63,5 +66,36 @@ struct AlignmentRecord {
   seq::ReadId read_b = seq::kInvalidRead;
   Alignment alignment;
 };
+
+/// The one wire encoding of a record, shared by recovery logs, pipeline
+/// checkpoints and assembly manifests (33 bytes, little-endian): read_a,
+/// read_b, score, a_begin, a_end, b_begin, b_end as u32, b_reversed as u8,
+/// cells as u64. The layout is pinned by a golden-bytes test, so blobs
+/// written by earlier builds still load.
+inline void put_record(std::vector<std::uint8_t>& out, const AlignmentRecord& record) {
+  wire::put<std::uint32_t>(out, record.read_a);
+  wire::put<std::uint32_t>(out, record.read_b);
+  wire::put<std::uint32_t>(out, static_cast<std::uint32_t>(record.alignment.score));
+  wire::put<std::uint32_t>(out, record.alignment.a_begin);
+  wire::put<std::uint32_t>(out, record.alignment.a_end);
+  wire::put<std::uint32_t>(out, record.alignment.b_begin);
+  wire::put<std::uint32_t>(out, record.alignment.b_end);
+  wire::put<std::uint8_t>(out, record.alignment.b_reversed ? 1 : 0);
+  wire::put<std::uint64_t>(out, record.alignment.cells);
+}
+
+inline AlignmentRecord get_record(std::span<const std::uint8_t> in, std::size_t& offset) {
+  AlignmentRecord record;
+  record.read_a = wire::get<std::uint32_t>(in, offset);
+  record.read_b = wire::get<std::uint32_t>(in, offset);
+  record.alignment.score = static_cast<std::int32_t>(wire::get<std::uint32_t>(in, offset));
+  record.alignment.a_begin = wire::get<std::uint32_t>(in, offset);
+  record.alignment.a_end = wire::get<std::uint32_t>(in, offset);
+  record.alignment.b_begin = wire::get<std::uint32_t>(in, offset);
+  record.alignment.b_end = wire::get<std::uint32_t>(in, offset);
+  record.alignment.b_reversed = wire::get<std::uint8_t>(in, offset) != 0;
+  record.alignment.cells = wire::get<std::uint64_t>(in, offset);
+  return record;
+}
 
 }  // namespace gnb::align

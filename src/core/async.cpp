@@ -6,11 +6,11 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "core/read_ship.hpp"
 #include "core/recovery.hpp"
 #include "obs/spans.hpp"
 #include "obs/trace.hpp"
 #include "proto/pull_index.hpp"
-#include "seq/wire_codec.hpp"
 #include "util/error.hpp"
 #include "util/wire.hpp"
 
@@ -52,19 +52,8 @@ EngineResult async_align(rt::Rank& rank, const seq::ReadStore& store,
   // manifest before the first crash point can fire.
   const bool chaos = rank.faults() != nullptr;
 
-  const proto::WireCompression wire_mode = config.proto.wire_compression;
-  const bool wire_spans = wire_mode != proto::WireCompression::kOff;
-  // Hierarchy in the async engine is request-window grouping only: each
-  // read is served by its owner regardless, so the codec does the byte
-  // reduction and the window keeps per-node outstanding pulls bounded.
-  // Fault-free only, like the BSP proxy path.
-  const std::size_t ranks_per_node =
-      (!chaos && config.proto.ranks_per_node > 1) ? config.proto.ranks_per_node : 1;
-  const std::size_t nnodes =
-      ranks_per_node > 1 ? (rank.nranks() + ranks_per_node - 1) / ranks_per_node : 0;
-  const auto node_of = [ranks_per_node](std::uint32_t r) {
-    return ranks_per_node > 1 ? r / ranks_per_node : 0;
-  };
+  proto::check_ranks_per_node(config.proto.ranks_per_node, /*bsp_engine=*/false, chaos);
+  ReadShip ship(rank, result, config.proto.wire_compression);
 
   // A restarted rank cannot replay the phase (its pulls, split barrier, and
   // callbacks died with the old incarnation). Its comeback: park at the
@@ -135,39 +124,22 @@ EngineResult async_align(rt::Rank& rank, const seq::ReadStore& store,
               return it->second;
             }
           }
-          // Reply layout: [u64 logical][checksum frame over codec frames].
+          // Reply layout: [u64 logical][checksummed frame of the reads].
           // The checksum covers the compressed payload, so a corrupt frame
           // is caught before the decoder touches it.
+          std::vector<seq::ReadId> ids;
+          while (offset < in.size()) ids.push_back(wire::get<std::uint32_t>(in, offset));
           Bytes reply;
           wire::put<std::uint64_t>(reply, logical);
-          wire::begin_checksum(reply);
-          const auto pack_reply = [&] {
-            while (offset < in.size()) {
-              const auto id = wire::get<std::uint32_t>(in, offset);
-              if (chaos) {
-                if (const seq::Read* read = rc->owned_read(id))
-                  seq::encode_read(*read, wire_mode, reply);
-              } else {
-                seq::encode_read(local_read(store, bounds, me, id), wire_mode, reply);
-              }
-            }
-          };
-          if (wire_spans) {
-            GNB_SPAN(obs::span::kWireCompress, "reads",
-                     (in.size() - sizeof(std::uint64_t)) / sizeof(std::uint32_t));
-            pack_reply();
-          } else {
-            pack_reply();
-          }
-          wire::seal_checksum(reply, sizeof(std::uint64_t));
-          result.exchange_bytes_sent +=
-              reply.size() - sizeof(std::uint64_t) - wire::kChecksumBytes;
+          ship.serve(reply, ids, [&](seq::ReadId id) {
+            return chaos ? rc->owned_read(id) : &local_read(store, bounds, me, id);
+          });
           if (chaos) reply_cache.emplace(cache_key, reply);
           return reply;
         });
     rank.timers().overhead.stop();
   }
-  proto::RequestWindow window(config.proto.async_window, nnodes);
+  proto::RequestWindow window(config.proto.async_window);
   std::vector<PullState> states(batches.size());
   std::size_t completed = 0;
 
@@ -223,42 +195,16 @@ EngineResult async_align(rt::Rank& rank, const seq::ReadStore& store,
     }
     state.done = true;
     ++completed;
-    window.on_reply(node_of(batches[logical].owner));
+    window.on_reply();
     GNB_ASYNC_END(obs::span::kRpcPull, logical);
-    if (!wire::verify_checksum(reply, offset)) {
-      ++rank.fault_counters().checksum_failures;
-      GNB_CHECK_MSG(false, "async pull " << logical << ": corrupt reply payload");
-    }
-    const std::size_t payload_bytes = reply.size() - offset;
-    rank.metrics().observe(obs::metric::kReplyBytesHist, payload_bytes);
-    rank.memory().charge(payload_bytes);
-    result.exchange_bytes_received += payload_bytes;
-    std::vector<seq::Read> decoded;
-    const auto decode_reply = [&] {
-      rank.timers().overhead.start();
-      while (offset < reply.size()) decoded.push_back(seq::decode_read(reply, offset));
-      rank.timers().overhead.stop();
-    };
-    if (wire_spans) {
-      GNB_SPAN(obs::span::kWireDecompress, "bytes", payload_bytes);
-      decode_reply();
-    } else {
-      decode_reply();
-    }
     std::vector<seq::ReadId> served;
-    for (const seq::Read& remote : decoded) {
-      result.wire_raw_bytes += seq::raw_read_bytes(remote);
+    const auto consume = [&](std::uint32_t, const seq::Read& remote) {
       if (chaos) served.push_back(remote.id);
-      // Memory accounting charges the *decoded* residency of the read while
-      // its tasks run (the wire payload alone undercounts it 4x under
-      // pack2), released symmetrically once the read is consumed.
-      const std::uint64_t decoded_bytes =
-          sizeof(seq::Read) + remote.sequence.footprint_bytes();
-      rank.memory().charge(decoded_bytes);
       process_read(remote);
-      rank.memory().release(decoded_bytes);
-    }
-    rank.memory().release(payload_bytes);
+    };
+    const std::uint64_t payload_bytes =
+        ship.receive(reply, offset, batches[logical].owner, "async pull", logical, consume);
+    rank.metrics().observe(obs::metric::kReplyBytesHist, payload_bytes);
     if (chaos && served.size() != batches[logical].reads.size()) {
       // Partial service: the callee's failure-aware view no longer owned
       // some of the requested reads. Replies preserve request order, so
@@ -344,19 +290,7 @@ EngineResult async_align(rt::Rank& rank, const seq::ReadStore& store,
     for (std::size_t b = 0; b < initial_batches; ++b) {
       // Bound outstanding requests; polling here both throttles and serves.
       rank.rpc().throttle(window.limit());
-      if (nnodes > 0) {
-        // Node-grouped windowing: outstanding pulls per destination node
-        // stay under the window's per-node share, so one hot node cannot
-        // monopolize the in-flight budget.
-        const std::size_t owner_node = node_of(batches[b].owner);
-        while (!window.can_issue(owner_node)) {
-          if (rank.rpc().progress() == 0) std::this_thread::yield();
-          runner.poll();
-        }
-        window.on_issue(owner_node);
-      } else {
-        window.on_issue();
-      }
+      window.on_issue();
       issue(b);
       ++result.messages;
     }

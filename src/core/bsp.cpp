@@ -5,13 +5,12 @@
 
 #include <unordered_map>
 
+#include "core/read_ship.hpp"
 #include "core/recovery.hpp"
 #include "obs/spans.hpp"
 #include "obs/trace.hpp"
 #include "proto/config.hpp"
 #include "proto/pull_index.hpp"
-#include "proto/round_planner.hpp"
-#include "seq/wire_codec.hpp"
 #include "util/error.hpp"
 #include "util/wire.hpp"
 
@@ -36,14 +35,8 @@ EngineResult bsp_align(rt::Rank& rank, const seq::ReadStore& store,
   // manifest before the first crash point can fire.
   const bool chaos = rank.faults() != nullptr;
 
-  const proto::WireCompression wire_mode = config.proto.wire_compression;
-  const bool wire_spans = wire_mode != proto::WireCompression::kOff;
-  // Two-level aggregation is a fault-free optimization: recovery's
-  // report_missing protocol depends on the flat FIFO needed[o] serve order,
-  // which proxy forwarding breaks, so under a fault plan the knob is
-  // ignored and the exchange stays flat.
-  const std::size_t ranks_per_node =
-      (!chaos && config.proto.ranks_per_node > 1) ? config.proto.ranks_per_node : 1;
+  proto::check_ranks_per_node(config.proto.ranks_per_node, /*bsp_engine=*/true, chaos);
+  const std::size_t ranks_per_node = config.proto.ranks_per_node;
   const bool hierarchy = ranks_per_node > 1;
   const auto node_of = [ranks_per_node](std::size_t r) { return r / ranks_per_node; };
 
@@ -166,41 +159,16 @@ EngineResult bsp_align(rt::Rank& rank, const seq::ReadStore& store,
     }
     rank.timers().overhead.stop();
   }
-  std::vector<std::vector<seq::ReadId>> to_serve(p);
-  std::vector<std::vector<std::uint64_t>> serve_sizes(p);
-  std::vector<std::uint64_t> serve_totals(p, 0);
-  std::uint64_t serve_bytes = 0;
-  std::uint64_t pull_bytes = 0;
+  // The read-shipping layer: request lists, FIFO serve queues with exact
+  // wire sizes, and the shared round formula (proto::rounds_needed) over
+  // (pull + serve) bytes — the quantity the simulator budgets.
+  ReadShip ship(rank, result, config.proto.wire_compression);
+  BulkFetch fetch(ship, proto::effective_round_budget(config.proto, 0, 0), "BSP round",
+                  checkpoint);
+  const auto serve = [&](seq::ReadId id) { return &local_read(store, bounds, me, id); };
   {
     GNB_SPAN(obs::span::kBspRequestExchange);
-    std::vector<Bytes> request_msgs(p);
-    for (std::size_t dst = 0; dst < p; ++dst)
-      for (const std::uint32_t id : needed[dst])
-        wire::put<std::uint32_t>(request_msgs[dst], id);
-    checkpoint();
-    const std::vector<Bytes> request_bufs = rank.alltoallv(std::move(request_msgs));
-
-    // Per-destination FIFO serve queues, with exact wire sizes for the
-    // round planner.
-    for (std::size_t src = 0; src < p; ++src) {
-      std::size_t offset = 0;
-      while (offset < request_bufs[src].size()) {
-        const auto id = wire::get<std::uint32_t>(request_bufs[src], offset);
-        const std::uint64_t bytes =
-            seq::encoded_read_bytes(local_read(store, bounds, me, id), wire_mode);
-        to_serve[src].push_back(id);
-        serve_sizes[src].push_back(bytes);
-        serve_totals[src] += bytes;
-        serve_bytes += bytes;
-      }
-    }
-
-    // Sizes exchange: each requester learns how many bytes it will pull, so
-    // every rank can evaluate the shared round formula on (pull + serve) —
-    // the exact quantity the simulator budgets (proto::rounds_needed).
-    checkpoint();
-    const std::vector<std::uint64_t> pull_totals = rank.alltoall(serve_totals);
-    for (const std::uint64_t bytes : pull_totals) pull_bytes += bytes;
+    fetch.request(std::move(needed), serve);
   }
 
   // --- local-local tasks: no communication required ---
@@ -209,218 +177,67 @@ EngineResult bsp_align(rt::Rank& rank, const seq::ReadStore& store,
     runner.run_local_tasks(index.local_tasks());
   }
 
-  // --- the shared protocol decision: round count and per-round packing ---
-  const std::uint64_t budget = proto::effective_round_budget(config.proto, 0, 0);
-  const std::uint64_t local_rounds = proto::rounds_needed(pull_bytes + serve_bytes, budget);
-  checkpoint();
-  const auto nrounds = static_cast<std::uint64_t>(
-      rank.allreduce_max(static_cast<double>(local_rounds)));
-  proto::RoundPlan plan = proto::plan_rounds(serve_sizes, nrounds);
+  fetch.plan();
 
-  // --- recovery hooks (all no-ops until a death is agreed on) ---
-  // FIFO delivery accounting: reads from owner o arrive exactly in
-  // needed[o] order (serve queues are built in request order and
-  // plan_rounds packs FIFO prefixes), so when o dies the reads this rank
-  // will never receive are precisely the suffix needed[o][received[o]:].
-  std::vector<std::size_t> received_count(p, 0);
-  std::vector<char> missing_reported(p, 0);
-  const auto report_missing = [&](const std::vector<char>& alive) {
-    std::vector<seq::ReadId> missing;
-    for (std::size_t o = 0; o < p; ++o) {
-      if (alive[o] || missing_reported[o] != 0) continue;
-      missing_reported[o] = 1;
-      missing.insert(missing.end(),
-                     needed[o].begin() + static_cast<std::ptrdiff_t>(received_count[o]),
-                     needed[o].end());
-    }
-    return missing;
-  };
-
-  std::uint64_t round = 0;
-  std::vector<std::size_t> next(p, 0);
-  // Re-agree on the remaining supersteps after a recovery pass: drop the
-  // FIFO prefixes already sent and everything owed to dead destinations,
-  // then rerun the shared round formula on what is left — the same memory
-  // budget governs the replanned exchange.
-  const auto replan = [&] {
-    const std::vector<char>& alive = rank.collective_alive();
-    serve_bytes = 0;
-    for (std::size_t dst = 0; dst < p; ++dst) {
-      if (!alive[dst]) {
-        to_serve[dst].clear();
-        serve_sizes[dst].clear();
-      } else {
-        to_serve[dst].erase(to_serve[dst].begin(),
-                            to_serve[dst].begin() + static_cast<std::ptrdiff_t>(next[dst]));
-        serve_sizes[dst].erase(
-            serve_sizes[dst].begin(),
-            serve_sizes[dst].begin() + static_cast<std::ptrdiff_t>(next[dst]));
-      }
-      next[dst] = 0;
-      serve_totals[dst] = 0;
-      for (const std::uint64_t bytes : serve_sizes[dst]) serve_totals[dst] += bytes;
-      serve_bytes += serve_totals[dst];
-    }
-    checkpoint();
-    const std::vector<std::uint64_t> new_pull_totals = rank.alltoall(serve_totals);
-    pull_bytes = 0;
-    for (const std::uint64_t bytes : new_pull_totals) pull_bytes += bytes;
-    checkpoint();
-    const auto new_nrounds = static_cast<std::uint64_t>(rank.allreduce_max(
-        static_cast<double>(proto::rounds_needed(pull_bytes + serve_bytes, budget))));
-    plan = proto::plan_rounds(serve_sizes, new_nrounds);
-    round = 0;
-  };
+  // --- recovery hook (a no-op until a death is agreed on) ---
+  // Recovery fetches the reads dead owners never delivered, hands them to
+  // run_tasks_for, and the remaining supersteps are re-agreed under the
+  // same memory budget.
+  const auto missing = [&](const std::vector<char>& alive) { return fetch.missing(alive); };
   const auto poll_recovery = [&] {
     while (rc && rc->needs_recovery()) {
-      rc->recover(result, report_missing, run_tasks_for);
-      replan();
+      rc->recover(result, missing, run_tasks_for);
+      fetch.replan(rank.collective_alive());
     }
   };
   poll_recovery();  // deaths during the request/sizes/round-count setup
 
   // --- dynamically-sized exchange-compute supersteps ---
-  while (round < plan.rounds.size()) {
-    const proto::Round& step = plan.rounds[round];
-    GNB_SPAN(obs::span::kBspRound, "round", round, "bytes", step.bytes);
+  while (!fetch.done()) {
+    const std::uint64_t round = fetch.round();
+    const std::uint64_t bytes = fetch.step().bytes;
+    GNB_SPAN(obs::span::kBspRound, "round", round, "bytes", bytes);
     ++result.rounds;
+    result.round_bytes.push_back(bytes);
 
-    // Each non-empty per-destination buffer is framed with a payload
-    // checksum (util/wire.hpp) the receiver verifies before unpacking —
-    // per-round verification that aggregated exchanges arrived intact.
-    // The checksum header is framing, not payload: round/byte accounting
-    // (the quantities the simulator budgets) count serialized reads only.
-    std::vector<Bytes> send(p);
-    std::uint64_t packed = 0;
-    const auto pack_round = [&] {
-      for (std::size_t dst = 0; dst < p; ++dst) {
-        if (step.per_dest[dst] == 0) continue;
-        wire::begin_checksum(send[dst]);
-        for (std::uint32_t i = 0; i < step.per_dest[dst]; ++i) {
-          const seq::Read& read = local_read(store, bounds, me, to_serve[dst][next[dst]]);
-          const std::size_t before = send[dst].size();
-          seq::encode_read(read, wire_mode, send[dst]);
-          packed += send[dst].size() - before;
-          ++next[dst];
-        }
-        wire::seal_checksum(send[dst]);
-      }
-    };
-    if (wire_spans) {
-      GNB_SPAN(obs::span::kWireCompress, "bytes", step.bytes);
-      pack_round();
-    } else {
-      pack_round();
-    }
-    GNB_CHECK_MSG(packed == step.bytes, "executed round diverged from plan");
-    result.round_bytes.push_back(packed);
-    result.exchange_bytes_sent += packed;
-    for (const Bytes& buffer : send) rank.memory().charge(buffer.size());
-
-    checkpoint();
-    std::vector<Bytes> received = rank.alltoallv(std::move(send));
-    rank.memory().release(packed);
-    std::uint64_t received_bytes = 0;
-    for (const Bytes& buffer : received)
-      if (!buffer.empty()) received_bytes += buffer.size() - wire::kChecksumBytes;
-    rank.memory().charge(received_bytes);
-    result.exchange_bytes_received += received_bytes;
-    result.messages += p;  // one aggregated buffer per peer per round
-
-    // Intra-node forward buffers, filled while the main buffers unpack
-    // (hierarchy mode only): a proxied read is re-framed for each
-    // co-located rank that also requested it.
+    // Intra-node forward frames, filled while the round unpacks (hierarchy
+    // mode only): a proxied read is re-framed for each co-located rank
+    // that also requested it.
     std::vector<Bytes> fwd(hierarchy ? p : 0);
-    const auto forward_read = [&](const seq::Read& remote) {
-      const auto peers = forward_to.find(remote.id);
-      if (peers == forward_to.end()) return;
-      for (const std::uint32_t peer : peers->second) {
-        if (fwd[peer].empty()) wire::begin_checksum(fwd[peer]);
-        seq::encode_read(remote, wire_mode, fwd[peer]);
-      }
-    };
 
     // "All pairwise alignments associated with each received read are
     // computed together, when the respective read is accessed from the
-    // message buffer." Each buffer is decoded as a unit (the decompress
-    // span the simulator mirrors), then its reads' tasks run in order.
-    std::vector<seq::Read> decoded;
-    const auto decode_buffer = [&](const Bytes& buffer, std::size_t& offset) {
-      rank.timers().overhead.start();
-      while (offset < buffer.size()) decoded.push_back(seq::decode_read(buffer, offset));
-      rank.timers().overhead.stop();
+    // message buffer." Each frame decodes as a unit, then its reads' tasks
+    // run in order.
+    const auto consume = [&](std::uint32_t, const seq::Read& remote) {
+      if (hierarchy) {
+        const auto peers = forward_to.find(remote.id);
+        if (peers != forward_to.end())
+          for (const std::uint32_t peer : peers->second) ship.add(fwd[peer], remote);
+      }
+      run_tasks_for(remote);
     };
-    const auto consume = [&](std::size_t src) {
-      const Bytes& buffer = received[src];
-      if (buffer.empty()) return;
-      std::size_t offset = 0;
-      if (!wire::verify_checksum(buffer, offset)) {
-        ++rank.fault_counters().checksum_failures;
-        GNB_CHECK_MSG(false, "BSP round " << round << ": corrupt payload from rank " << src);
-      }
-      decoded.clear();
-      if (wire_spans) {
-        GNB_SPAN(obs::span::kWireDecompress, "bytes", buffer.size() - wire::kChecksumBytes);
-        decode_buffer(buffer, offset);
-      } else {
-        decode_buffer(buffer, offset);
-      }
-      for (const seq::Read& remote : decoded) {
-        result.wire_raw_bytes += seq::raw_read_bytes(remote);
-        if (hierarchy) forward_read(remote);
-        run_tasks_for(remote);
-        ++received_count[src];
-      }
-    };
-    {
-      GNB_SPAN(obs::span::kBspCompute);
-      for (std::size_t src = 0; src < p; ++src) consume(src);
-    }
-    rank.memory().release(received_bytes);
+    fetch.next_round(obs::span::kBspCompute, consume);
+    result.messages += p;  // one aggregated buffer per peer per round
 
     // --- intra-node forward step: proxied reads reach their co-needers ---
     if (hierarchy) {
-      std::uint64_t fwd_packed = 0;
-      for (Bytes& buffer : fwd) {
-        if (buffer.empty()) continue;
-        wire::seal_checksum(buffer);
-        fwd_packed += buffer.size() - wire::kChecksumBytes;
-      }
-      result.exchange_bytes_sent += fwd_packed;
-      const std::vector<Bytes> fwd_received = rank.alltoallv(std::move(fwd));
+      for (Bytes& frame : fwd)
+        if (!frame.empty()) ship.seal(frame);
+      const auto forwarded = [&](std::uint32_t, const seq::Read& remote) {
+        run_tasks_for(remote);
+      };
+      ship.exchange(std::move(fwd), "BSP forward round", round, obs::span::kBspCompute,
+                    forwarded);
       result.messages += p;
-      GNB_SPAN(obs::span::kBspCompute);
-      for (std::size_t src = 0; src < p; ++src) {
-        const Bytes& buffer = fwd_received[src];
-        if (buffer.empty()) continue;
-        std::size_t offset = 0;
-        if (!wire::verify_checksum(buffer, offset)) {
-          ++rank.fault_counters().checksum_failures;
-          GNB_CHECK_MSG(false,
-                        "BSP forward round " << round << ": corrupt payload from rank " << src);
-        }
-        result.exchange_bytes_received += buffer.size() - wire::kChecksumBytes;
-        decoded.clear();
-        if (wire_spans) {
-          GNB_SPAN(obs::span::kWireDecompress, "bytes", buffer.size() - wire::kChecksumBytes);
-          decode_buffer(buffer, offset);
-        } else {
-          decode_buffer(buffer, offset);
-        }
-        for (const seq::Read& remote : decoded) {
-          result.wire_raw_bytes += seq::raw_read_bytes(remote);
-          run_tasks_for(remote);
-        }
-      }
     }
     // Merge whatever the workers finished while this round exchanged and
     // unpacked; the remaining tail overlaps the next round's alltoallv.
     runner.poll();
-    rank.metrics().observe(obs::metric::kRoundBytesHist, packed);
+    rank.metrics().observe(obs::metric::kRoundBytesHist, bytes);
     GNB_COUNTER(obs::span::kCtrExchangeBytes, result.exchange_bytes_received);
     GNB_COUNTER(obs::span::kCtrAlignCells, result.cells);
     GNB_COUNTER(obs::span::kCtrCacheBytes, runner.cache().stats().bytes);
-    ++round;
     // A death at the exchange above was stamped into this rank's agreed
     // snapshot; recover before packing the next round (so the executed
     // rounds always match the replanned schedule).

@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <sstream>
 
+#include "core/read_ship.hpp"
 #include "obs/spans.hpp"
 #include "obs/trace.hpp"
 #include "proto/config.hpp"
-#include "proto/round_planner.hpp"
-#include "seq/wire_codec.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
 #include "util/wire.hpp"
@@ -22,32 +21,6 @@ constexpr std::uint8_t kEntryCompletion = 1;
 constexpr std::uint8_t kEntryReexecution = 2;
 constexpr std::uint8_t kEntryClaim = 3;
 
-void put_record(Bytes& out, const align::AlignmentRecord& record) {
-  wire::put<std::uint32_t>(out, record.read_a);
-  wire::put<std::uint32_t>(out, record.read_b);
-  wire::put<std::uint32_t>(out, static_cast<std::uint32_t>(record.alignment.score));
-  wire::put<std::uint32_t>(out, record.alignment.a_begin);
-  wire::put<std::uint32_t>(out, record.alignment.a_end);
-  wire::put<std::uint32_t>(out, record.alignment.b_begin);
-  wire::put<std::uint32_t>(out, record.alignment.b_end);
-  wire::put<std::uint8_t>(out, record.alignment.b_reversed ? 1 : 0);
-  wire::put<std::uint64_t>(out, record.alignment.cells);
-}
-
-align::AlignmentRecord get_record(std::span<const std::uint8_t> in, std::size_t& offset) {
-  align::AlignmentRecord record;
-  record.read_a = wire::get<std::uint32_t>(in, offset);
-  record.read_b = wire::get<std::uint32_t>(in, offset);
-  record.alignment.score = static_cast<std::int32_t>(wire::get<std::uint32_t>(in, offset));
-  record.alignment.a_begin = wire::get<std::uint32_t>(in, offset);
-  record.alignment.a_end = wire::get<std::uint32_t>(in, offset);
-  record.alignment.b_begin = wire::get<std::uint32_t>(in, offset);
-  record.alignment.b_end = wire::get<std::uint32_t>(in, offset);
-  record.alignment.b_reversed = wire::get<std::uint8_t>(in, offset) != 0;
-  record.alignment.cells = wire::get<std::uint64_t>(in, offset);
-  return record;
-}
-
 }  // namespace
 
 RecoveryContext::RecoveryContext(rt::Rank& rank, const seq::ReadStore& store,
@@ -60,14 +33,7 @@ RecoveryContext::RecoveryContext(rt::Rank& rank, const seq::ReadStore& store,
   // survivors reconstruct this rank's task list from it.
   Bytes manifest;
   wire::put<std::uint64_t>(manifest, my_tasks_.size());
-  for (const AlignTask& task : my_tasks_) {
-    wire::put<std::uint32_t>(manifest, task.a);
-    wire::put<std::uint32_t>(manifest, task.b);
-    wire::put<std::uint32_t>(manifest, task.seed.a_pos);
-    wire::put<std::uint32_t>(manifest, task.seed.b_pos);
-    wire::put<std::uint16_t>(manifest, task.seed.length);
-    wire::put<std::uint8_t>(manifest, task.seed.b_reversed ? 1 : 0);
-  }
+  for (const AlignTask& task : my_tasks_) kmer::put_task(manifest, task);
   rank_.fault_counters().checkpoint_bytes +=
       rank_.durable().write_manifest(rank_.id(), std::move(manifest));
 }
@@ -88,13 +54,13 @@ void RecoveryContext::append_entry(const LogEntry& entry) {
     case kEntryCompletion:
       wire::put<std::uint32_t>(log_buffer_, entry.index);
       wire::put<std::uint8_t>(log_buffer_, entry.has_record ? 1 : 0);
-      if (entry.has_record) put_record(log_buffer_, entry.record);
+      if (entry.has_record) align::put_record(log_buffer_, entry.record);
       break;
     case kEntryReexecution:
       wire::put<std::uint32_t>(log_buffer_, entry.origin);
       wire::put<std::uint32_t>(log_buffer_, entry.index);
       wire::put<std::uint8_t>(log_buffer_, entry.has_record ? 1 : 0);
-      if (entry.has_record) put_record(log_buffer_, entry.record);
+      if (entry.has_record) align::put_record(log_buffer_, entry.record);
       break;
     case kEntryClaim:
       wire::put<std::uint32_t>(log_buffer_, entry.origin);
@@ -121,13 +87,13 @@ std::vector<RecoveryContext::LogEntry> RecoveryContext::parse_log(std::uint32_t 
       case kEntryCompletion:
         entry.index = wire::get<std::uint32_t>(bytes, offset);
         entry.has_record = wire::get<std::uint8_t>(bytes, offset) != 0;
-        if (entry.has_record) entry.record = get_record(bytes, offset);
+        if (entry.has_record) entry.record = align::get_record(bytes, offset);
         break;
       case kEntryReexecution:
         entry.origin = wire::get<std::uint32_t>(bytes, offset);
         entry.index = wire::get<std::uint32_t>(bytes, offset);
         entry.has_record = wire::get<std::uint8_t>(bytes, offset) != 0;
-        if (entry.has_record) entry.record = get_record(bytes, offset);
+        if (entry.has_record) entry.record = align::get_record(bytes, offset);
         break;
       case kEntryClaim:
         entry.origin = wire::get<std::uint32_t>(bytes, offset);
@@ -146,16 +112,7 @@ std::vector<kmer::AlignTask> RecoveryContext::parse_manifest(const rt::Bytes& ma
   std::size_t offset = 0;
   const auto count = wire::get<std::uint64_t>(manifest, offset);
   tasks.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    AlignTask task;
-    task.a = wire::get<std::uint32_t>(manifest, offset);
-    task.b = wire::get<std::uint32_t>(manifest, offset);
-    task.seed.a_pos = wire::get<std::uint32_t>(manifest, offset);
-    task.seed.b_pos = wire::get<std::uint32_t>(manifest, offset);
-    task.seed.length = wire::get<std::uint16_t>(manifest, offset);
-    task.seed.b_reversed = wire::get<std::uint8_t>(manifest, offset) != 0;
-    tasks.push_back(task);
-  }
+  for (std::uint64_t i = 0; i < count; ++i) tasks.push_back(kmer::get_task(manifest, offset));
   return tasks;
 }
 
@@ -373,61 +330,24 @@ void RecoveryContext::recover(
     std::sort(want.begin(), want.end());
     want.erase(std::unique(want.begin(), want.end()), want.end());
 
-    std::vector<Bytes> request_msgs(p);
-    for (const seq::ReadId id : want)
-      wire::put<std::uint32_t>(request_msgs[map.owner(id)], id);
-    const std::vector<Bytes> request_bufs = rank_.alltoallv(std::move(request_msgs));
-
-    std::vector<std::vector<seq::ReadId>> to_serve(p);
-    std::vector<std::vector<std::uint64_t>> serve_sizes(p);
-    std::vector<std::uint64_t> serve_totals(p, 0);
-    std::uint64_t serve_bytes = 0;
-    for (std::size_t src = 0; src < p; ++src) {
-      std::size_t offset = 0;
-      while (offset < request_bufs[src].size()) {
-        const auto id = wire::get<std::uint32_t>(request_bufs[src], offset);
-        if (!map.owns(me, id)) continue;  // stale view; the requester retries
-        const std::uint64_t bytes =
-            seq::encoded_read_bytes(store_.get(id), config_.proto.wire_compression);
-        to_serve[src].push_back(id);
-        serve_sizes[src].push_back(bytes);
-        serve_totals[src] += bytes;
-        serve_bytes += bytes;
-      }
-    }
-    const std::vector<std::uint64_t> pull_totals = rank_.alltoall(serve_totals);
-    std::uint64_t pull_bytes = 0;
-    for (const std::uint64_t bytes : pull_totals) pull_bytes += bytes;
-    const std::uint64_t budget = proto::effective_round_budget(config_.proto, 0, 0);
-    const std::uint64_t local_rounds = proto::rounds_needed(pull_bytes + serve_bytes, budget);
-    const auto nrounds =
-        static_cast<std::uint64_t>(rank_.allreduce_max(static_cast<double>(local_rounds)));
-    const proto::RoundPlan round_plan = proto::plan_rounds(serve_sizes, nrounds);
-    std::vector<std::size_t> next(p, 0);
-    for (std::uint64_t round = 0; round < nrounds; ++round) {
-      std::vector<Bytes> send(p);
-      for (std::size_t dst = 0; dst < p; ++dst) {
-        if (round_plan.rounds[round].per_dest[dst] == 0) continue;
-        wire::begin_checksum(send[dst]);
-        for (std::uint32_t i = 0; i < round_plan.rounds[round].per_dest[dst]; ++i)
-          seq::encode_read(store_.get(to_serve[dst][next[dst]++]),
-                           config_.proto.wire_compression, send[dst]);
-        wire::seal_checksum(send[dst]);
-      }
-      std::vector<Bytes> received = rank_.alltoallv(std::move(send));
-      for (std::size_t src = 0; src < p; ++src) {
-        const Bytes& buffer = received[src];
-        if (buffer.empty()) continue;
-        std::size_t offset = 0;
-        if (!wire::verify_checksum(buffer, offset)) {
-          ++rank_.fault_counters().checksum_failures;
-          GNB_CHECK_MSG(false, "recovery exchange: corrupt payload from rank " << src);
-        }
-        while (offset < buffer.size()) {
-          seq::Read read = seq::decode_read(buffer, offset);
-          fetched_.emplace(read.id, std::move(read));
-        }
-      }
+    {
+      std::vector<std::vector<seq::ReadId>> wanted(p);
+      for (const seq::ReadId id : want) wanted[map.owner(id)].push_back(id);
+      ReadShip ship(rank_, result, config_.proto.wire_compression);
+      BulkFetch fetch(ship, proto::effective_round_budget(config_.proto, 0, 0),
+                      "recovery round");
+      // A read this rank does not own under the agreed map is a stale
+      // request: dropped here, retried by the requester next iteration.
+      const auto serve = [&](seq::ReadId id) {
+        return map.owns(me, id) ? &store_.get(id) : nullptr;
+      };
+      const auto keep = [&](std::uint32_t, seq::Read&& read) {
+        const seq::ReadId id = read.id;
+        fetched_.emplace(id, std::move(read));
+      };
+      fetch.request(std::move(wanted), serve);
+      fetch.plan();
+      while (!fetch.done()) fetch.next_round(nullptr, keep);
     }
 
     // --- hand fetched reads back to the interrupted engine ---

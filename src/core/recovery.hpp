@@ -13,8 +13,8 @@
 // compute the pure proto::plan_recovery decision, adopt dead logs (merging
 // their records exactly once, guarded by durable claims), fetch the reads
 // the re-executions and the interrupted engine still need under the agreed
-// proto::OwnerMap (budget-limited alltoallv rounds — the same memory limit
-// as the BSP exchange), and re-execute only the lost tasks. Alignment is a
+// proto::OwnerMap (a core::BulkFetch — the BSP exchange's own read-shipping
+// code and memory limit), and re-execute only the lost tasks. Alignment is a
 // pure function of its task, task keys (a, b) are globally unique, and
 // every record is emitted by exactly one alive rank — so any crash schedule
 // yields output byte-identical to the fault-free run.

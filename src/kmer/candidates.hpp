@@ -7,6 +7,7 @@
 // experimental setup, exactly one seed is kept per candidate pair.
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "kmer/extract.hpp"
 #include "kmer/kmer.hpp"
 #include "seq/read_store.hpp"
+#include "util/wire.hpp"
 
 namespace gnb::kmer {
 
@@ -25,6 +27,30 @@ struct AlignTask {
   seq::ReadId b = seq::kInvalidRead;
   align::Seed seed;
 };
+
+/// The one wire encoding of a task, shared by the distributed stage-2/3
+/// exchange, recovery manifests and pipeline checkpoints (19 bytes,
+/// little-endian): a, b, seed.a_pos, seed.b_pos as u32, seed.length as u16,
+/// seed.b_reversed as u8. Pinned by a golden-bytes test.
+inline void put_task(std::vector<std::uint8_t>& out, const AlignTask& task) {
+  wire::put<std::uint32_t>(out, task.a);
+  wire::put<std::uint32_t>(out, task.b);
+  wire::put<std::uint32_t>(out, task.seed.a_pos);
+  wire::put<std::uint32_t>(out, task.seed.b_pos);
+  wire::put<std::uint16_t>(out, task.seed.length);
+  wire::put<std::uint8_t>(out, task.seed.b_reversed ? 1 : 0);
+}
+
+inline AlignTask get_task(std::span<const std::uint8_t> in, std::size_t& offset) {
+  AlignTask task;
+  task.a = wire::get<std::uint32_t>(in, offset);
+  task.b = wire::get<std::uint32_t>(in, offset);
+  task.seed.a_pos = wire::get<std::uint32_t>(in, offset);
+  task.seed.b_pos = wire::get<std::uint32_t>(in, offset);
+  task.seed.length = wire::get<std::uint16_t>(in, offset);
+  task.seed.b_reversed = wire::get<std::uint8_t>(in, offset) != 0;
+  return task;
+}
 
 using KmerSet = std::unordered_set<Kmer, KmerHash>;
 

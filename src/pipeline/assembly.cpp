@@ -33,17 +33,7 @@ Bytes pack_records(std::span<const align::AlignmentRecord> records) {
   Bytes out;
   wire::begin_checksum(out);
   wire::put<std::uint64_t>(out, records.size());
-  for (const auto& record : records) {
-    wire::put<std::uint32_t>(out, record.read_a);
-    wire::put<std::uint32_t>(out, record.read_b);
-    wire::put<std::uint32_t>(out, static_cast<std::uint32_t>(record.alignment.score));
-    wire::put<std::uint32_t>(out, record.alignment.a_begin);
-    wire::put<std::uint32_t>(out, record.alignment.a_end);
-    wire::put<std::uint32_t>(out, record.alignment.b_begin);
-    wire::put<std::uint32_t>(out, record.alignment.b_end);
-    wire::put<std::uint8_t>(out, record.alignment.b_reversed ? 1 : 0);
-    wire::put<std::uint64_t>(out, record.alignment.cells);
-  }
+  for (const auto& record : records) align::put_record(out, record);
   wire::seal_checksum(out);
   return out;
 }
@@ -55,19 +45,7 @@ std::vector<align::AlignmentRecord> unpack_records(const Bytes& in) {
   const auto count = wire::get<std::uint64_t>(in, offset);
   std::vector<align::AlignmentRecord> records;
   records.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    align::AlignmentRecord record;
-    record.read_a = wire::get<std::uint32_t>(in, offset);
-    record.read_b = wire::get<std::uint32_t>(in, offset);
-    record.alignment.score = static_cast<std::int32_t>(wire::get<std::uint32_t>(in, offset));
-    record.alignment.a_begin = wire::get<std::uint32_t>(in, offset);
-    record.alignment.a_end = wire::get<std::uint32_t>(in, offset);
-    record.alignment.b_begin = wire::get<std::uint32_t>(in, offset);
-    record.alignment.b_end = wire::get<std::uint32_t>(in, offset);
-    record.alignment.b_reversed = wire::get<std::uint8_t>(in, offset) != 0;
-    record.alignment.cells = wire::get<std::uint64_t>(in, offset);
-    records.push_back(record);
-  }
+  for (std::uint64_t i = 0; i < count; ++i) records.push_back(align::get_record(in, offset));
   return records;
 }
 

@@ -29,52 +29,6 @@ constexpr std::uint32_t kKindAlignment = 3;
 constexpr std::uint32_t kKindGraph = 4;
 constexpr std::uint32_t kKindAssembly = 5;
 
-void put_task(Bytes& out, const kmer::AlignTask& task) {
-  wire::put<std::uint32_t>(out, task.a);
-  wire::put<std::uint32_t>(out, task.b);
-  wire::put<std::uint32_t>(out, task.seed.a_pos);
-  wire::put<std::uint32_t>(out, task.seed.b_pos);
-  wire::put<std::uint16_t>(out, task.seed.length);
-  wire::put<std::uint8_t>(out, task.seed.b_reversed ? 1 : 0);
-}
-
-kmer::AlignTask get_task(std::span<const std::uint8_t> in, std::size_t& offset) {
-  kmer::AlignTask task;
-  task.a = wire::get<std::uint32_t>(in, offset);
-  task.b = wire::get<std::uint32_t>(in, offset);
-  task.seed.a_pos = wire::get<std::uint32_t>(in, offset);
-  task.seed.b_pos = wire::get<std::uint32_t>(in, offset);
-  task.seed.length = wire::get<std::uint16_t>(in, offset);
-  task.seed.b_reversed = wire::get<std::uint8_t>(in, offset) != 0;
-  return task;
-}
-
-void put_record(Bytes& out, const align::AlignmentRecord& record) {
-  wire::put<std::uint32_t>(out, record.read_a);
-  wire::put<std::uint32_t>(out, record.read_b);
-  wire::put<std::uint32_t>(out, static_cast<std::uint32_t>(record.alignment.score));
-  wire::put<std::uint32_t>(out, record.alignment.a_begin);
-  wire::put<std::uint32_t>(out, record.alignment.a_end);
-  wire::put<std::uint32_t>(out, record.alignment.b_begin);
-  wire::put<std::uint32_t>(out, record.alignment.b_end);
-  wire::put<std::uint8_t>(out, record.alignment.b_reversed ? 1 : 0);
-  wire::put<std::uint64_t>(out, record.alignment.cells);
-}
-
-align::AlignmentRecord get_record(std::span<const std::uint8_t> in, std::size_t& offset) {
-  align::AlignmentRecord record;
-  record.read_a = wire::get<std::uint32_t>(in, offset);
-  record.read_b = wire::get<std::uint32_t>(in, offset);
-  record.alignment.score = static_cast<std::int32_t>(wire::get<std::uint32_t>(in, offset));
-  record.alignment.a_begin = wire::get<std::uint32_t>(in, offset);
-  record.alignment.a_end = wire::get<std::uint32_t>(in, offset);
-  record.alignment.b_begin = wire::get<std::uint32_t>(in, offset);
-  record.alignment.b_end = wire::get<std::uint32_t>(in, offset);
-  record.alignment.b_reversed = wire::get<std::uint8_t>(in, offset) != 0;
-  record.alignment.cells = wire::get<std::uint64_t>(in, offset);
-  return record;
-}
-
 std::atomic<std::uint64_t> g_corrupt_records{0};
 std::atomic<std::uint64_t> g_fallback_checkpoints{0};
 std::atomic<const rt::FaultInjector*> g_injector{nullptr};
@@ -261,7 +215,7 @@ void save_tasks(const std::filesystem::path& path, std::uint64_t fingerprint,
   wire::put<std::uint64_t>(payload, tasks.per_rank.size());
   for (const auto& rank_tasks : tasks.per_rank) {
     wire::put<std::uint64_t>(payload, rank_tasks.size());
-    for (const kmer::AlignTask& task : rank_tasks) put_task(payload, task);
+    for (const kmer::AlignTask& task : rank_tasks) kmer::put_task(payload, task);
   }
   save_blob(path, kKindTasks, fingerprint, payload);
 }
@@ -281,7 +235,7 @@ std::optional<TaskSet> load_tasks(const std::filesystem::path& path,
     const auto ntasks = wire::get<std::uint64_t>(*payload, offset);
     tasks.per_rank[r].reserve(ntasks);
     for (std::uint64_t t = 0; t < ntasks; ++t)
-      tasks.per_rank[r].push_back(get_task(*payload, offset));
+      tasks.per_rank[r].push_back(kmer::get_task(*payload, offset));
   }
   return tasks;
 }
@@ -291,7 +245,8 @@ void save_alignment_progress(const std::filesystem::path& path, std::uint64_t fi
   Bytes payload;
   wire::put<std::uint64_t>(payload, progress.watermark);
   wire::put<std::uint64_t>(payload, progress.accepted.size());
-  for (const align::AlignmentRecord& record : progress.accepted) put_record(payload, record);
+  for (const align::AlignmentRecord& record : progress.accepted)
+    align::put_record(payload, record);
   save_blob(path, kKindAlignment, fingerprint, payload);
 }
 
@@ -305,7 +260,7 @@ std::optional<AlignmentProgress> load_alignment_progress(const std::filesystem::
   const auto count = wire::get<std::uint64_t>(*payload, offset);
   progress.accepted.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i)
-    progress.accepted.push_back(get_record(*payload, offset));
+    progress.accepted.push_back(align::get_record(*payload, offset));
   return progress;
 }
 

@@ -21,26 +21,6 @@ std::uint64_t pair_key(seq::ReadId a, seq::ReadId b) {
   return (static_cast<std::uint64_t>(a) << 32) | b;
 }
 
-void put_task(Bytes& out, const AlignTask& task) {
-  wire::put<std::uint32_t>(out, task.a);
-  wire::put<std::uint32_t>(out, task.b);
-  wire::put<std::uint32_t>(out, task.seed.a_pos);
-  wire::put<std::uint32_t>(out, task.seed.b_pos);
-  wire::put<std::uint16_t>(out, task.seed.length);
-  wire::put<std::uint8_t>(out, task.seed.b_reversed ? 1 : 0);
-}
-
-AlignTask get_task(std::span<const std::uint8_t> in, std::size_t& offset) {
-  AlignTask task;
-  task.a = wire::get<std::uint32_t>(in, offset);
-  task.b = wire::get<std::uint32_t>(in, offset);
-  task.seed.a_pos = wire::get<std::uint32_t>(in, offset);
-  task.seed.b_pos = wire::get<std::uint32_t>(in, offset);
-  task.seed.length = wire::get<std::uint16_t>(in, offset);
-  task.seed.b_reversed = wire::get<std::uint8_t>(in, offset) != 0;
-  return task;
-}
-
 }  // namespace
 
 std::vector<AlignTask> run_distributed(rt::Rank& rank, const seq::ReadStore& store,
@@ -154,14 +134,14 @@ std::vector<AlignTask> run_distributed(rt::Rank& rank, const seq::ReadStore& sto
 
   std::vector<Bytes> pair_msgs(p);
   for (const auto& [key, task] : local_best)
-    put_task(pair_msgs[kmer::mix64(key) % p], task);
+    kmer::put_task(pair_msgs[kmer::mix64(key) % p], task);
   local_best.clear();
 
   std::unordered_map<std::uint64_t, AlignTask> global_best;
   for (const Bytes& msg : rank.alltoallv(std::move(pair_msgs))) {
     std::size_t offset = 0;
     while (offset < msg.size()) {
-      const AlignTask task = get_task(msg, offset);
+      const AlignTask task = kmer::get_task(msg, offset);
       const auto [it, inserted] = global_best.emplace(pair_key(task.a, task.b), task);
       if (!inserted && kmer::seed_less(task.seed, it->second.seed)) it->second = task;
     }
@@ -189,13 +169,13 @@ std::vector<AlignTask> run_distributed(rt::Rank& rank, const seq::ReadStore& sto
       dst = owner_b;
     }
     ++load_estimate[dst];
-    put_task(task_msgs[dst], task);
+    kmer::put_task(task_msgs[dst], task);
   }
 
   std::vector<AlignTask> mine;
   for (const Bytes& msg : rank.alltoallv(std::move(task_msgs))) {
     std::size_t offset = 0;
-    while (offset < msg.size()) mine.push_back(get_task(msg, offset));
+    while (offset < msg.size()) mine.push_back(kmer::get_task(msg, offset));
   }
   std::sort(mine.begin(), mine.end(), [](const AlignTask& x, const AlignTask& y) {
     return std::tie(x.a, x.b) < std::tie(y.a, y.b);

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/error.hpp"
+
 namespace gnb::proto {
 
 std::size_t compute_threads_from_env(std::size_t fallback) {
@@ -62,6 +64,14 @@ WireCompression wire_compression_from_env(WireCompression fallback) {
   const char* raw = std::getenv("GNB_WIRE_COMPRESSION");
   if (raw == nullptr || *raw == '\0') return fallback;
   return parse_wire_compression(raw).value_or(fallback);
+}
+
+void check_ranks_per_node(std::size_t ranks_per_node, bool bsp_engine, bool faults) {
+  if (ranks_per_node <= 1) return;
+  GNB_THROW_IF(!bsp_engine,
+               "ranks_per_node = " << ranks_per_node << ": the two-level exchange is BSP-only");
+  GNB_THROW_IF(faults, "ranks_per_node = " << ranks_per_node
+                                           << ": the two-level exchange is fault-free only");
 }
 
 }  // namespace gnb::proto

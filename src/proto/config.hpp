@@ -132,22 +132,20 @@ struct ProtoConfig {
   /// bound is exceeded. 0 = unbounded.
   std::uint64_t read_cache_bytes = 32ull << 20;
 
-  /// Wire codec for read payloads in the BSP round exchange, the async
-  /// reply path, and recovery re-fetches. Overridable host-wide via
-  /// GNB_WIRE_COMPRESSION (off | pack2 | pack2-rle | auto).
+  /// Wire codec for every read payload core::ReadShip moves: the BSP round
+  /// exchange, the async reply path, and recovery re-fetches. Overridable
+  /// host-wide via GNB_WIRE_COMPRESSION (off | pack2 | pack2-rle | auto).
   WireCompression wire_compression = wire_compression_from_env(WireCompression::kAuto);
 
   /// Ranks per physical node for hierarchy-aware exchange aggregation
   /// (Abduljabbar et al.'s two-level all-to-all). 1 = flat exchange, the
-  /// default. When > 1 and the run is fault-free, the BSP engine dedups
-  /// pulls of the same remote read across co-located ranks: the lowest
-  /// co-located requester acts as the node's proxy and forwards the read
-  /// to its node peers over an intra-node alltoallv, so each (node, node)
-  /// pair ships every read at most once per round. Under fault injection
-  /// the knob is ignored (recovery's report_missing protocol relies on the
-  /// flat FIFO per-owner serve order). The async engine applies the same
-  /// grouping to its request window only; the simulator costs the full
-  /// two-level plan (proto::plan_node_exchange).
+  /// default. When > 1, the BSP engine dedups pulls of the same remote read
+  /// across co-located ranks: the lowest co-located requester acts as the
+  /// node's proxy and forwards the read to its node peers over an
+  /// intra-node alltoallv, so each (node, node) pair ships every read at
+  /// most once per round; the simulator costs the same two-level plan
+  /// (proto::plan_node_exchange). Valid for the BSP engine without a fault
+  /// plan only — check_ranks_per_node rejects anything else.
   std::size_t ranks_per_node = 1;
 
   /// Upper bound on recovery convergence: the number of
@@ -157,6 +155,13 @@ struct ProtoConfig {
   /// flapping membership. 0 = unbounded (the pre-knob behavior).
   std::size_t max_recovery_attempts = 64;
 };
+
+/// Throw gnb::Error unless `ranks_per_node` <= 1 or the run is the BSP
+/// engine without a fault plan: the async engine has no two-level
+/// exchange, and recovery's missing-read report relies on the flat FIFO
+/// per-owner serve order that proxy forwarding breaks. The engines, the
+/// simulator and gnbody all call this instead of ignoring the knob.
+void check_ranks_per_node(std::size_t ranks_per_node, bool bsp_engine, bool faults);
 
 /// Resolve the BSP round budget for one rank. `capacity_bytes` is the
 /// per-core memory capacity (0 when unknown, as in the real engines);

@@ -87,50 +87,27 @@ struct PullBatch {
 /// policy object is shared; the *waiting* is backend-specific — the engine
 /// polls RPC progress until below the limit, the simulator divides the
 /// round-trip ramp by the window.
-/// With `nnodes > 1` the window is additionally node-grouped (two-level
-/// aggregation): outstanding pulls per destination node are capped at the
-/// window's per-node share, so co-located owners are treated as one
-/// aggregation target and a single hot node cannot monopolize the
-/// in-flight budget. `nnodes == 0` is the flat window.
 class RequestWindow {
  public:
-  explicit RequestWindow(std::size_t limit, std::size_t nnodes = 0)
-      : limit_(limit == 0 ? 1 : limit) {
-    if (nnodes > 1) {
-      node_in_flight_.assign(nnodes, 0);
-      node_limit_ = std::max<std::size_t>(1, limit_ / nnodes);
-    }
-  }
+  explicit RequestWindow(std::size_t limit) : limit_(limit == 0 ? 1 : limit) {}
 
   [[nodiscard]] std::size_t limit() const { return limit_; }
-  [[nodiscard]] bool grouped() const { return !node_in_flight_.empty(); }
-  [[nodiscard]] std::size_t node_limit() const { return node_limit_; }
-  [[nodiscard]] bool can_issue(std::size_t node = 0) const {
-    if (in_flight_ >= limit_) return false;
-    return node_in_flight_.empty() || node_in_flight_[node] < node_limit_;
-  }
+  [[nodiscard]] bool can_issue() const { return in_flight_ < limit_; }
   [[nodiscard]] std::size_t in_flight() const { return in_flight_; }
-  [[nodiscard]] std::size_t node_in_flight(std::size_t node) const {
-    return node_in_flight_.empty() ? in_flight_ : node_in_flight_[node];
-  }
   [[nodiscard]] std::uint64_t issued() const { return issued_; }
 
-  void on_issue(std::size_t node = 0) {
+  void on_issue() {
     ++in_flight_;
     ++issued_;
-    if (!node_in_flight_.empty()) ++node_in_flight_[node];
   }
-  void on_reply(std::size_t node = 0) {
+  void on_reply() {
     if (in_flight_ > 0) --in_flight_;
-    if (!node_in_flight_.empty() && node_in_flight_[node] > 0) --node_in_flight_[node];
   }
 
  private:
   std::size_t limit_;
-  std::size_t node_limit_ = 0;
   std::size_t in_flight_ = 0;
   std::uint64_t issued_ = 0;
-  std::vector<std::size_t> node_in_flight_;
 };
 
 }  // namespace gnb::proto

@@ -1,14 +1,12 @@
 #pragma once
-// Alphabets for genomic and protein sequences.
+// The DNA alphabet for genomic sequences.
 //
 // Long-read data uses the 5-letter DNA alphabet {A,C,G,T} ∪ {N}: sequencers
 // insert 'N' for low-confidence base calls (paper §2). Codes 0-3 are the
 // 2-bit encodings used by k-mer packing; code 4 (N) is tracked out-of-band.
-// The 20-letter protein alphabet supports the protein-search example (§2).
 
 #include <array>
 #include <cstdint>
-#include <string_view>
 
 namespace gnb::seq {
 
@@ -49,18 +47,5 @@ constexpr std::uint8_t dna_complement(std::uint8_t code) {
 }
 
 constexpr bool is_dna_char(char base) { return dna_encode(base) != kInvalidCode; }
-
-/// 20-letter amino-acid alphabet (order matches common BLOSUM layouts).
-inline constexpr std::string_view kProteinLetters = "ARNDCQEGHILKMFPSTWYV";
-
-/// Amino-acid character -> code 0-19, or kInvalidCode.
-constexpr std::uint8_t protein_encode(char aa) {
-  for (std::size_t i = 0; i < kProteinLetters.size(); ++i)
-    if (kProteinLetters[i] == aa || kProteinLetters[i] + ('a' - 'A') == aa)
-      return static_cast<std::uint8_t>(i);
-  return kInvalidCode;
-}
-
-constexpr char protein_decode(std::uint8_t code) { return kProteinLetters[code]; }
 
 }  // namespace gnb::seq

@@ -303,12 +303,11 @@ SimResult simulate_bsp(const MachineParams& machine, const SimAssignment& assign
   const std::size_t p = assignment.nranks();
   GNB_CHECK_MSG(p == machine.total_ranks(),
                 "assignment has " << p << " ranks, machine " << machine.total_ranks());
-  // Two-level aggregation, under the engine's own gate: the hierarchy knob
-  // is ignored when a fault plan is active (recovery needs the flat FIFO
-  // request order).
-  const std::size_t rpn = (!options.faults.enabled() && options.proto.ranks_per_node > 1)
-                              ? options.proto.ranks_per_node
-                              : 1;
+  // Two-level aggregation, under the engine's own rule: BSP without a
+  // fault plan only.
+  proto::check_ranks_per_node(options.proto.ranks_per_node, /*bsp_engine=*/true,
+                              options.faults.enabled());
+  const std::size_t rpn = options.proto.ranks_per_node;
   const bool hierarchy = rpn > 1;
   const std::size_t nnodes_g = hierarchy ? (p + rpn - 1) / rpn : 0;
   const bool wire_spans = options.proto.wire_compression != proto::WireCompression::kOff;
@@ -604,6 +603,8 @@ SimResult simulate_async(const MachineParams& machine, const SimAssignment& assi
                          const SimOptions& options) {
   const std::size_t p = assignment.nranks();
   GNB_CHECK(p == machine.total_ranks());
+  proto::check_ranks_per_node(options.proto.ranks_per_node, /*bsp_engine=*/false,
+                              options.faults.enabled());
   const Traffic traffic = analyze_traffic(machine, assignment);
   const double cps = options.calibration.cells_per_second;
   const double ovh = options.calibration.overhead_per_task * machine.async_overhead_factor;

@@ -42,8 +42,8 @@ struct SimOptions {
   /// Coordination-protocol knobs (round budget, RPC window, pull batching,
   /// wire codec, ranks_per_node) — the same structure and defaults
   /// core::EngineConfig carries, so the costed protocol is the executed
-  /// one (src/proto). With ranks_per_node > 1 (and no fault plan, the
-  /// engine's own gate) simulate_bsp costs the two-level plan from
+  /// one (src/proto). With ranks_per_node > 1 (BSP without a fault plan
+  /// only, as in the engine) simulate_bsp costs the two-level plan from
   /// proto::plan_node_exchange: node-deduped inter-node traffic, coalesced
   /// per-node-pair messages, and alltoallv setup that scales with
   /// nodes + ranks_per_node instead of total ranks.

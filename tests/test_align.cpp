@@ -1,20 +1,18 @@
 // Unit and property tests for gnb_align: the X-drop kernel against exact
-// DP oracles, scoring invariants, banded alignment, overlap classification
-// and protein scoring.
+// DP oracles, scoring invariants, banded alignment and overlap
+// classification.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <stdexcept>
 
-#include "align/affine.hpp"
 #include "align/banded.hpp"
 #include "align/batch.hpp"
 #include "align/xdrop_batch.hpp"
 #include "align/exact.hpp"
 #include "align/overlap.hpp"
 #include "align/paf.hpp"
-#include "align/protein.hpp"
 #include "align/xdrop.hpp"
 #include "seq/read_store.hpp"
 #include "seq/sequence.hpp"
@@ -456,97 +454,6 @@ TEST(Filter, ThresholdsAreInclusive) {
   EXPECT_FALSE(filter.accepts(alignment));
 }
 
-// ---------- protein ----------
-
-TEST(Protein, ScoringIdentityAndGroups) {
-  const ProteinScoring s;
-  const auto L = seq::protein_encode('L');
-  const auto I = seq::protein_encode('I');
-  const auto D = seq::protein_encode('D');
-  EXPECT_EQ(s.substitution(L, L), s.identity);
-  EXPECT_EQ(s.substitution(L, I), s.same_group);  // both hydrophobic
-  EXPECT_EQ(s.substitution(L, D), s.different);
-}
-
-TEST(Protein, SmithWatermanFindsConservedRegion) {
-  Xoshiro256 rng(51);
-  std::vector<std::uint8_t> core(40);
-  for (auto& aa : core) aa = static_cast<std::uint8_t>(rng.below(20));
-  std::vector<std::uint8_t> a(20, 0), b(30, 1);
-  a.insert(a.end(), core.begin(), core.end());
-  b.insert(b.end(), core.begin(), core.end());
-  a.insert(a.end(), 25, 2);
-  const LocalAlignment r = protein_smith_waterman(a, b);
-  EXPECT_GE(r.score, 40 * 4 - 8);  // nearly the full conserved block
-}
-
-// ---------- affine gaps (Gotoh) ----------
-
-TEST(Affine, MatchesLinearWhenGapCostsCoincide) {
-  // With gap_open == gap_extend == gap, affine == linear model.
-  Xoshiro256 rng(61);
-  const Codes ancestor = random_codes(120, rng);
-  const Codes a = mutate(ancestor, 0.1, rng);
-  const Codes b = mutate(ancestor, 0.1, rng);
-  AffineScoring affine;
-  affine.match = 1;
-  affine.mismatch = -1;
-  affine.gap_open = -1;
-  affine.gap_extend = -1;
-  Scoring linear;  // defaults: 1/-1/-1
-  EXPECT_EQ(affine_smith_waterman(a, b, affine).score, smith_waterman(a, b, linear).score);
-  EXPECT_EQ(affine_global_score(a, b, affine), needleman_wunsch_score(a, b, linear));
-}
-
-TEST(Affine, LongGapCheaperThanUnderLinearModel) {
-  // One long 10-base deletion: affine charges open + 9 extends.
-  Codes a(50);
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] = static_cast<std::uint8_t>(i % 4);
-  Codes b = a;
-  b.erase(b.begin() + 20, b.begin() + 30);
-  const AffineScoring affine;  // open -3, extend -1
-  const std::int32_t got = affine_global_score(a, b, affine);
-  // 40 matches, one gap of 10: 40 - (3 + 9) = 28.
-  EXPECT_EQ(got, 28);
-}
-
-TEST(Affine, LocalScoreNonNegativeAndBounded) {
-  Xoshiro256 rng(62);
-  for (int trial = 0; trial < 8; ++trial) {
-    const Codes a = random_codes(80, rng);
-    const Codes b = random_codes(90, rng);
-    const LocalAlignment r = affine_smith_waterman(a, b);
-    EXPECT_GE(r.score, 0);
-    EXPECT_LE(r.score, 80);
-  }
-}
-
-TEST(Affine, IdenticalSequences) {
-  Xoshiro256 rng(63);
-  const Codes a = random_codes(64, rng);
-  EXPECT_EQ(affine_smith_waterman(a, a).score, 64);
-  EXPECT_EQ(affine_global_score(a, a), 64);
-}
-
-TEST(Affine, CoordinatesRecoverScore) {
-  Xoshiro256 rng(64);
-  const Codes ancestor = random_codes(100, rng);
-  const Codes a = mutate(ancestor, 0.12, rng);
-  const Codes b = mutate(ancestor, 0.12, rng);
-  const LocalAlignment r = affine_smith_waterman(a, b);
-  ASSERT_GT(r.score, 0);
-  const Codes sub_a(a.begin() + r.a_begin, a.begin() + r.a_end);
-  const Codes sub_b(b.begin() + r.b_begin, b.begin() + r.b_end);
-  EXPECT_EQ(affine_smith_waterman(sub_a, sub_b).score, r.score);
-}
-
-TEST(Affine, GlobalNeverAboveLocal) {
-  Xoshiro256 rng(65);
-  const Codes a = random_codes(60, rng);
-  const Codes b = random_codes(60, rng);
-  EXPECT_LE(affine_global_score(a, b), affine_smith_waterman(a, b).score);
-}
-
 // ---------- PAF match-count derivation ----------
 
 namespace {
@@ -615,15 +522,6 @@ TEST(Paf, RoundTripsThroughFormatAndParse) {
   // Reverse-strand target coordinates are reported on the forward strand.
   EXPECT_EQ(back.target_begin, 90u - 80u);
   EXPECT_EQ(back.target_end, 90u - 10u);
-}
-
-TEST(Protein, RandomProteinsScoreLow) {
-  Xoshiro256 rng(52);
-  std::vector<std::uint8_t> a(100), b(100);
-  for (auto& aa : a) aa = static_cast<std::uint8_t>(rng.below(20));
-  for (auto& aa : b) aa = static_cast<std::uint8_t>(rng.below(20));
-  const LocalAlignment r = protein_smith_waterman(a, b);
-  EXPECT_LT(r.score, 40);
 }
 
 // --- BatchAligner: seam behavior and lane-retirement edge cases -------------

@@ -376,44 +376,6 @@ TEST(WireConfig, DefaultSeededFromEnv) {
   EXPECT_EQ(config.wire_compression, WireCompression::kAuto);
 }
 
-// ---------- node-grouped request window ----------
-
-TEST(Window, NodeGroupingCapsPerNodeShare) {
-  RequestWindow window(8, 4);  // 8 outstanding over 4 nodes: 2 per node
-  EXPECT_TRUE(window.grouped());
-  EXPECT_EQ(window.node_limit(), 2u);
-  window.on_issue(0);
-  window.on_issue(0);
-  EXPECT_FALSE(window.can_issue(0)) << "node 0 at its share";
-  EXPECT_TRUE(window.can_issue(1)) << "other nodes unaffected";
-  window.on_reply(0);
-  EXPECT_TRUE(window.can_issue(0));
-  EXPECT_EQ(window.node_in_flight(0), 1u);
-}
-
-TEST(Window, NodeGroupingStillHonorsGlobalLimit) {
-  RequestWindow window(4, 2);  // 2 per node, 4 global
-  window.on_issue(0);
-  window.on_issue(0);
-  window.on_issue(1);
-  window.on_issue(1);
-  EXPECT_FALSE(window.can_issue(0));
-  EXPECT_FALSE(window.can_issue(1));
-  EXPECT_EQ(window.in_flight(), 4u);
-}
-
-TEST(Window, NodeShareNeverRoundsToZero) {
-  RequestWindow window(2, 8);  // more nodes than slots
-  EXPECT_EQ(window.node_limit(), 1u);
-  EXPECT_TRUE(window.can_issue(7));
-}
-
-TEST(Window, SingleNodeStaysFlat) {
-  RequestWindow window(4, 1);
-  EXPECT_FALSE(window.grouped());
-  EXPECT_TRUE(window.can_issue());
-}
-
 // ---------- plan_node_exchange ----------
 
 namespace {

@@ -61,13 +61,6 @@ TEST(Alphabet, ComplementPairs) {
   EXPECT_EQ(dna_complement(kN), kN);
 }
 
-TEST(Alphabet, ProteinRoundTrip) {
-  for (std::uint8_t code = 0; code < 20; ++code)
-    EXPECT_EQ(protein_encode(protein_decode(code)), code);
-  EXPECT_EQ(protein_encode('B'), kInvalidCode);
-  EXPECT_EQ(protein_encode('r'), protein_encode('R'));
-}
-
 // ---------- Sequence ----------
 
 class SequenceRoundTrip : public ::testing::TestWithParam<std::size_t> {};

@@ -5,18 +5,21 @@
 //     corpus that includes empty, all-N, all-homopolymer and ambiguous
 //     reads; `auto` never exceeds the smaller concrete codec.
 //   * engines: byte conservation (sum of per-rank sent == sum received),
-//     wire.raw_bytes invariance across modes, and byte-identical engine
+//     wire.raw_bytes invariance across modes, byte-identical engine
 //     *output* across every codec and rank count — compression changes
-//     wire bytes and nothing else.
+//     wire bytes and nothing else — and a memory meter that returns to its
+//     entry value, crash recovery included.
 //   * hierarchy: the two-level BSP exchange preserves output and byte
 //     conservation, and executes exactly the rounds/messages/bytes that
 //     proto::plan_node_exchange costs; the simulator's sent-byte
-//     prediction stays within the acceptance band of the measured run.
+//     prediction stays within the acceptance band of the measured run;
+//     async or fault-injected two-level runs are refused.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -26,6 +29,7 @@
 #include "pipeline/pipeline.hpp"
 #include "proto/config.hpp"
 #include "proto/exchange_plan.hpp"
+#include "rt/fault.hpp"
 #include "rt/world.hpp"
 #include "seq/read_store.hpp"
 #include "seq/sequence.hpp"
@@ -33,6 +37,7 @@
 #include "sim/assignment.hpp"
 #include "sim/machine.hpp"
 #include "sim/perf_model.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "wl/presets.hpp"
 
@@ -322,6 +327,41 @@ TEST(WireBytes, ConservationAndOutputIdentityAcrossModes) {
   }
 }
 
+TEST(WireBytes, MemoryMeterReturnsToEntryValue) {
+  // Every byte the read-shipping layer charges — send and receive frames,
+  // decoded reads, recovery re-fetches — is released by the same code, so
+  // a rank's live meter is back at its entry value when the phase ends.
+  const Fixture& f = fixture();
+  constexpr std::size_t kRanks = 4;
+  const pipeline::TaskSet tasks =
+      pipeline::run_serial(f.dataset.reads, f.pipeline_config, kRanks);
+  const core::EngineConfig config;
+  const auto drift = [&](bool async_mode, const std::string& faults) {
+    rt::World world(kRanks);
+    if (!faults.empty()) world.set_faults(rt::FaultPlan::parse(faults));
+    std::vector<std::optional<std::int64_t>> out(kRanks);
+    world.run([&](rt::Rank& rank) {
+      const std::uint64_t entry = rank.memory().live();
+      const std::vector<kmer::AlignTask>& mine = tasks.per_rank[rank.id()];
+      (void)(async_mode ? core::async_align(rank, f.dataset.reads, tasks.bounds, mine, config)
+                        : core::bsp_align(rank, f.dataset.reads, tasks.bounds, mine, config));
+      out[rank.id()] = static_cast<std::int64_t>(rank.memory().live() - entry);
+    });
+    return out;
+  };
+  for (const bool async_mode : {false, true}) {
+    for (const std::optional<std::int64_t>& d : drift(async_mode, "")) {
+      EXPECT_EQ(d, 0) << (async_mode ? "async" : "bsp");
+    }
+  }
+  // Rank 2 dies at its second collective; the survivors re-fetch its reads.
+  const auto crashed = drift(false, "seed=5,crash@2:2");
+  EXPECT_FALSE(crashed[2].has_value());
+  for (const std::size_t r : {0u, 1u, 3u}) {
+    EXPECT_EQ(crashed[r], 0) << "survivor " << r;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Two-level hierarchy: output identity, conservation, plan agreement.
 // ---------------------------------------------------------------------------
@@ -344,6 +384,16 @@ TEST(WireHierarchy, TwoLevelBspMatchesFlatOutputAndConservesBytes) {
   // and its raw equivalent match the flat exchange.
   EXPECT_EQ(hier.received, flat.received);
   EXPECT_EQ(hier.raw, flat.raw);
+
+  // The two-level exchange is BSP-only and fault-free only: any other
+  // combination is refused loudly rather than silently run flat.
+  EXPECT_THROW(proto::check_ranks_per_node(2, /*bsp_engine=*/false, /*faults=*/false),
+               gnb::Error);
+  EXPECT_THROW(proto::check_ranks_per_node(2, /*bsp_engine=*/true, /*faults=*/true),
+               gnb::Error);
+  EXPECT_NO_THROW(proto::check_ranks_per_node(2, /*bsp_engine=*/true, /*faults=*/false));
+  // A flat exchange goes anywhere (`--ranks-per-node 1 --faults ...`).
+  EXPECT_NO_THROW(proto::check_ranks_per_node(1, /*bsp_engine=*/false, /*faults=*/true));
 }
 
 TEST(WireHierarchy, EngineExecutesThePlannedTwoLevelExchange) {
@@ -418,4 +468,11 @@ TEST(WireHierarchy, SimPredictsMeasuredSentBytes) {
   EXPECT_GE(rel, 0.85);
   EXPECT_LE(rel, 1.15);
   EXPECT_EQ(sim_result.wire_raw_bytes, measured.raw);
+
+  // The simulator refuses the same combinations the engines do.
+  sim::SimOptions hier = options;
+  hier.proto.ranks_per_node = 2;
+  EXPECT_THROW(sim::simulate_async(sim::threaded_host(kRanks), assignment, hier), gnb::Error);
+  hier.faults = rt::FaultPlan::parse("seed=5,crash@2:2");
+  EXPECT_THROW(sim::simulate_bsp(sim::threaded_host(kRanks), assignment, hier), gnb::Error);
 }

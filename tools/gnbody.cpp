@@ -257,7 +257,7 @@ int cmd_overlap(int argc, char** argv) {
   auto ranks_per_node = cli.opt<std::uint64_t>(
       "ranks-per-node", 1,
       "co-located ranks per node for two-level exchange aggregation (1 = flat; "
-      "ignored under --faults)");
+      "> 1 needs --engine bsp and no --faults)");
   auto breakdown = cli.flag("breakdown", "print the measured phase breakdown table");
   auto trace = cli.opt<std::string>(
       "trace", "", "write a Perfetto/Chrome trace-event JSON (monotonic clock)");
@@ -273,6 +273,7 @@ int cmd_overlap(int argc, char** argv) {
 
   rt::FaultPlan plan;
   if (!faults->empty()) plan = rt::FaultPlan::parse(*faults);
+  proto::check_ranks_per_node(*ranks_per_node, *engine == "bsp", plan.enabled());
 
   // Open the recording epoch before the pipeline runs and bind a driver
   // track (pid = nranks, after the rank pids) so the serial stage spans
@@ -508,7 +509,8 @@ int cmd_sim(int argc, char** argv) {
   auto ranks_per_node = cli.opt<std::uint64_t>(
       "ranks-per-node", 1,
       "co-located ranks per node for the two-level exchange plan (1 = flat; "
-      "set to the machine's cores per node to model hierarchy-aware aggregation)");
+      "set to the machine's cores per node to model hierarchy-aware aggregation; "
+      "> 1 needs --engine bsp and no --faults)");
   auto seed = cli.opt<std::uint64_t>("seed", 42, "workload + calibration seed");
   auto assembly = cli.flag(
       "assembly", "model the graph phases (build/reduce/contig) instead of alignment");
@@ -517,6 +519,11 @@ int cmd_sim(int argc, char** argv) {
   auto metrics = cli.opt<std::string>("metrics", "", "write a metrics-snapshot JSON");
   auto faults = cli.opt<std::string>("faults", "", "fault spec (same syntax as overlap)");
   cli.parse(argc, argv);
+
+  sim::SimOptions options;
+  if (!faults->empty()) options.faults = rt::FaultPlan::parse(*faults);
+  proto::check_ranks_per_node(*ranks_per_node, *engine == "bsp" && !*assembly,
+                              options.faults.enabled());
 
   const wl::DatasetSpec spec = spec_by_name(*dataset);
   const wl::SimWorkload workload = wl::model_workload(spec, *scale, *seed);
@@ -538,13 +545,11 @@ int cmd_sim(int argc, char** argv) {
 
   const proto::BatchAlignerKind kernel_kind = parse_batch_aligner_cli(*batch_aligner);
   log::info(align::batch_aligner_report(kernel_kind));
-  sim::SimOptions options;
   options.calibration = core::calibrate_cost_model(*seed, 0.2, kernel_kind);
   options.proto.compute_threads = *compute_threads;
   options.proto.batch_aligner = kernel_kind;
   options.proto.wire_compression = wire_mode;
   options.proto.ranks_per_node = *ranks_per_node;
-  if (!faults->empty()) options.faults = rt::FaultPlan::parse(*faults);
   const bool async_mode = *engine == "async";
   GNB_THROW_IF(!async_mode && *engine != "bsp",
                "unknown engine '" << *engine << "' (use bsp or async)");
