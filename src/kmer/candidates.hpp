@@ -8,8 +8,7 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "align/result.hpp"
@@ -52,13 +51,81 @@ inline AlignTask get_task(std::span<const std::uint8_t> in, std::size_t& offset)
   return task;
 }
 
-using KmerSet = std::unordered_set<Kmer, KmerHash>;
+/// The 64-bit key of the undirected read pair {a, b}, a < b.
+inline std::uint64_t pair_key(seq::ReadId a, seq::ReadId b) {
+  return (static_cast<std::uint64_t>(a) << 32) | b;
+}
+
+/// A set of k-mers of one k, open-addressed (linear probing on mix64) over
+/// dense member slots: the i-th distinct k-mer inserted owns slot i, so
+/// per-k-mer data (PostingIndex's lists) lives in flat arrays by slot.
+class KmerSet {
+ public:
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  /// Insert `km`; false if it was already a member.
+  bool insert(const Kmer& km);
+  /// The member's slot in [0, size()), or kNoSlot.
+  [[nodiscard]] std::uint32_t slot(const Kmer& km) const;
+  /// The member owning `slot`.
+  [[nodiscard]] Kmer member(std::uint32_t slot) const { return Kmer(members_[slot], k_); }
+  [[nodiscard]] std::size_t size() const { return members_.size(); }
+
+ private:
+  /// The bucket holding `bits`, or the empty bucket ending its probe run.
+  [[nodiscard]] std::size_t probe(std::uint64_t bits) const;
+
+  std::uint32_t k_ = 0;
+  std::vector<std::uint64_t> members_;  // k-mer bits by slot
+  std::vector<std::uint32_t> buckets_;  // slot + 1 (0 = empty); power-of-two size, load <= 1/2
+};
 
 /// Deterministic total order on seeds, used to pick "the" seed for a pair
 /// when multiple shared k-mers produce candidates.
 bool seed_less(const align::Seed& x, const align::Seed& y);
 
+/// Posting lists grouped by KmerSet slot: slot s owns occurrences
+/// [offsets[s], offsets[s + 1]) of one flat array. Iterates as
+/// (k-mer, occurrences) pairs in slot order; a list may be empty.
+class PostingLists {
+ public:
+  class Iterator {
+   public:
+    using value_type = std::pair<Kmer, std::span<const Occurrence>>;
+
+    Iterator(const PostingLists* lists, std::size_t slot) : lists_(lists), slot_(slot) {}
+
+    value_type operator*() const { return lists_->at(slot_); }
+    Iterator& operator++() {
+      ++slot_;
+      return *this;
+    }
+    bool operator==(const Iterator& other) const { return slot_ == other.slot_; }
+
+   private:
+    const PostingLists* lists_;
+    std::size_t slot_;
+  };
+
+  [[nodiscard]] Iterator begin() const { return {this, 0}; }
+  [[nodiscard]] Iterator end() const { return {this, offsets_.size() - 1}; }
+
+ private:
+  friend class PostingIndex;
+  [[nodiscard]] Iterator::value_type at(std::size_t slot) const {
+    const Occurrence* first = occurrences_.data() + offsets_[slot];
+    const Occurrence* last = occurrences_.data() + offsets_[slot + 1];
+    return {retained_->member(static_cast<std::uint32_t>(slot)), {first, last}};
+  }
+
+  const KmerSet* retained_ = nullptr;
+  std::vector<std::size_t> offsets_{0};  // one per slot, plus the end
+  std::vector<Occurrence> occurrences_;
+};
+
 /// Posting lists: retained canonical k-mer -> its occurrences across reads.
+/// Occurrences are appended flat, tagged with their k-mer's KmerSet slot,
+/// and grouped by slot when the lists are read.
 ///
 /// `keep_frac` < 1 enables fraction sketching: only k-mers whose hash falls
 /// below keep_frac * 2^64 are indexed. Because the decision is a global
@@ -76,24 +143,65 @@ class PostingIndex {
                             : static_cast<std::uint64_t>(
                                   keep_frac * 18446744073709551615.0)) {}
 
-  /// Index every retained k-mer occurrence of `read`.
-  void add_read(const seq::Read& read);
-
-  [[nodiscard]] const std::unordered_map<Kmer, std::vector<Occurrence>, KmerHash>& lists() const {
-    return lists_;
+  /// Whether fraction sketching indexes `km` at all.
+  [[nodiscard]] bool sampled(const Kmer& km) const {
+    return keep_threshold_ == ~std::uint64_t{0} || mix64(km.bits()) <= keep_threshold_;
   }
+
+  /// Index one occurrence, if its k-mer is sampled and retained.
+  void add(const Kmer& km, const Occurrence& occ) {
+    if (!sampled(km)) return;
+    const std::uint32_t slot = retained_.slot(km);
+    if (slot != KmerSet::kNoSlot) postings_.push_back({slot, occ});
+  }
+
+  /// Index every retained k-mer occurrence of `read`.
+  void add_read(const seq::Read& read) {
+    for_each_kmer(read, k_, [this](const Kmer& km, const Occurrence& occ) { add(km, occ); });
+  }
+
+  /// The occurrences grouped into one list per retained k-mer, each in
+  /// indexing order: a counting sort by slot on every call.
+  [[nodiscard]] PostingLists lists() const;
   [[nodiscard]] std::uint32_t k() const { return k_; }
 
  private:
+  struct Posting {
+    std::uint32_t slot = 0;
+    Occurrence occ;
+  };
+
   const KmerSet& retained_;
   std::uint32_t k_;
   std::uint64_t keep_threshold_;
-  std::unordered_map<Kmer, std::vector<Occurrence>, KmerHash> lists_;
+  std::vector<Posting> postings_;  // in indexing order
 };
 
-/// Generate deduplicated alignment tasks (one seed per pair, first k-mer
-/// hit wins) from posting lists. `read_lengths[id]` is needed to transform
-/// seed coordinates when the two occurrences disagree on strand.
+/// Candidate tasks deduplicated by read pair, open-addressed on pair_key:
+/// per pair the seed_less-minimum seed wins, so the result does not depend
+/// on the order tasks are offered in. The one dedup of both pipelines.
+class TaskTable {
+ public:
+  /// Keep `task` unless its pair already holds a smaller seed.
+  void offer(const AlignTask& task);
+
+  /// The candidate join of one posting list: offer every pair of its
+  /// occurrences from different reads, seeded at the shared k-mer.
+  /// `read_lengths[id]` translates b's coordinate when the two occurrences
+  /// disagree on strand.
+  void join(std::span<const Occurrence> occs, std::uint32_t k,
+            const std::vector<std::size_t>& read_lengths);
+
+  /// The tasks sorted by (a, b); leaves the table empty.
+  [[nodiscard]] std::vector<AlignTask> take_sorted();
+
+ private:
+  std::vector<AlignTask> tasks_;
+  std::vector<std::uint32_t> buckets_;  // task index + 1 (0 = empty); power-of-two size
+};
+
+/// Generate deduplicated alignment tasks (one seed per pair, smallest seed
+/// wins) from posting lists, sorted by (a, b).
 std::vector<AlignTask> generate_tasks(const PostingIndex& index,
                                       const std::vector<std::size_t>& read_lengths);
 

@@ -2,29 +2,6 @@
 
 namespace gnb::kmer {
 
-void for_each_kmer(const seq::Read& read, std::uint32_t k,
-                   const std::function<void(const Kmer&, const Occurrence&)>& sink) {
-  GNB_CHECK_MSG(k >= 1 && k <= 32, "k out of range: " << k);
-  const std::vector<std::uint8_t> codes = read.sequence.unpack();
-  if (codes.size() < k) return;
-
-  Kmer window(0, k);
-  std::uint32_t valid = 0;  // length of current N-free run feeding `window`
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    if (codes[i] == seq::kN) {
-      valid = 0;
-      continue;
-    }
-    window = window.rolled(codes[i]);
-    if (++valid < k) continue;
-    Occurrence occ;
-    occ.read = read.id;
-    occ.pos = static_cast<std::uint32_t>(i + 1 - k);
-    const Kmer canon = window.canonical(&occ.reversed);
-    sink(canon, occ);
-  }
-}
-
 std::vector<Kmer> extract_kmers(const seq::Read& read, std::uint32_t k) {
   std::vector<Kmer> out;
   for_each_kmer(read, k, [&](const Kmer& km, const Occurrence&) { out.push_back(km); });

@@ -4,7 +4,6 @@
 // contains no 'N'.
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "kmer/kmer.hpp"
@@ -20,9 +19,34 @@ struct Occurrence {
 };
 
 /// Invoke `sink(canonical_kmer, occurrence)` for every N-free window of
-/// length k in `read`.
-void for_each_kmer(const seq::Read& read, std::uint32_t k,
-                   const std::function<void(const Kmer&, const Occurrence&)>& sink);
+/// length k in `read`, in position order. The reverse complement rolls
+/// along with the forward k-mer, so a window costs a few shifts and one
+/// compare, and the sink inlines into the loop.
+template <class Sink>
+void for_each_kmer(const seq::Read& read, std::uint32_t k, Sink&& sink) {
+  GNB_CHECK_MSG(valid_k(k), "k out of range: " << k);
+  const std::vector<std::uint8_t> codes = read.sequence.unpack();
+  if (codes.size() < k) return;
+
+  const std::uint64_t mask = k == 32 ? ~0ULL : ((1ULL << (2 * k)) - 1);
+  const unsigned oldest = 2 * (k - 1);  // bit offset of the window's first base
+  std::uint64_t fwd = 0;                // most-recent base in the low bits
+  std::uint64_t rc = 0;                 // its reverse complement
+  std::uint32_t valid = 0;              // length of the current N-free run
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    const std::uint8_t code = codes[i];
+    if (code == seq::kN) {
+      valid = 0;
+      continue;
+    }
+    fwd = ((fwd << 2) | code) & mask;
+    rc = (rc >> 2) | (static_cast<std::uint64_t>(3 - code) << oldest);
+    if (++valid < k) continue;
+    const bool reversed = rc < fwd;
+    sink(Kmer(reversed ? rc : fwd, k),
+         Occurrence{read.id, static_cast<std::uint32_t>(i + 1 - k), reversed});
+  }
+}
 
 /// All canonical k-mers of a read (convenience for tests and counting).
 std::vector<Kmer> extract_kmers(const seq::Read& read, std::uint32_t k);

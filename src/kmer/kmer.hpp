@@ -8,7 +8,6 @@
 // which strand produced it.
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "seq/alphabet.hpp"
@@ -16,12 +15,22 @@
 
 namespace gnb::kmer {
 
+/// Whether `k` is a supported k-mer length: [1, 32], so a k-mer packs into
+/// one 64-bit word. Takes the unnarrowed value so a command-line argument
+/// cannot wrap into range.
+constexpr bool valid_k(std::uint64_t k) { return k >= 1 && k <= 32; }
+
+/// Reject an out-of-range user-supplied k with a gnb::Error, before any work.
+inline void check_k(std::uint64_t k) {
+  GNB_THROW_IF(!valid_k(k), "k-mer length must be in [1, 32], got " << k);
+}
+
 /// A k-mer packed two bits per base, most-recent base in the low bits.
 class Kmer {
  public:
   Kmer() = default;
   Kmer(std::uint64_t bits, std::uint32_t k) : bits_(bits), k_(k) {
-    GNB_CHECK_MSG(k >= 1 && k <= 32, "k must be in [1,32], got " << k);
+    GNB_CHECK_MSG(valid_k(k), "k must be in [1,32], got " << k);
   }
 
   [[nodiscard]] std::uint64_t bits() const { return bits_; }
@@ -78,9 +87,5 @@ inline std::uint64_t mix64(std::uint64_t x) {
   x ^= x >> 33;
   return x;
 }
-
-struct KmerHash {
-  std::size_t operator()(const Kmer& km) const { return mix64(km.bits() ^ (km.k() * 0x9E37ULL)); }
-};
 
 }  // namespace gnb::kmer

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <bit>
 #include <fstream>
-#include <tuple>
 
 #include "align/xdrop.hpp"
 #include "obs/spans.hpp"
@@ -173,17 +172,10 @@ std::uint64_t pipeline_fingerprint(const seq::ReadStore& store, const PipelineCo
 
 void save_kmer_table(const std::filesystem::path& path, std::uint64_t fingerprint,
                      const kmer::KmerCounter& counter) {
-  // Sort by (bits, k) so the blob is byte-stable regardless of hash-map
-  // iteration order.
-  std::vector<std::pair<kmer::Kmer, std::uint64_t>> entries(counter.counts().begin(),
-                                                            counter.counts().end());
-  std::sort(entries.begin(), entries.end(), [](const auto& x, const auto& y) {
-    return std::make_tuple(x.first.bits(), x.first.k()) <
-           std::make_tuple(y.first.bits(), y.first.k());
-  });
+  // Entries come in increasing bits order, so the blob is byte-stable.
   Bytes payload;
-  wire::put<std::uint64_t>(payload, entries.size());
-  for (const auto& [km, count] : entries) {
+  wire::put<std::uint64_t>(payload, counter.distinct());
+  for (const auto& [km, count] : counter.counts()) {
     wire::put<std::uint64_t>(payload, km.bits());
     wire::put<std::uint32_t>(payload, km.k());
     wire::put<std::uint64_t>(payload, count);
@@ -330,6 +322,7 @@ CheckpointedRun run_serial_checkpointed(const seq::ReadStore& store,
                                         const align::AlignmentFilter& filter,
                                         const CheckpointConfig& ckpt,
                                         std::uint64_t stop_after_tasks) {
+  kmer::check_k(config.k);
   std::filesystem::create_directories(ckpt.dir);
   const std::uint64_t fingerprint = pipeline_fingerprint(store, config, nranks);
   const std::filesystem::path kmer_path = ckpt.dir / "kmer_table.ckpt";

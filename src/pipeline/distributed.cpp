@@ -1,9 +1,7 @@
 #include "pipeline/distributed.hpp"
 
 #include <algorithm>
-#include <tuple>
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
 
 #include "kmer/counter.hpp"
 #include "kmer/extract.hpp"
@@ -11,166 +9,97 @@
 
 namespace gnb::pipeline {
 
-namespace {
-
 using kmer::AlignTask;
 using kmer::Kmer;
 using rt::Bytes;
 
-std::uint64_t pair_key(seq::ReadId a, seq::ReadId b) {
-  return (static_cast<std::uint64_t>(a) << 32) | b;
-}
-
-}  // namespace
-
 std::vector<AlignTask> run_distributed(rt::Rank& rank, const seq::ReadStore& store,
                                        const PipelineConfig& config,
                                        const std::vector<seq::ReadId>& bounds) {
+  kmer::check_k(config.k);
   const std::size_t p = rank.nranks();
-  const seq::ReadId my_begin = bounds[rank.id()];
-  const seq::ReadId my_end = bounds[rank.id() + 1];
+  const std::span<const seq::Read> my_reads = std::span(store.reads()).subspan(
+      bounds[rank.id()], bounds[rank.id() + 1] - bounds[rank.id()]);
   const auto shard_of = [p](const Kmer& km) {
     return static_cast<std::size_t>(kmer::mix64(km.bits()) % p);
   };
-  const std::uint64_t keep_threshold =
-      config.keep_frac >= 1.0
-          ? ~std::uint64_t{0}
-          : static_cast<std::uint64_t>(config.keep_frac * 18446744073709551615.0);
 
   // --- stage 2a: sharded k-mer counting (distributed histogram) ---
-  std::vector<std::unordered_map<std::uint64_t, std::uint64_t>> local_counts(p);
-  for (seq::ReadId id = my_begin; id < my_end; ++id) {
-    kmer::for_each_kmer(store.get(id), config.k,
-                        [&](const Kmer& km, const kmer::Occurrence&) {
-                          ++local_counts[shard_of(km)][km.bits()];
-                        });
-  }
+  // This rank's reads count into one sorted table. Each shard's slice of it
+  // is still sorted, so every received run appends, and the shard merges
+  // the runs linearly.
   std::vector<Bytes> count_msgs(p);
-  for (std::size_t dst = 0; dst < p; ++dst) {
-    for (const auto& [bits, count] : local_counts[dst]) {
-      wire::put<std::uint64_t>(count_msgs[dst], bits);
-      wire::put<std::uint64_t>(count_msgs[dst], count);
+  {
+    kmer::KmerCounter local;
+    local.count_reads(my_reads, config.k);
+    for (const auto& [km, count] : local.counts()) {
+      Bytes& msg = count_msgs[shard_of(km)];
+      wire::put<std::uint64_t>(msg, km.bits());
+      wire::put<std::uint64_t>(msg, count);
     }
-    local_counts[dst].clear();
   }
-  std::unordered_map<std::uint64_t, std::uint64_t> shard_counts;
+  kmer::KmerCounter shard;
   for (const Bytes& msg : rank.alltoallv(std::move(count_msgs))) {
+    kmer::KmerCounter run;
     std::size_t offset = 0;
     while (offset < msg.size()) {
       const auto bits = wire::get<std::uint64_t>(msg, offset);
-      shard_counts[bits] += wire::get<std::uint64_t>(msg, offset);
+      run.add(Kmer(bits, config.k), wire::get<std::uint64_t>(msg, offset));
     }
+    shard.merge(run);
   }
 
   // --- stage 2b: filter to the reliable band (this shard's slice) ---
-  std::unordered_set<std::uint64_t> retained;
-  retained.reserve(shard_counts.size());
-  for (const auto& [bits, count] : shard_counts)
-    if (count >= config.lo && count <= config.hi) retained.insert(bits);
-  shard_counts.clear();
+  kmer::KmerSet retained;
+  for (const Kmer& km : shard.retained(config.lo, config.hi)) retained.insert(km);
+  shard = kmer::KmerCounter{};
 
   // --- stage 2c: route sampled occurrences to shards ---
+  kmer::PostingIndex index(retained, config.k, config.keep_frac);
   std::vector<Bytes> occ_msgs(p);
-  for (seq::ReadId id = my_begin; id < my_end; ++id) {
-    const auto read_len = static_cast<std::uint32_t>(store.get(id).length());
-    kmer::for_each_kmer(store.get(id), config.k,
-                        [&](const Kmer& km, const kmer::Occurrence& occ) {
-                          if (kmer::mix64(km.bits()) > keep_threshold) return;
-                          Bytes& msg = occ_msgs[shard_of(km)];
-                          wire::put<std::uint64_t>(msg, km.bits());
-                          wire::put<std::uint32_t>(msg, occ.read);
-                          wire::put<std::uint32_t>(msg, occ.pos);
-                          wire::put<std::uint32_t>(msg, read_len);
-                          wire::put<std::uint8_t>(msg, occ.reversed ? 1 : 0);
-                        });
+  for (const seq::Read& read : my_reads) {
+    kmer::for_each_kmer(read, config.k, [&](const Kmer& km, const kmer::Occurrence& occ) {
+      if (!index.sampled(km)) return;
+      Bytes& msg = occ_msgs[shard_of(km)];
+      wire::put<std::uint64_t>(msg, km.bits());
+      wire::put<std::uint32_t>(msg, occ.read);
+      wire::put<std::uint32_t>(msg, occ.pos);
+      wire::put<std::uint8_t>(msg, occ.reversed ? 1 : 0);
+    });
   }
-  struct ShardOcc {
-    seq::ReadId read;
-    std::uint32_t pos;
-    std::uint32_t len;
-    bool reversed;
-  };
-  std::unordered_map<std::uint64_t, std::vector<ShardOcc>> postings;
   for (const Bytes& msg : rank.alltoallv(std::move(occ_msgs))) {
     std::size_t offset = 0;
     while (offset < msg.size()) {
-      const auto bits = wire::get<std::uint64_t>(msg, offset);
-      ShardOcc occ{};
+      const Kmer km(wire::get<std::uint64_t>(msg, offset), config.k);
+      kmer::Occurrence occ;
       occ.read = wire::get<std::uint32_t>(msg, offset);
       occ.pos = wire::get<std::uint32_t>(msg, offset);
-      occ.len = wire::get<std::uint32_t>(msg, offset);
       occ.reversed = wire::get<std::uint8_t>(msg, offset) != 0;
-      if (retained.contains(bits)) postings[bits].push_back(occ);
+      index.add(km, occ);
     }
   }
-  retained.clear();
 
-  // --- stage 2d: enumerate candidate pairs, locally dedupe, shard by pair ---
-  std::unordered_map<std::uint64_t, AlignTask> local_best;
-  for (const auto& [bits, occs] : postings) {
-    for (std::size_t i = 0; i < occs.size(); ++i) {
-      for (std::size_t j = i + 1; j < occs.size(); ++j) {
-        if (occs[i].read == occs[j].read) continue;
-        const ShardOcc& oa = occs[i].read < occs[j].read ? occs[i] : occs[j];
-        const ShardOcc& ob = occs[i].read < occs[j].read ? occs[j] : occs[i];
-        AlignTask task;
-        task.a = oa.read;
-        task.b = ob.read;
-        task.seed.length = static_cast<std::uint16_t>(config.k);
-        task.seed.a_pos = oa.pos;
-        if (oa.reversed == ob.reversed) {
-          task.seed.b_pos = ob.pos;
-          task.seed.b_reversed = false;
-        } else {
-          task.seed.b_pos = ob.len - config.k - ob.pos;
-          task.seed.b_reversed = true;
-        }
-        const auto [it, inserted] = local_best.emplace(pair_key(task.a, task.b), task);
-        if (!inserted && kmer::seed_less(task.seed, it->second.seed)) it->second = task;
-      }
-    }
-  }
-  postings.clear();
-
+  // --- stage 2d: join this shard's lists, dedupe by pair on a pair shard ---
+  // Stage 1 already needs every read's length, so every rank has them.
+  std::vector<std::size_t> lengths(store.size());
+  for (const seq::Read& read : store.reads()) lengths[read.id] = read.length();
   std::vector<Bytes> pair_msgs(p);
-  for (const auto& [key, task] : local_best)
-    kmer::put_task(pair_msgs[kmer::mix64(key) % p], task);
-  local_best.clear();
+  for (const AlignTask& task : kmer::generate_tasks(index, lengths))
+    kmer::put_task(pair_msgs[kmer::mix64(kmer::pair_key(task.a, task.b)) % p], task);
 
-  std::unordered_map<std::uint64_t, AlignTask> global_best;
+  kmer::TaskTable pairs;
   for (const Bytes& msg : rank.alltoallv(std::move(pair_msgs))) {
     std::size_t offset = 0;
-    while (offset < msg.size()) {
-      const AlignTask task = kmer::get_task(msg, offset);
-      const auto [it, inserted] = global_best.emplace(pair_key(task.a, task.b), task);
-      if (!inserted && kmer::seed_less(task.seed, it->second.seed)) it->second = task;
-    }
+    while (offset < msg.size()) pairs.offer(kmer::get_task(msg, offset));
   }
 
   // --- stage 3: redistribute tasks, preserving the owner invariant ---
-  // Deterministic iteration for reproducibility of the greedy balance.
-  std::vector<AlignTask> deduped;
-  deduped.reserve(global_best.size());
-  for (const auto& [key, task] : global_best) deduped.push_back(task);
-  global_best.clear();
-  std::sort(deduped.begin(), deduped.end(), [](const AlignTask& x, const AlignTask& y) {
-    return std::tie(x.a, x.b) < std::tie(y.a, y.b);
-  });
-
-  std::vector<std::uint64_t> load_estimate(p, 0);
+  // This pair shard's tasks in (a, b) order make the greedy balance
+  // reproducible.
   std::vector<Bytes> task_msgs(p);
-  for (const AlignTask& task : deduped) {
-    const std::size_t owner_a = seq::partition_owner(bounds, task.a);
-    const std::size_t owner_b = seq::partition_owner(bounds, task.b);
-    std::size_t dst = owner_a;
-    if (owner_b != owner_a &&
-        (load_estimate[owner_b] < load_estimate[owner_a] ||
-         (load_estimate[owner_b] == load_estimate[owner_a] && owner_b < owner_a))) {
-      dst = owner_b;
-    }
-    ++load_estimate[dst];
-    kmer::put_task(task_msgs[dst], task);
-  }
+  const auto per_dst = assign_tasks(pairs.take_sorted(), bounds);
+  for (std::size_t dst = 0; dst < p; ++dst)
+    for (const AlignTask& task : per_dst[dst]) kmer::put_task(task_msgs[dst], task);
 
   std::vector<AlignTask> mine;
   for (const Bytes& msg : rank.alltoallv(std::move(task_msgs))) {
@@ -178,7 +107,7 @@ std::vector<AlignTask> run_distributed(rt::Rank& rank, const seq::ReadStore& sto
     while (offset < msg.size()) mine.push_back(kmer::get_task(msg, offset));
   }
   std::sort(mine.begin(), mine.end(), [](const AlignTask& x, const AlignTask& y) {
-    return std::tie(x.a, x.b) < std::tie(y.a, y.b);
+    return kmer::pair_key(x.a, x.b) < kmer::pair_key(y.a, y.b);
   });
   return mine;
 }

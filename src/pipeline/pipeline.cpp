@@ -58,6 +58,7 @@ std::vector<std::vector<kmer::AlignTask>> assign_tasks(
 
 TaskSet run_serial(const seq::ReadStore& store, const PipelineConfig& config,
                    std::size_t nranks) {
+  kmer::check_k(config.k);
   TaskSet result;
   {
     GNB_SPAN(obs::span::kStagePartition, "reads", store.size());

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <span>
+#include <tuple>
 
 #include "kmer/bella_filter.hpp"
 #include "kmer/candidates.hpp"
@@ -428,3 +431,213 @@ TEST(Candidates, DisjointReadsShareNothing) {
   for (int i = 0; i < 5; ++i) store.add("r", seq::Sequence::from_string(random_dna(400, rng)));
   EXPECT_TRUE(discover_tasks(store, 15, 1, 100).empty());
 }
+
+// ---------- oracle: counter and task set against a std::map brute force ----------
+
+namespace {
+
+struct OracleCase {
+  std::uint32_t k;
+  std::uint64_t lo, hi;  // retained multiplicity band
+  std::size_t reads;
+  std::size_t max_length;
+};
+
+/// Reads over a random genome carrying a repeat: overlapping substrings from
+/// both strands, some with N runs, plus reads shorter than k.
+seq::ReadStore oracle_reads(const OracleCase& c, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::string genome = random_dna(4 * c.max_length, rng);
+  const std::string repeat = random_dna(std::min<std::size_t>(60, c.max_length / 2), rng);
+  for (int copy = 0; copy < 5; ++copy)
+    genome.replace(rng.below(genome.size() - repeat.size()), repeat.size(), repeat);
+
+  seq::ReadStore store;
+  for (std::size_t i = 0; i < c.reads; ++i) {
+    const std::size_t length = i % 7 == 3 ? c.k - 1 : c.k + rng.below(c.max_length - c.k);
+    std::string read = genome.substr(rng.below(genome.size() - length), length);
+    if (rng.below(2) == 1)
+      read = seq::Sequence::from_string(read).reverse_complement().to_string();
+    if (length > 8 && rng.below(3) == 0) {
+      const std::size_t run = 1 + rng.below(4);
+      read.replace(rng.below(length - run), run, std::string(run, 'N'));
+    }
+    store.add(std::to_string(i), seq::Sequence::from_string(read));
+  }
+  return store;
+}
+
+/// Every N-free window, canonicalized by Kmer::canonical on a k-mer built
+/// from the window's characters — not by for_each_kmer's rolling update.
+struct OracleWindow {
+  std::uint64_t bits;
+  Occurrence occ;
+};
+
+std::vector<OracleWindow> oracle_windows(const seq::ReadStore& store, std::uint32_t k) {
+  std::vector<OracleWindow> out;
+  for (const seq::Read& read : store.reads()) {
+    const std::string bases = read.sequence.to_string();
+    for (std::size_t pos = 0; pos + k <= bases.size(); ++pos) {
+      const std::string window = bases.substr(pos, k);
+      if (window.find('N') != std::string::npos) continue;
+      Occurrence occ{read.id, static_cast<std::uint32_t>(pos), false};
+      const Kmer canon = kmer_of(window).canonical(&occ.reversed);
+      out.push_back({canon.bits(), occ});
+    }
+  }
+  return out;
+}
+
+std::map<std::uint64_t, std::uint64_t> oracle_counts(const std::vector<OracleWindow>& windows) {
+  std::map<std::uint64_t, std::uint64_t> counts;
+  for (const OracleWindow& w : windows) ++counts[w.bits];
+  return counts;
+}
+
+void expect_counter_matches(const KmerCounter& counter,
+                            const std::map<std::uint64_t, std::uint64_t>& oracle) {
+  ASSERT_EQ(counter.distinct(), oracle.size());
+  auto it = oracle.begin();
+  for (const auto& [km, n] : counter.counts()) {
+    EXPECT_EQ(km.bits(), it->first);
+    EXPECT_EQ(n, it->second);
+    ++it;
+  }
+}
+
+class Oracle : public ::testing::TestWithParam<std::tuple<OracleCase, double>> {};
+
+std::string oracle_case_name(const ::testing::TestParamInfo<Oracle::ParamType>& case_info) {
+  const auto& [c, keep_frac] = case_info.param;
+  return std::to_string(c.k) + (keep_frac >= 1.0 ? "mer_full" : "mer_sketched");
+}
+
+}  // namespace
+
+TEST_P(Oracle, CounterMatchesMapCount) {
+  const OracleCase c = std::get<0>(GetParam());
+  const seq::ReadStore store = oracle_reads(c, 31 + c.k);
+  const std::vector<OracleWindow> windows = oracle_windows(store, c.k);
+  const auto oracle = oracle_counts(windows);
+
+  // The rolling extraction emits exactly the sliced windows, in order.
+  std::size_t next = 0;
+  for (const seq::Read& read : store.reads()) {
+    for_each_kmer(read, c.k, [&](const Kmer& km, const Occurrence& occ) {
+      ASSERT_LT(next, windows.size());
+      EXPECT_EQ(km.bits(), windows[next].bits);
+      EXPECT_EQ(occ.read, windows[next].occ.read);
+      EXPECT_EQ(occ.pos, windows[next].occ.pos);
+      EXPECT_EQ(occ.reversed, windows[next].occ.reversed);
+      ++next;
+    });
+  }
+  EXPECT_EQ(next, windows.size());
+
+  KmerCounter counter;
+  counter.count_reads(store.reads(), c.k);
+  expect_counter_matches(counter, oracle);
+  EXPECT_EQ(counter.total(), windows.size());
+
+  std::map<std::uint64_t, std::uint64_t> spectrum;
+  for (const auto& [bits, n] : oracle) ++spectrum[n];
+  EXPECT_EQ(counter.histogram().bins(), spectrum);
+
+  Xoshiro256 rng(c.k);
+  const std::uint64_t mask = c.k == 32 ? ~0ULL : (1ULL << (2 * c.k)) - 1;
+  for (const auto& [bits, n] : oracle) EXPECT_EQ(counter.count(Kmer(bits, c.k)), n);
+  for (int probe = 0; probe < 200; ++probe) {
+    const std::uint64_t bits = rng() & mask;
+    const auto it = oracle.find(bits);
+    EXPECT_EQ(counter.count(Kmer(bits, c.k)), it == oracle.end() ? 0u : it->second);
+  }
+  EXPECT_EQ(counter.count(Kmer(0, c.k == 32 ? 31 : c.k + 1)), 0u);  // another k
+
+  std::vector<Kmer> band;
+  for (const auto& [bits, n] : oracle)
+    if (n >= c.lo && n <= c.hi) band.emplace_back(bits, c.k);
+  EXPECT_EQ(counter.retained(c.lo, c.hi), band);
+
+  // Two halves counted apart and merged; the merge of a run into an empty
+  // counter; and add() in shuffled order all equal the whole count.
+  const std::vector<seq::Read>& reads = store.reads();
+  const std::size_t half = reads.size() / 2;
+  KmerCounter front, back, merged;
+  front.count_reads(std::span<const seq::Read>(reads).first(half), c.k);
+  back.count_reads(std::span<const seq::Read>(reads).subspan(half), c.k);
+  front.merge(back);
+  expect_counter_matches(front, oracle);
+  merged.merge(front);
+  expect_counter_matches(merged, oracle);
+
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> entries(oracle.begin(), oracle.end());
+  for (std::size_t i = entries.size(); i > 1; --i)
+    std::swap(entries[i - 1], entries[rng.below(i)]);
+  KmerCounter shuffled;
+  for (const auto& [bits, n] : entries) shuffled.add(Kmer(bits, c.k), n);
+  expect_counter_matches(shuffled, oracle);
+}
+
+TEST_P(Oracle, TaskSetMatchesBruteForceJoin) {
+  const auto& [c, keep_frac] = GetParam();
+  const seq::ReadStore store = oracle_reads(c, 31 + c.k);
+  const std::vector<OracleWindow> windows = oracle_windows(store, c.k);
+  const auto counts = oracle_counts(windows);
+  const std::uint64_t keep = keep_frac >= 1.0 ? ~std::uint64_t{0}
+                                              : static_cast<std::uint64_t>(
+                                                    keep_frac * 18446744073709551615.0);
+
+  std::map<std::uint64_t, std::vector<Occurrence>> lists;
+  for (const OracleWindow& w : windows) {
+    const std::uint64_t n = counts.at(w.bits);
+    if (n >= c.lo && n <= c.hi && mix64(w.bits) <= keep) lists[w.bits].push_back(w.occ);
+  }
+  // Per read pair, the seed_less minimum over every shared retained window.
+  std::map<std::pair<seq::ReadId, seq::ReadId>, align::Seed> best;
+  for (const auto& [bits, occs] : lists) {
+    for (const Occurrence& x : occs) {
+      for (const Occurrence& y : occs) {
+        if (x.read >= y.read) continue;
+        align::Seed seed;
+        seed.length = static_cast<std::uint16_t>(c.k);
+        seed.a_pos = x.pos;
+        seed.b_reversed = x.reversed != y.reversed;
+        seed.b_pos = seed.b_reversed
+                         ? static_cast<std::uint32_t>(store.get(y.read).length()) - c.k - y.pos
+                         : y.pos;
+        const auto [it, inserted] = best.emplace(std::pair{x.read, y.read}, seed);
+        if (!inserted && seed_less(seed, it->second)) it->second = seed;
+      }
+    }
+  }
+
+  const std::vector<AlignTask> tasks = discover_tasks(store, c.k, c.lo, c.hi, keep_frac);
+  ASSERT_EQ(tasks.size(), best.size());
+  auto it = best.begin();
+  for (const AlignTask& task : tasks) {
+    EXPECT_EQ(task.a, it->first.first);
+    EXPECT_EQ(task.b, it->first.second);
+    EXPECT_EQ(task.seed.a_pos, it->second.a_pos);
+    EXPECT_EQ(task.seed.b_pos, it->second.b_pos);
+    EXPECT_EQ(task.seed.length, it->second.length);
+    EXPECT_EQ(task.seed.b_reversed, it->second.b_reversed);
+    // The seed is a real shared window.
+    std::string a = store.get(task.a).sequence.to_string();
+    std::string b = store.get(task.b).sequence.to_string();
+    if (task.seed.b_reversed)
+      b = seq::Sequence::from_string(b).reverse_complement().to_string();
+    EXPECT_EQ(a.substr(task.seed.a_pos, c.k), b.substr(task.seed.b_pos, c.k));
+    ++it;
+  }
+  EXPECT_GT(tasks.size(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KAndSketch, Oracle,
+    ::testing::Combine(::testing::Values(OracleCase{1, 1, 1000, 12, 40},
+                                         OracleCase{13, 2, 8, 48, 300},
+                                         OracleCase{17, 2, 8, 48, 300},
+                                         OracleCase{32, 2, 8, 48, 300}),
+                       ::testing::Values(1.0, 0.3)),
+    oracle_case_name);

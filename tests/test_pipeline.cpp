@@ -156,3 +156,26 @@ TEST(Pipeline, MoreRanksThanReads) {
   check_owner_invariant(tasks);
   EXPECT_GT(tasks.total_tasks(), 0u);
 }
+
+TEST(Pipeline, OutOfRangeKIsATypedError) {
+  // k must pack into one 64-bit word: every stage-2 entry point rejects a
+  // k outside [1, 32] with gnb::Error before doing any work.
+  const auto& f = fixture();
+  const auto bounds = compute_bounds(f.dataset.reads, 2);
+  for (const std::uint32_t k : {0u, 33u, 64u}) {
+    PipelineConfig config = f.config;
+    config.k = k;
+    EXPECT_THROW((void)run_serial(f.dataset.reads, config, 2), gnb::Error) << "k=" << k;
+    EXPECT_THROW((void)kmer::discover_tasks(f.dataset.reads, k, 1, 100), gnb::Error)
+        << "k=" << k;
+    rt::World world(2);
+    world.run([&](rt::Rank& rank) {
+      EXPECT_THROW((void)run_distributed(rank, f.dataset.reads, config, bounds), gnb::Error)
+          << "k=" << k;
+    });
+  }
+  // The CLI checks the parsed 64-bit value, so 2^32 + 17 cannot wrap to 17.
+  EXPECT_THROW(kmer::check_k(4294967313ULL), gnb::Error);
+  EXPECT_NO_THROW(kmer::check_k(1));
+  EXPECT_NO_THROW(kmer::check_k(32));
+}

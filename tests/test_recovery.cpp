@@ -745,6 +745,38 @@ TEST(CheckpointBlob, RoundTripAndStaleFingerprint) {
   align::put_record(reencoded, align::get_record(*reloaded, offset));
   EXPECT_EQ(offset, golden.size());
   EXPECT_EQ(reencoded, golden);
+
+  // Kind 1, the k-mer table: a u64 entry count, then per entry u64 bits,
+  // u32 k, u64 count, in increasing bits order whatever order the counts
+  // arrived in.
+  kmer::KmerCounter counter;
+  counter.add(kmer::Kmer(0x3F0, 5), 2);
+  counter.add(kmer::Kmer(0x001, 5), 0x0102030405060708);
+  counter.add(kmer::Kmer(0x123, 5), 7);
+  const fs::path table_path = dir / "kmer_table.ckpt";
+  pipeline::save_kmer_table(table_path, 0xABCDu, counter);
+  const auto table = pipeline::load_blob(table_path, 1, 0xABCDu);
+  ASSERT_TRUE(table.has_value());
+  const std::vector<std::uint8_t> table_golden = {
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // entries
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // bits
+      0x05, 0x00, 0x00, 0x00,                          // k
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // count
+      0x23, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //
+      0x05, 0x00, 0x00, 0x00,                          //
+      0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //
+      0xF0, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //
+      0x05, 0x00, 0x00, 0x00,                          //
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //
+  };
+  EXPECT_EQ(*table, table_golden);
+  const auto loaded_table = pipeline::load_kmer_table(table_path, 0xABCDu);
+  ASSERT_TRUE(loaded_table.has_value());
+  EXPECT_EQ(loaded_table->distinct(), 3u);
+  EXPECT_EQ(loaded_table->count(kmer::Kmer(0x001, 5)), 0x0102030405060708u);
+  EXPECT_EQ(loaded_table->count(kmer::Kmer(0x123, 5)), 7u);
+  EXPECT_EQ(loaded_table->count(kmer::Kmer(0x3F0, 5)), 2u);
+  EXPECT_EQ(loaded_table->count(kmer::Kmer(0x124, 5)), 0u);
 }
 
 std::vector<char> file_bytes(const fs::path& path) {

@@ -43,6 +43,7 @@
 #include "graph/gfa.hpp"
 #include "graph/overlap_graph.hpp"
 #include "kmer/bella_filter.hpp"
+#include "kmer/kmer.hpp"
 #include "obs/analysis.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -270,6 +271,7 @@ int cmd_overlap(int argc, char** argv) {
       ",restart@R:S (rank R comes back, skipping S admission gates)"
       ",corrupt@R:K:S (corrupt rank R's S-th durable record of kind K; all repeatable)");
   cli.parse(argc, argv);
+  kmer::check_k(*k);
 
   rt::FaultPlan plan;
   if (!faults->empty()) plan = rt::FaultPlan::parse(*faults);
@@ -354,6 +356,7 @@ int cmd_assemble(int argc, char** argv) {
   auto faults = cli.opt<std::string>(
       "faults", "", "fault spec for the graph phases (same syntax as overlap)");
   cli.parse(argc, argv);
+  kmer::check_k(*k);
 
   if (!trace->empty()) {
     obs::Tracer& tracer = obs::Tracer::instance();
@@ -456,6 +459,7 @@ int cmd_correct(int argc, char** argv) {
   auto coverage = cli.opt<double>("coverage", 20, "assumed depth for the BELLA filter");
   auto error = cli.opt<double>("error", 0.12, "assumed error rate");
   cli.parse(argc, argv);
+  kmer::check_k(*k);
 
   const seq::ReadStore reads = load_fasta(*in);
   log::info("loaded ", reads.size(), " reads");
