@@ -31,7 +31,7 @@ constexpr std::uint64_t kTimeoutScanMask = 63;
 /// so that retries and injected duplicates are recognizable: rt-level
 /// request ids change on every (re)issue, logical ids never do.
 struct PullState {
-  std::uint64_t issued_tick = 0;  // completion-loop tick of the last (re)issue
+  std::uint64_t issued_tick = 0;  // the owner's progress() tick at the last (re)issue
   std::uint32_t attempts = 1;
   bool done = false;
   bool exhausted = false;  // retry budget spent (counted once)
@@ -169,7 +169,7 @@ EngineResult async_align(rt::Rank& rank, const seq::ReadStore& store,
     }
     const std::vector<std::size_t>& tasks = index.tasks_for(remote.id);
     GNB_CHECK_MSG(!tasks.empty(), "RPC returned unrequested read " << remote.id);
-    // The runner's cache pins the decoded codes, so pooled slots may
+    // The runner's cache pins the decoded codes, so queued slots may
     // outlive the reply-buffer temporary this callback hands in.
     runner.run_tasks(remote, tasks);
   };
@@ -180,7 +180,7 @@ EngineResult async_align(rt::Rank& rank, const seq::ReadStore& store,
   // reply omitted, queue here until the next loop pass re-routes them.
   std::vector<std::size_t> peer_dead_pulls;
   std::vector<seq::ReadId> orphaned_reads;
-  std::uint64_t tick = 0;  // completion-loop polls (the engine's clock)
+  std::uint64_t tick = 0;  // completion-loop polls (paces the timeout scan)
 
   const auto on_reply = [&](Bytes reply) {
     std::size_t offset = 0;
@@ -220,6 +220,7 @@ EngineResult async_align(rt::Rank& rank, const seq::ReadStore& store,
   };
 
   const auto issue = [&](std::size_t b) {
+    states[b].issued_tick = rank.rpc().peer_ticks(batches[b].owner);
     Bytes payload;
     wire::put<std::uint64_t>(payload, b);
     for (const std::uint32_t id : batches[b].reads) wire::put<std::uint32_t>(payload, id);
@@ -271,9 +272,7 @@ EngineResult async_align(rt::Rank& rank, const seq::ReadStore& store,
       }
       for (auto& [owner, reads] : regrouped) {
         batches.push_back(proto::PullBatch{owner, std::move(reads)});
-        PullState fresh;
-        fresh.issued_tick = tick;
-        states.push_back(fresh);
+        states.emplace_back();
         // Throttling polls progress, which may fail more pulls or deliver
         // more partial replies — the outer while picks those up.
         rank.rpc().throttle(window.limit());
@@ -296,14 +295,18 @@ EngineResult async_align(rt::Rank& rank, const seq::ReadStore& store,
     }
 
   // --- completion loop: poll progress, re-issue timed-out pulls ---
-  // Time is progress() polls, not the wall clock: deterministic under the
-  // runtime's control and proportional to how much serving the rank has
-  // actually done. The per-pull timeout doubles with every attempt
-  // (bounded exponential backoff); once the budget is spent the event is
-  // counted and — with no fault injector to explain the silence — surfaced
-  // as a typed RpcRetriesExhaustedError instead of waiting forever. Under
-  // chaos the caller keeps polling: injected delays make late delivery the
-  // expected outcome, and peer death arrives separately as kPeerDead.
+  // A pull's clock is its owner's progress() polls — not the wall clock and
+  // not this rank's polls: only a poll on the owner can serve the request,
+  // so an owner busy aligning (local tasks, or reply callbacks run inline)
+  // never times out pulls it has had no chance to serve. The clock is
+  // deterministic under the runtime's control and proportional to how much
+  // serving the owner has actually done. The per-pull timeout doubles with
+  // every attempt (bounded exponential backoff); once the budget is spent
+  // the event is counted and — with no fault injector to explain the
+  // silence — surfaced as a typed RpcRetriesExhaustedError instead of
+  // waiting forever. Under chaos the caller keeps polling: injected delays
+  // make late delivery the expected outcome, and peer death arrives
+  // separately as kPeerDead.
   const std::uint64_t timeout = config.proto.rpc_timeout;
   std::size_t crash_checked = 0;
   while (completed < batches.size()) {
@@ -328,10 +331,11 @@ EngineResult async_align(rt::Rank& rank, const seq::ReadStore& store,
       if (state.done) continue;
       const std::uint64_t backoff =
           timeout << std::min<std::uint32_t>(state.attempts - 1, 16);
-      if (tick - state.issued_tick < backoff) continue;
+      const std::uint64_t owner_tick = rank.rpc().peer_ticks(batches[b].owner);
+      if (owner_tick - state.issued_tick < backoff) continue;
       ++rank.fault_counters().timeouts;
       GNB_INSTANT(obs::span::kRpcTimeout, "pull", b);
-      state.issued_tick = tick;
+      state.issued_tick = owner_tick;
       if (state.attempts > config.proto.max_retries) {
         if (!state.exhausted) {
           state.exhausted = true;
@@ -376,6 +380,7 @@ EngineResult async_align(rt::Rank& rank, const seq::ReadStore& store,
     GNB_SPAN(obs::span::kComputeBatch);
     if (runner.pooled()) {
       GNB_SPAN(obs::span::kComputePool);
+      runner.submit_pending();
       while (!runner.drained()) {
         if (rank.rpc().progress() == 0) std::this_thread::yield();
         runner.poll();

@@ -13,13 +13,13 @@
 // ever in flight toward this rank (proto::RequestWindow).
 //
 // Robustness (exercised by rt::FaultPlan injection, tests/test_fault): each
-// pull carries a stable logical id; pulls that exceed config.proto
-// .rpc_timeout progress-polls are re-issued with bounded exponential
-// backoff (config.proto.max_retries), duplicate replies are dropped by the
-// caller, and duplicate requests are served from a callee-side reply cache
-// — so pull semantics stay at-most-once under delayed, duplicated, or
-// reordered delivery, and the alignment set is byte-identical to a
-// fault-free run.
+// pull carries a stable logical id; pulls left unanswered for
+// config.proto.rpc_timeout progress-polls of their owner are re-issued with
+// bounded exponential backoff (config.proto.max_retries), duplicate replies
+// are dropped by the caller, and duplicate requests are served from a
+// callee-side reply cache — so pull semantics stay at-most-once under
+// delayed, duplicated, or reordered delivery, and the alignment set is
+// byte-identical to a fault-free run.
 
 #include "core/engine.hpp"
 #include "rt/world.hpp"

@@ -94,10 +94,10 @@ EngineResult bsp_align(rt::Rank& rank, const seq::ReadStore& store,
   // order and crash placement are the serial engine's.
   TaskRunner runner(rank, store, bounds, my_tasks, config, result, rc ? &*rc : nullptr);
 
-  // Execute every pending task of an arriving remote read, logging each
+  // Queue every pending task of an arriving remote read, logging each
   // completion durably when chaos is on. Used for reads unpacked from
   // exchange rounds and for reads the recovery fetch hands back. The
-  // arriving read's codes are pinned by the runner's cache, so pooled slots
+  // arriving read's codes are pinned by the runner's cache, so queued slots
   // may outlive the deserialized temporary.
   const auto run_tasks_for = [&](const seq::Read& remote) {
     const std::vector<std::size_t>& tasks = index.tasks_for(remote.id);
@@ -208,7 +208,8 @@ EngineResult bsp_align(rt::Rank& rank, const seq::ReadStore& store,
     // "All pairwise alignments associated with each received read are
     // computed together, when the respective read is accessed from the
     // message buffer." Each frame decodes as a unit, then its reads' tasks
-    // run in order.
+    // are queued in order; the runner packs consecutive reads' tasks into
+    // shared kernel batches.
     const auto consume = [&](std::uint32_t, const seq::Read& remote) {
       if (hierarchy) {
         const auto peers = forward_to.find(remote.id);
@@ -231,8 +232,10 @@ EngineResult bsp_align(rt::Rank& rank, const seq::ReadStore& store,
                     forwarded);
       result.messages += p;
     }
-    // Merge whatever the workers finished while this round exchanged and
-    // unpacked; the remaining tail overlaps the next round's alltoallv.
+    // The round's partial batch goes to the kernel now, so the workers
+    // overlap it with the next round's alltoallv; then merge whatever they
+    // finished while this round exchanged and unpacked.
+    runner.submit_pending();
     runner.poll();
     rank.metrics().observe(obs::metric::kRoundBytesHist, bytes);
     GNB_COUNTER(obs::span::kCtrExchangeBytes, result.exchange_bytes_received);

@@ -7,6 +7,7 @@
 
 #include "align/batch.hpp"
 #include "align/xdrop.hpp"
+#include "core/engine.hpp"
 #include "seq/sequence.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -72,15 +73,15 @@ CostCalibration calibrate_cost_model(std::uint64_t seed, double min_seconds,
   if (pairs.empty()) return calibration;  // fall back to defaults
 
   // Time the kernel through the batch seam in engine-shaped batches (the
-  // TaskRunner submits 32-slot chunks), so the measured rate is the rate
-  // the engine's selected backend actually delivers.
+  // TaskRunner fills batches of kSlotsPerBatch), so the measured rate is the
+  // rate the engine's selected backend actually delivers.
   const align::XDropParams params;
   const std::unique_ptr<align::BatchAligner> backend = align::make_batch_aligner(kind, params);
   std::vector<align::AlignTask> tasks_buf;
   tasks_buf.reserve(pairs.size());
   for (const Pair& pair : pairs)
     tasks_buf.push_back(align::AlignTask{pair.a, pair.b, pair.seed});
-  constexpr std::size_t kBatch = 32;
+  constexpr std::size_t kBatch = TaskRunner::kSlotsPerBatch;
   std::uint64_t cells = 0;
   std::uint64_t tasks = 0;
   const double t0 = thread_cpu_seconds();

@@ -136,48 +136,39 @@ void TaskRunner::run_inline(std::vector<AlignSlot>& slots) {
 }
 
 void TaskRunner::run_local_tasks(const std::vector<std::size_t>& tasks) {
-  // Chunked batches: large enough to amortize queue traffic (and keep SIMD
-  // lanes fed), small enough that merges (and under recovery, completion
-  // logs) interleave. Inline and pooled modes cut identical batch
-  // boundaries, so kernel accounting is comparable across thread counts.
-  constexpr std::size_t kSlotsPerBatch = 32;
-  std::vector<AlignSlot> slots;
-  for (std::size_t begin = 0; begin < tasks.size(); begin += kSlotsPerBatch) {
-    const std::size_t end = std::min(tasks.size(), begin + kSlotsPerBatch);
-    rank_.timers().overhead.start();
-    if (!pooled()) {
-      slots.clear();
-      slots.reserve(end - begin);
-      for (std::size_t i = begin; i < end; ++i)
-        slots.push_back(make_slot(tasks[i], seq::Read{}, false));
-      run_inline(slots);
-      rank_.timers().overhead.stop();
-      continue;
-    }
-    auto batch = std::make_unique<AlignPool::Batch>();
-    batch->slots.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i)
-      batch->slots.push_back(make_slot(tasks[i], seq::Read{}, false));
-    rank_.timers().overhead.stop();
-    submit(std::move(batch));
-  }
+  add_slots(tasks, seq::Read{}, false);
 }
 
 void TaskRunner::run_tasks(const seq::Read& remote, std::span<const std::size_t> tasks) {
+  add_slots(tasks, remote, true);
+}
+
+void TaskRunner::add_slots(std::span<const std::size_t> tasks, const seq::Read& remote,
+                           bool have_remote) {
+  rank_.timers().overhead.start();
+  for (const std::size_t t : tasks) {
+    pending_.push_back(make_slot(t, remote, have_remote));
+    if (pending_.size() < kSlotsPerBatch) continue;
+    rank_.timers().overhead.stop();
+    submit_pending();
+    rank_.timers().overhead.start();
+  }
+  rank_.timers().overhead.stop();
+  if (recovery_ != nullptr) submit_pending();
+}
+
+void TaskRunner::submit_pending() {
+  if (pending_.empty()) return;
   if (!pooled()) {
     rank_.timers().overhead.start();
-    std::vector<AlignSlot> slots;
-    slots.reserve(tasks.size());
-    for (const std::size_t t : tasks) slots.push_back(make_slot(t, remote, true));
-    run_inline(slots);
+    run_inline(pending_);
     rank_.timers().overhead.stop();
+    pending_.clear();
     return;
   }
-  rank_.timers().overhead.start();
   auto batch = std::make_unique<AlignPool::Batch>();
-  batch->slots.reserve(tasks.size());
-  for (const std::size_t t : tasks) batch->slots.push_back(make_slot(t, remote, true));
-  rank_.timers().overhead.stop();
+  batch->slots.swap(pending_);
+  pending_.reserve(kSlotsPerBatch);
   submit(std::move(batch));
 }
 
@@ -205,12 +196,15 @@ void TaskRunner::poll() {
 }
 
 void TaskRunner::drain() {
+  submit_pending();
   if (!pooled()) return;
   while (std::unique_ptr<AlignPool::Batch> batch = pool_.wait_pop())
     merge_batch(std::move(batch));
 }
 
-bool TaskRunner::drained() const { return !pooled() || pool_.pending() == 0; }
+bool TaskRunner::drained() const {
+  return pending_.empty() && (!pooled() || pool_.pending() == 0);
+}
 
 void TaskRunner::merge_batch(std::unique_ptr<AlignPool::Batch> batch) {
   if (batch->error) std::rethrow_exception(batch->error);

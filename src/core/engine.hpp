@@ -98,33 +98,54 @@ void flush_engine_metrics(rt::Rank& rank, const EngineResult& result);
 /// backend (scalar / SIMD lane-batched) comes from
 /// config.proto.batch_aligner, resolved once at construction.
 ///
+/// Batches are filled across calls: run_local_tasks and run_tasks append
+/// slots to one pending batch, which goes to the kernel when it holds
+/// kSlotsPerBatch slots, on submit_pending() (BSP calls it at the end of
+/// every round) and in drain(). A pulled read's few tasks therefore share
+/// SIMD lanes with the next reads' tasks instead of running as a batch of
+/// their own.
+///
 /// Determinism contract: tasks are submitted in the engine's serial
 /// execution order, batch results are merged in that same FIFO order, and
 /// every backend returns bit-identical Alignments — so result.accepted /
 /// cells / tasks_done are byte-identical at any thread count and backend.
-/// Under recovery (`recovery != nullptr`) every submission drains
-/// synchronously before returning, so completion-log order and crash-point
-/// placement match the serial engine exactly.
+/// Under recovery (`recovery != nullptr`) every run_* call submits its
+/// pending batch and drains it synchronously before returning, so
+/// completion-log order and crash-point placement match the serial engine
+/// exactly.
 class TaskRunner {
  public:
+  /// Slots per kernel batch: large enough to amortize queue traffic and
+  /// keep SIMD lanes fed, small enough that merges (and under recovery,
+  /// completion logs) interleave. Inline and pooled modes cut identical
+  /// batch boundaries, so kernel accounting is comparable across thread
+  /// counts.
+  static constexpr std::size_t kSlotsPerBatch = 32;
+
   TaskRunner(rt::Rank& rank, const seq::ReadStore& store,
              const std::vector<seq::ReadId>& bounds,
              const std::vector<kmer::AlignTask>& my_tasks, const EngineConfig& config,
              EngineResult& result, RecoveryContext* recovery);
 
-  /// Run tasks whose both reads are rank-local, in `tasks` order.
+  /// Queue tasks whose both reads are rank-local, in `tasks` order.
   void run_local_tasks(const std::vector<std::size_t>& tasks);
 
-  /// Run every listed task pairing the arriving (possibly remote,
+  /// Queue every listed task pairing the arriving (possibly remote,
   /// temporary) read with one of ours, in `tasks` order. The read's codes
-  /// are pinned by the cache, so deferred pool slots outlive `remote`.
+  /// are pinned by the cache, so queued slots outlive `remote`.
   void run_tasks(const seq::Read& remote, std::span<const std::size_t> tasks);
+
+  /// Hand the pending batch, if any, to the kernel: run it inline, or
+  /// submit it to the pool.
+  void submit_pending();
 
   /// Merge every already-completed batch (non-blocking).
   void poll();
-  /// Block until every submitted batch is merged. Engines that must stay
-  /// RPC-serviceable interleave progress() with poll()/drained() instead.
+  /// Submit the pending batch, then block until every batch is merged.
+  /// Engines that must stay RPC-serviceable call submit_pending() and
+  /// interleave progress() with poll()/drained() instead.
   void drain();
+  /// Nothing is pending and every submitted batch is merged.
   [[nodiscard]] bool drained() const;
 
   /// Whether worker threads are active (compute_threads > 1 and the kernel
@@ -140,6 +161,7 @@ class TaskRunner {
   [[nodiscard]] const ReadCache& cache() const { return cache_; }
 
  private:
+  void add_slots(std::span<const std::size_t> tasks, const seq::Read& remote, bool have_remote);
   void run_inline(std::vector<AlignSlot>& slots);
   void merge_slot(const AlignSlot& slot);
   void merge_batch(std::unique_ptr<AlignPool::Batch> batch);
@@ -158,6 +180,7 @@ class TaskRunner {
   AlignPool pool_;
   std::unique_ptr<align::BatchAligner> aligner_;  // inline (non-pooled) backend
   std::vector<align::AlignTask> task_buf_;        // inline batch staging
+  std::vector<AlignSlot> pending_;                // the batch being filled
 };
 
 }  // namespace gnb::core

@@ -25,8 +25,9 @@ double binomial_upper_tail(std::uint64_t n, double p, std::uint64_t m) {
 }
 
 ReliableBounds reliable_bounds(const BellaParams& params) {
-  GNB_CHECK_MSG(params.coverage > 0 && params.error_rate >= 0 && params.error_rate < 1,
-                "invalid BELLA parameters");
+  GNB_THROW_IF(!(params.coverage > 0), "coverage must be positive, got " << params.coverage);
+  GNB_THROW_IF(!(params.error_rate >= 0 && params.error_rate < 1),
+               "error rate must be in [0, 1), got " << params.error_rate);
   ReliableBounds bounds;
   bounds.p_correct = std::pow(1.0 - params.error_rate, params.k);
   const auto d = static_cast<std::uint64_t>(std::llround(params.coverage));

@@ -27,7 +27,8 @@ struct BellaParams {
   double tail_mass = 1e-3;   // binomial tail probability cut for hi
 };
 
-/// Compute the retained-multiplicity band for a dataset.
+/// Compute the retained-multiplicity band for a dataset. Throws gnb::Error
+/// unless coverage > 0 and error_rate is in [0, 1).
 ReliableBounds reliable_bounds(const BellaParams& params);
 
 /// Binomial PMF P[X = m] for X ~ Bin(n, p), numerically stable in logs.

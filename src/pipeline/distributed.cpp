@@ -94,22 +94,23 @@ std::vector<AlignTask> run_distributed(rt::Rank& rank, const seq::ReadStore& sto
   }
 
   // --- stage 3: redistribute tasks, preserving the owner invariant ---
-  // This pair shard's tasks in (a, b) order make the greedy balance
-  // reproducible.
-  std::vector<Bytes> task_msgs(p);
-  const auto per_dst = assign_tasks(pairs.take_sorted(), bounds);
-  for (std::size_t dst = 0; dst < p; ++dst)
-    for (const AlignTask& task : per_dst[dst]) kmer::put_task(task_msgs[dst], task);
-
-  std::vector<AlignTask> mine;
-  for (const Bytes& msg : rank.alltoallv(std::move(task_msgs))) {
+  // assign_tasks' greedy rule is one scan over every task with global
+  // per-rank loads, so each pair shard sends its deduplicated tasks to
+  // every rank, and every rank replays the scan over the whole (a, b)-sorted
+  // set and keeps its own list: per-rank lists equal run_serial's at every
+  // rank count. The replay costs every rank the deduplicated task set (the
+  // smallest set of stage 2) and one sort.
+  Bytes shard_tasks;
+  for (const AlignTask& task : pairs.take_sorted()) kmer::put_task(shard_tasks, task);
+  std::vector<AlignTask> all;
+  for (const Bytes& msg : rank.alltoallv(std::vector<Bytes>(p, shard_tasks))) {
     std::size_t offset = 0;
-    while (offset < msg.size()) mine.push_back(kmer::get_task(msg, offset));
+    while (offset < msg.size()) all.push_back(kmer::get_task(msg, offset));
   }
-  std::sort(mine.begin(), mine.end(), [](const AlignTask& x, const AlignTask& y) {
+  std::sort(all.begin(), all.end(), [](const AlignTask& x, const AlignTask& y) {
     return kmer::pair_key(x.a, x.b) < kmer::pair_key(y.a, y.b);
   });
-  return mine;
+  return std::move(assign_tasks(all, bounds)[rank.id()]);
 }
 
 }  // namespace gnb::pipeline

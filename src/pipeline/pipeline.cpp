@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <tuple>
+#include <utility>
 
 #include "obs/spans.hpp"
 #include "obs/trace.hpp"
@@ -25,7 +26,12 @@ std::vector<kmer::AlignTask> TaskSet::sorted_union() const {
   return all;
 }
 
+void check_nranks(std::uint64_t nranks) {
+  GNB_THROW_IF(nranks < 1, "rank count must be at least 1, got " << nranks);
+}
+
 std::vector<seq::ReadId> compute_bounds(const seq::ReadStore& store, std::size_t nranks) {
+  check_nranks(nranks);
   std::vector<std::size_t> lengths;
   lengths.reserve(store.size());
   for (const auto& read : store.reads()) lengths.push_back(read.length());
@@ -36,23 +42,33 @@ std::vector<std::vector<kmer::AlignTask>> assign_tasks(
     const std::vector<kmer::AlignTask>& tasks, const std::vector<seq::ReadId>& bounds) {
   GNB_CHECK(bounds.size() >= 2);
   const std::size_t nranks = bounds.size() - 1;
-  std::vector<std::vector<kmer::AlignTask>> per_rank(nranks);
-  std::vector<std::uint64_t> load(nranks, 0);
+  // Visit order: (hash, index) pairs; mix64 is a bijection, so distinct
+  // pairs never tie and the index only orders duplicates.
+  std::vector<std::pair<std::uint64_t, std::size_t>> order(tasks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i)
+    order[i] = {kmer::mix64(kmer::pair_key(tasks[i].a, tasks[i].b)), i};
+  std::sort(order.begin(), order.end());
 
-  for (const auto& task : tasks) {
-    const std::size_t owner_a = seq::partition_owner(bounds, task.a);
-    const std::size_t owner_b = seq::partition_owner(bounds, task.b);
+  std::vector<std::uint32_t> dst(tasks.size());
+  std::vector<std::uint64_t> load(nranks, 0);
+  for (const auto& [hash, i] : order) {
+    const std::size_t owner_a = seq::partition_owner(bounds, tasks[i].a);
+    const std::size_t owner_b = seq::partition_owner(bounds, tasks[i].b);
     // Owner invariant: candidates are exactly the owners of the two reads.
     // Greedy count balancing between the two.
-    std::size_t dst = owner_a;
+    std::size_t r = owner_a;
     if (owner_b != owner_a &&
         (load[owner_b] < load[owner_a] ||
          (load[owner_b] == load[owner_a] && owner_b < owner_a))) {
-      dst = owner_b;
+      r = owner_b;
     }
-    per_rank[dst].push_back(task);
-    ++load[dst];
+    dst[i] = static_cast<std::uint32_t>(r);
+    ++load[r];
   }
+
+  std::vector<std::vector<kmer::AlignTask>> per_rank(nranks);
+  for (std::size_t r = 0; r < nranks; ++r) per_rank[r].reserve(load[r]);
+  for (std::size_t i = 0; i < tasks.size(); ++i) per_rank[dst[i]].push_back(tasks[i]);
   return per_rank;
 }
 

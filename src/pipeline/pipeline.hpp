@@ -4,11 +4,11 @@
 //   stage 2: k-mer histogram + BELLA filtering; discover alignment tasks;
 //   stage 3: redistribute tasks preserving the owner invariant — every task
 //            is assigned to a rank that owns at least one of its two reads,
-//            with task *counts* roughly balanced across ranks.
+//            with task *counts* balanced across ranks (assign_tasks).
 //
 // This header is the serial (single-process) reference implementation; the
 // distributed version over gnb::rt lives in distributed.hpp and must
-// produce the same task set.
+// produce the same per-rank task lists.
 
 #include <cstdint>
 #include <vector>
@@ -39,16 +39,31 @@ struct TaskSet {
   [[nodiscard]] std::vector<kmer::AlignTask> sorted_union() const;
 };
 
-/// Stage 1: size-balanced partition of `store` over `nranks`.
+/// Reject a user-supplied rank count below 1 with a gnb::Error, before any
+/// work.
+void check_nranks(std::uint64_t nranks);
+
+/// Stage 1: size-balanced partition of `store` over `nranks` (>= 1, else
+/// gnb::Error).
 std::vector<seq::ReadId> compute_bounds(const seq::ReadStore& store, std::size_t nranks);
 
-/// Stages 2-3, serially: discover tasks and assign them to ranks. The
-/// assignment rule is greedy: each task goes to whichever of its two
-/// owners currently holds fewer tasks (ties to the smaller rank id).
+/// Stages 2-3, serially: discover tasks and assign them to ranks with
+/// assign_tasks.
 TaskSet run_serial(const seq::ReadStore& store, const PipelineConfig& config,
                    std::size_t nranks);
 
 /// Stage 3 in isolation: assign already-discovered tasks to ranks.
+///
+/// The rule is a greedy two-choice balance under the owner invariant: each
+/// task goes to whichever of its two owners holds fewer tasks so far (ties
+/// to the smaller rank id). Tasks are *visited* in the order of
+/// kmer::mix64(kmer::pair_key(a, b)) — a pseudo-random order that every
+/// rank count and every caller agrees on. Visiting in (a, b) order instead
+/// would hand all of rank 0's cross tasks out first: the other ranks absorb
+/// them while still empty, and the last rank's own tasks arrive when it has
+/// no choice left, so loads grow monotonically with rank id. Each rank's
+/// list keeps the input order — (a, b) order for every caller, since they
+/// all pass kmer::generate_tasks' sorted output.
 std::vector<std::vector<kmer::AlignTask>> assign_tasks(
     const std::vector<kmer::AlignTask>& tasks, const std::vector<seq::ReadId>& bounds);
 

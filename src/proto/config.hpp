@@ -99,12 +99,15 @@ struct ProtoConfig {
   /// necessary", paper §5). 1 = the paper's one-RPC-per-read design.
   std::size_t async_batch = 1;
 
-  /// Async: progress() polls without a reply before a pull is re-issued
-  /// (the timeout doubles per attempt — bounded exponential backoff). The
-  /// engine-level dedup protocol keeps retries safe: duplicate replies are
-  /// dropped by the caller and duplicate requests are served from the
-  /// callee's reply cache, so at-most-once pull semantics survive both
-  /// injected duplicates and spurious retries. 0 disables retries.
+  /// Async: progress() polls *of the pull's owner* without a reply before
+  /// the pull is re-issued (the timeout doubles per attempt — bounded
+  /// exponential backoff). Counting the owner's polls, not the caller's,
+  /// keeps an owner that is busy aligning from timing out pulls it has not
+  /// had a chance to serve. The engine-level dedup protocol keeps retries
+  /// safe: duplicate replies are dropped by the caller and duplicate
+  /// requests are served from the callee's reply cache, so at-most-once
+  /// pull semantics survive both injected duplicates and spurious retries.
+  /// 0 disables retries.
   std::uint64_t rpc_timeout = 1 << 14;
 
   /// Async: maximum re-issues per pull. Once exhausted the caller keeps

@@ -155,7 +155,7 @@ std::uint32_t RpcEndpoint::partition_delay(std::uint32_t dst) const {
   // The hold is measured on the *receiver's* progress clock: the delivery
   // is released only after the receiver ticks past the window's end, the
   // way a healed link flushes its backlog.
-  const std::uint64_t now = (*peers_)[dst]->progress_ticks();
+  const std::uint64_t now = peer_ticks(dst);
   const std::uint64_t hold = injector_->partition_hold_ticks(self_, dst, now);
   constexpr std::uint64_t cap = 0xFFFFFFFFull;
   return static_cast<std::uint32_t>(std::min(hold, cap));
@@ -173,7 +173,7 @@ void RpcEndpoint::run_detector() {
     // cut manifests as silence, which is exactly what breeds the false
     // suspicion a later rejoin clears.
     const bool audible = !injector_->partitioned(self_, p, now);
-    const std::uint64_t tick = audible ? peer.progress_ticks() : health.last_tick;
+    const std::uint64_t tick = audible ? peer_ticks(p) : health.last_tick;
     if (tick != health.last_tick) {
       health.last_tick = tick;
       health.heard_at = now;

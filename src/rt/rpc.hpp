@@ -106,6 +106,11 @@ class RpcEndpoint {
   [[nodiscard]] std::uint64_t progress_ticks() const {
     return progress_epoch_.load(std::memory_order_relaxed);
   }
+  /// progress_ticks() of peer `rank`: the clock partition holds, the
+  /// detector and the async engine's pull timeouts are measured on.
+  [[nodiscard]] std::uint64_t peer_ticks(std::uint32_t rank) const {
+    return (*peers_)[rank]->progress_ticks();
+  }
   /// Suspicion lease in local progress ticks (0 disables the detector; it
   /// also only runs when a fault injector is installed, so healthy runs pay
   /// nothing).

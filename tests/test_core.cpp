@@ -491,6 +491,33 @@ TEST(ThreadedEngines, PoolAndCacheCountersAccount) {
   EXPECT_GT(tasks, 0u);
 }
 
+TEST(ThreadedEngines, KernelBatchesFillAcrossReads) {
+  // The runner packs consecutive reads' tasks into shared kernel batches:
+  // every batch is full except at a flush point — the end of a BSP round
+  // and the final drain. One batch per pulled read would exceed the bound.
+  for (const bool async_mode : {false, true}) {
+    for (const std::size_t threads : {1u, 2u}) {
+      for (const std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{4'096}}) {
+        EngineConfig config = default_config();
+        config.proto.compute_threads = threads;
+        config.proto.bsp_round_budget = budget;  // 0 = derived; 4096 = many rounds
+        const auto run = run_engine(async_mode, 4, config, fixture());
+        for (std::size_t r = 0; r < run.per_rank.size(); ++r) {
+          const EngineResult& res = run.per_rank[r];
+          const std::uint64_t full = (res.tasks_done + TaskRunner::kSlotsPerBatch - 1) /
+                                     TaskRunner::kSlotsPerBatch;
+          const std::uint64_t flush_points = async_mode ? 1 : res.rounds + 1;
+          EXPECT_GT(res.compute.kernel_batches, 0u);
+          EXPECT_LE(res.compute.kernel_batches, full + flush_points)
+              << (async_mode ? "async" : "bsp") << " threads=" << threads
+              << " budget=" << budget << " rank " << r << ": " << res.tasks_done
+              << " tasks, " << res.rounds << " rounds";
+        }
+      }
+    }
+  }
+}
+
 TEST(ThreadedEngines, SerialModeNeverTouchesThePool) {
   EngineConfig config = default_config();
   config.proto.compute_threads = 1;  // pin: GNB_COMPUTE_THREADS may be set

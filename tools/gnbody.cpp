@@ -272,6 +272,7 @@ int cmd_overlap(int argc, char** argv) {
       ",corrupt@R:K:S (corrupt rank R's S-th durable record of kind K; all repeatable)");
   cli.parse(argc, argv);
   kmer::check_k(*k);
+  pipeline::check_nranks(*ranks);
 
   rt::FaultPlan plan;
   if (!faults->empty()) plan = rt::FaultPlan::parse(*faults);
@@ -357,6 +358,7 @@ int cmd_assemble(int argc, char** argv) {
       "faults", "", "fault spec for the graph phases (same syntax as overlap)");
   cli.parse(argc, argv);
   kmer::check_k(*k);
+  pipeline::check_nranks(*ranks);
 
   if (!trace->empty()) {
     obs::Tracer& tracer = obs::Tracer::instance();
@@ -460,6 +462,7 @@ int cmd_correct(int argc, char** argv) {
   auto error = cli.opt<double>("error", 0.12, "assumed error rate");
   cli.parse(argc, argv);
   kmer::check_k(*k);
+  pipeline::check_nranks(*ranks);
 
   const seq::ReadStore reads = load_fasta(*in);
   log::info("loaded ", reads.size(), " reads");
