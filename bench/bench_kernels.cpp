@@ -10,12 +10,15 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <span>
+#include <tuple>
 
 #include "align/batch.hpp"
 #include "align/cigar.hpp"
 #include "align/exact.hpp"
 #include "align/xdrop.hpp"
 #include "core/bsp.hpp"
+#include "kmer/bella_filter.hpp"
 #include "kmer/counter.hpp"
 #include "obs/trace.hpp"
 #include "kmer/minimizer.hpp"
@@ -203,13 +206,12 @@ void BM_ReadSerializeRoundtrip(benchmark::State& state) {
 }
 BENCHMARK(BM_ReadSerializeRoundtrip);
 
-// --- batch aligner: scalar vs inter-sequence SIMD --------------------------
+// --- batch aligner: scalar vs row-vectorized SIMD --------------------------
 //
 // Times the same task list through both align::BatchAligner backends. The
-// SIMD backend stripes eight independent extensions across vector lanes, so
-// its advantage shows up on realistic batches (many live extensions), not on
-// the single-pair cases above. Lane occupancy reports how full the lanes
-// stayed: retired lanes idle until the whole width refills.
+// SIMD backend evaluates each extension's DP rows 8 cells per vector. Lane
+// occupancy is the share of issued vector slots that held a cell of the live
+// band; the rest are the unused tail of each row's last 8-cell chunk.
 
 struct BatchKernelWorkload {
   // Owned storage; `tasks` holds spans into it, so it is built only after the
@@ -305,16 +307,21 @@ struct BatchKernelCase {
   double occupancy = 0;
 };
 
-BatchKernelCase run_batch_kernel_case(const BatchKernelWorkload& w,
-                                      proto::BatchAlignerKind kind) {
+/// Time `tasks` through one backend, handed over `chunk` tasks per align()
+/// call, in whole passes until at least 0.3 s have passed.
+BatchKernelCase run_batch_kernel_case(std::span<const align::AlignTask> tasks,
+                                      proto::BatchAlignerKind kind, std::size_t chunk) {
   const auto backend = align::make_batch_aligner(kind, {});
   BatchKernelCase result;
   result.info = backend->info();
   const auto start = std::chrono::steady_clock::now();
   double elapsed = 0;
   while (elapsed < 0.3) {
-    const auto results = backend->align(w.tasks);
-    benchmark::DoNotOptimize(results.data());
+    for (std::size_t begin = 0; begin < tasks.size(); begin += chunk) {
+      const auto results =
+          backend->align(tasks.subspan(begin, std::min(chunk, tasks.size() - begin)));
+      benchmark::DoNotOptimize(results.data());
+    }
     elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
                   .count();
   }
@@ -339,6 +346,55 @@ void append_batch_kernel_row(std::string& json, const char* label,
                 static_cast<unsigned long long>(c.cells), c.seconds, c.mcells_per_s,
                 c.occupancy, trailing_comma ? "," : "");
   json += buffer;
+}
+
+// --- batch aligner on realistic candidate sets -----------------------------
+//
+// The 64-pair batch above holds uniform 1.5 kb true overlaps, a best case
+// for any kernel. These rows time both backends over the candidate tasks
+// pipeline::run_serial finds on reads shaped like the end-to-end benchmark's
+// inputs (bench/e2e: `ont` 1.5 kb at 12 % error and 20x, `hifi` 12 kb at 3 %
+// and 15x, 5 % repeats), scaled down to a 40 kb genome and every 6th task so
+// a scalar pass stays near a second. Tasks reach the kernel 32 at a time,
+// as core::TaskRunner batches them.
+
+struct TaskSetWorkload {
+  std::vector<std::vector<std::uint8_t>> storage;  // 2 per task
+  std::vector<align::AlignTask> tasks;
+};
+
+TaskSetWorkload make_task_set_workload(double coverage, double error, double mean_length) {
+  Xoshiro256 rng(11);
+  wl::GenomeParams gp;
+  gp.length = 40'000;
+  gp.repeat_fraction = 0.05;
+  const seq::Sequence genome = wl::generate_genome(gp, rng);
+  wl::ReadSimParams rp;
+  rp.coverage = coverage;
+  rp.error_rate = error;
+  rp.mean_length = mean_length;
+  const wl::SampledDataset ds = wl::sample_reads(genome, rp, rng);
+  constexpr std::uint32_t k = 17;
+  const kmer::ReliableBounds band =
+      kmer::reliable_bounds(kmer::BellaParams{coverage, error, k, 1e-3});
+  pipeline::PipelineConfig config;
+  config.k = k;
+  config.lo = band.lo;
+  config.hi = band.hi;
+  const std::vector<kmer::AlignTask> all =
+      pipeline::run_serial(ds.reads, config, /*ranks=*/1).sorted_union();
+
+  TaskSetWorkload w;
+  std::vector<align::Seed> seeds;
+  for (std::size_t i = 0; i < all.size(); i += 6) {
+    w.storage.push_back(seq::oriented_codes(ds.reads.get(all[i].a).sequence, false));
+    w.storage.push_back(
+        seq::oriented_codes(ds.reads.get(all[i].b).sequence, all[i].seed.b_reversed));
+    seeds.push_back(all[i].seed);
+  }
+  for (std::size_t t = 0; t < seeds.size(); ++t)
+    w.tasks.push_back(align::AlignTask{w.storage[2 * t], w.storage[2 * t + 1], seeds[t]});
+  return w;
 }
 
 // --- read cache + alignment pool: whole-task throughput --------------------
@@ -471,12 +527,23 @@ void write_cache_pool_report() {
 
   const BatchKernelWorkload& bw = batch_kernel_workload();
   const BatchKernelCase kernel_scalar =
-      run_batch_kernel_case(bw, proto::BatchAlignerKind::kScalar);
+      run_batch_kernel_case(bw.tasks, proto::BatchAlignerKind::kScalar, bw.tasks.size());
   const BatchKernelCase kernel_simd =
-      run_batch_kernel_case(bw, proto::BatchAlignerKind::kSimd);
+      run_batch_kernel_case(bw.tasks, proto::BatchAlignerKind::kSimd, bw.tasks.size());
   const double kernel_speedup = kernel_scalar.mcells_per_s > 0
                                     ? kernel_simd.mcells_per_s / kernel_scalar.mcells_per_s
                                     : 0;
+
+  const TaskSetWorkload ont = make_task_set_workload(20, 0.12, 1'500);
+  const TaskSetWorkload hifi = make_task_set_workload(15, 0.03, 12'000);
+  const BatchKernelCase ont_scalar =
+      run_batch_kernel_case(ont.tasks, proto::BatchAlignerKind::kScalar, 32);
+  const BatchKernelCase ont_simd =
+      run_batch_kernel_case(ont.tasks, proto::BatchAlignerKind::kSimd, 32);
+  const BatchKernelCase hifi_scalar =
+      run_batch_kernel_case(hifi.tasks, proto::BatchAlignerKind::kScalar, 32);
+  const BatchKernelCase hifi_simd =
+      run_batch_kernel_case(hifi.tasks, proto::BatchAlignerKind::kSimd, 32);
 
   std::string json;
   json += "{\n  \"bench\":\"kernels\",\n";
@@ -493,7 +560,11 @@ void write_cache_pool_report() {
   append_cache_pool_row(json, "align_tasks_trace_off", trace_off, true);
   append_cache_pool_row(json, "align_tasks_trace_on", trace_on, true);
   append_batch_kernel_row(json, "batch_xdrop_scalar", kernel_scalar, true);
-  append_batch_kernel_row(json, "batch_xdrop_simd", kernel_simd, false);
+  append_batch_kernel_row(json, "batch_xdrop_simd", kernel_simd, true);
+  append_batch_kernel_row(json, "batch_xdrop_tasks_ont_scalar", ont_scalar, true);
+  append_batch_kernel_row(json, "batch_xdrop_tasks_ont_simd", ont_simd, true);
+  append_batch_kernel_row(json, "batch_xdrop_tasks_hifi_scalar", hifi_scalar, true);
+  append_batch_kernel_row(json, "batch_xdrop_tasks_hifi_simd", hifi_simd, false);
   json += "  ],\n";
   char tail[256];
   std::snprintf(tail, sizeof(tail),
@@ -513,6 +584,13 @@ void write_cache_pool_report() {
       "%.1f%%) -> BENCH_kernels.json\n",
       kernel_scalar.info.name, kernel_scalar.mcells_per_s, kernel_simd.info.name,
       kernel_simd.mcells_per_s, kernel_speedup, kernel_simd.occupancy * 100);
+  for (const auto& [name, scalar, simd] :
+       {std::tuple{"ont", &ont_scalar, &ont_simd}, std::tuple{"hifi", &hifi_scalar, &hifi_simd}})
+    std::printf(
+        "batch kernel on %s candidate tasks: %s %.1f Mcells/s vs %s %.1f Mcells/s "
+        "(occupancy %.1f%%) -> BENCH_kernels.json\n",
+        name, scalar->info.name, scalar->mcells_per_s, simd->info.name, simd->mcells_per_s,
+        simd->occupancy * 100);
   std::printf(
       "trace overhead (compiled %s): off %.0f tasks/s vs on %.0f tasks/s "
       "(%.2f%% overhead) -> BENCH_kernels.json\n",

@@ -43,7 +43,11 @@ int main(int argc, char** argv) {
                               : 0.0,
          spec.paper_reads, spec.paper_tasks,
          static_cast<double>(spec.paper_tasks) / static_cast<double>(spec.paper_reads),
-         "[" + std::to_string(bounds.lo) + "," + std::to_string(bounds.hi) + "]"});
+         std::string("[")
+             .append(std::to_string(bounds.lo))
+             .append(",")
+             .append(std::to_string(bounds.hi))
+             .append("]")});
     std::printf("[table1] %s: %zu reads, %zu tasks\n", spec.name.c_str(), dataset.reads.size(),
                 tasks.size());
   }

@@ -49,6 +49,16 @@ std::vector<align::AlignmentRecord> run_engine(bool async_mode, std::size_t nran
   return all;
 }
 
+/// "[begin,end)". Built by appending: GCC 12 reports a false -Wrestrict for
+/// "[" + std::string.
+std::string half_open(std::uint32_t begin, std::uint32_t end) {
+  return std::string("[")
+      .append(std::to_string(begin))
+      .append(",")
+      .append(std::to_string(end))
+      .append(")");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -107,8 +117,7 @@ int main(int argc, char** argv) {
         a, dataset.reads.get(record.read_a).length(), dataset.reads.get(record.read_b).length());
     table.add_row({std::to_string(record.read_a), std::to_string(record.read_b),
                    static_cast<std::int64_t>(a.score),
-                   "[" + std::to_string(a.a_begin) + "," + std::to_string(a.a_end) + ")",
-                   "[" + std::to_string(a.b_begin) + "," + std::to_string(a.b_end) + ")",
+                   half_open(a.a_begin, a.a_end), half_open(a.b_begin, a.b_end),
                    a.b_reversed ? std::string("rc") : std::string("fwd"),
                    std::string(align::to_string(kind))});
   }

@@ -42,24 +42,25 @@ class ScalarBatchAligner final : public BatchAligner {
   BatchStats stats_;
 };
 
-/// Inter-sequence lane-batched backend: every task splits into a leftward
-/// and a rightward X-drop extension (exactly as xdrop_align does), the
-/// extensions queue into the lane engine, and the per-task Alignment is
+/// Row-vectorized backend: every task splits into a leftward and a
+/// rightward X-drop extension (exactly as xdrop_align does), the row kernel
+/// runs the extensions one after another, and the per-task Alignment is
 /// assembled from the returned Extensions plus the scalar-scored seed.
 class SimdBatchAligner final : public BatchAligner {
  public:
-  SimdBatchAligner(const XDropParams& params, detail::ExtensionBatchFn engine,
-                   const char* name, std::uint64_t backend_id)
-      : params_(params), engine_(engine), name_(name), backend_id_(backend_id) {}
+  SimdBatchAligner(const XDropParams& params, detail::ExtendBatchFn kernel, const char* name,
+                   std::uint64_t backend_id)
+      : params_(params), kernel_(kernel), name_(name), backend_id_(backend_id) {}
 
   std::vector<Alignment> align(std::span<const AlignTask> tasks) override {
     ++stats_.batches;
     stats_.tasks += tasks.size();
 
-    // Pre-size the b arena (4 lead pad bytes, 4 pad bytes after every job)
-    // and the reversed-prefix storage so appends never reallocate — jobs
-    // hold raw pointers/offsets into both.
-    std::size_t arena_bytes = 4;
+    // Pre-size the b arena (kBPad lead bytes, kBPad pad bytes after every
+    // job) and the reversed-prefix storage so appends never reallocate —
+    // jobs hold raw pointers into both.
+    constexpr std::size_t kPad = detail::kBPad;
+    std::size_t arena_bytes = kPad;
     std::size_t ra_bytes = 0;
     for (const AlignTask& task : tasks) {
       const Seed& seed = task.seed;
@@ -71,13 +72,13 @@ class SimdBatchAligner final : public BatchAligner {
                                                     << " size " << task.b.size());
       if (seed.a_pos > 0 && seed.b_pos > 0) {
         ra_bytes += seed.a_pos;
-        arena_bytes += static_cast<std::size_t>(seed.b_pos) + 4;
+        arena_bytes += static_cast<std::size_t>(seed.b_pos) + kPad;
       }
       const std::size_t right_b = task.b.size() - seed.b_pos - seed.length;
       if (task.a.size() - seed.a_pos - seed.length > 0 && right_b > 0)
-        arena_bytes += right_b + 4;
+        arena_bytes += right_b + kPad;
     }
-    arena_.assign(4, 0);
+    arena_.assign(kPad, 0);
     arena_.reserve(arena_bytes);
     ra_store_.clear();
     ra_store_.reserve(ra_bytes);
@@ -112,7 +113,7 @@ class SimdBatchAligner final : public BatchAligner {
     }
 
     extensions_.assign(jobs_.size(), Extension{});
-    engine_(jobs_, arena_.data(), params_, extensions_, scratch_a_, scratch_b_, stats_);
+    kernel_(jobs_, params_, extensions_, row_a_, row_b_, stats_);
 
     std::vector<Alignment> results;
     results.reserve(tasks.size());
@@ -149,29 +150,29 @@ class SimdBatchAligner final : public BatchAligner {
   [[nodiscard]] const BatchStats& stats() const override { return stats_; }
 
  private:
-  /// Append [first, last) to the b arena followed by 4 pad bytes; returns
-  /// the byte offset of the first element.
+  /// Append [first, last) to the b arena followed by kBPad pad bytes;
+  /// returns a pointer to the first element.
   template <class It>
-  std::int32_t append_b(It first, It last) {
+  const std::uint8_t* append_b(It first, It last) {
     const std::size_t off = arena_.size();
     arena_.insert(arena_.end(), first, last);
-    arena_.resize(arena_.size() + 4, 0);
-    return static_cast<std::int32_t>(off);
+    arena_.resize(arena_.size() + detail::kBPad, 0);
+    return arena_.data() + off;
   }
 
   const XDropParams params_;
-  const detail::ExtensionBatchFn engine_;
+  const detail::ExtendBatchFn kernel_;
   const char* name_;
   const std::uint64_t backend_id_;
   BatchStats stats_;
 
   // Per-call staging, reused across align() calls.
   std::vector<detail::ExtJob> jobs_;
-  std::vector<std::uint8_t> arena_;     // b codes, padded for 32-bit gathers
+  std::vector<std::uint8_t> arena_;     // b codes, padded for 8-byte loads
   std::vector<std::uint8_t> ra_store_;  // reversed a prefixes (left extensions)
   std::vector<std::int32_t> left_job_, right_job_;
   std::vector<Extension> extensions_;
-  std::vector<std::int32_t> scratch_a_, scratch_b_;
+  std::vector<std::int32_t> row_a_, row_b_;  // the kernel's ping-pong rows
 };
 
 }  // namespace
@@ -193,8 +194,8 @@ bool cpu_supports_avx2() {
 }
 
 proto::BatchAlignerKind resolve_batch_aligner(proto::BatchAlignerKind kind) {
-  // The lane engine always exists (portable fallback), so `auto` means
-  // simd; which ISA instantiation runs is decided inside make_batch_aligner.
+  // The row kernel always exists (portable fallback), so `auto` means simd;
+  // which ISA instantiation runs is decided inside make_batch_aligner.
   return kind == proto::BatchAlignerKind::kAuto ? proto::BatchAlignerKind::kSimd : kind;
 }
 
@@ -208,10 +209,10 @@ std::unique_ptr<BatchAligner> make_batch_aligner(proto::BatchAlignerKind kind,
   }
 #if defined(GNB_HAVE_AVX2_TU)
   if (cpu_supports_avx2())
-    return std::make_unique<SimdBatchAligner>(params, detail::run_extension_batch_avx2,
+    return std::make_unique<SimdBatchAligner>(params, detail::extend_batch_avx2,
                                               "simd-avx2", /*backend_id=*/2);
 #endif
-  return std::make_unique<SimdBatchAligner>(params, detail::run_extension_batch_portable,
+  return std::make_unique<SimdBatchAligner>(params, detail::extend_batch_portable,
                                             "simd-portable", /*backend_id=*/1);
 }
 

@@ -2,10 +2,10 @@
 // The pluggable batch-alignment seam: the compute layer hands *batches* of
 // seed-and-extend tasks to a backend instead of invoking xdrop_align one
 // pair at a time. Two backends exist today — a scalar wrapper around
-// xdrop_align (the byte-identity oracle) and an inter-sequence SIMD kernel
-// that stripes 8 extensions across vector lanes — and the same interface is
-// where a GPU backend plugs in next (the structural fix diBELLA's follow-up
-// work applies to this N-body bottleneck).
+// xdrop_align (the byte-identity oracle) and a row-vectorized SIMD kernel
+// that evaluates each extension's DP rows 8 cells per vector — and the same
+// interface is where a GPU backend plugs in next (the structural fix
+// diBELLA's follow-up work applies to this N-body bottleneck).
 //
 // Contract: every backend returns bit-identical Alignments (score,
 // coordinates, cells) for the same tasks. That is what makes `auto` a safe
@@ -37,15 +37,16 @@ struct AlignTask {
 struct BatchAlignerInfo {
   const char* name = "scalar";   // human-readable backend name
   std::uint64_t backend_id = 0;  // stat::ComputeCounters::kernel_backend code
-  std::size_t lanes = 1;         // extensions striped per SIMD register
-  bool simd = false;             // true for the lane-batched kernel
+  std::size_t lanes = 1;         // int32 DP cells per vector (1 = scalar)
+  bool simd = false;             // true for the row-vectorized kernel
 };
 
 /// Cumulative kernel accounting since construction. lane_steps counts every
-/// (lane, DP-step) slot the kernel issued; lane_steps_active counts the
-/// slots that evaluated a live cell — their ratio is the lane occupancy the
-/// breakdown tables report (scalar backends are 100% occupied by
-/// definition: one lane, always live).
+/// vector slot the kernel issued (8 per 8-cell chunk of a DP row after
+/// row 0); lane_steps_active counts the slots that held an evaluated cell
+/// of the band — their ratio is the lane occupancy the breakdown tables
+/// report (scalar backends are 100% occupied by definition: one lane,
+/// always live).
 struct BatchStats {
   std::uint64_t batches = 0;
   std::uint64_t tasks = 0;
@@ -95,7 +96,7 @@ class BatchAligner {
 [[nodiscard]] bool cpu_supports_avx2();
 
 /// Resolve kAuto to a concrete backend for this host: kSimd always (the
-/// lane engine has a portable fallback when AVX2 is unavailable). kScalar
+/// row kernel has a portable fallback when AVX2 is unavailable). kScalar
 /// and kSimd pass through unchanged.
 [[nodiscard]] proto::BatchAlignerKind resolve_batch_aligner(proto::BatchAlignerKind kind);
 

@@ -58,7 +58,7 @@ std::uint64_t scratch_peak_bytes();
 
 namespace detail {
 /// The DP "minus infinity": deep enough that adding a penalty cannot wrap,
-/// shared by the scalar kernel and the lane-batched backends (which must
+/// shared by the scalar kernel and the row-vectorized backends (which must
 /// reproduce the scalar cell values bit-for-bit).
 inline constexpr std::int32_t kNegInf = std::numeric_limits<std::int32_t>::min() / 4;
 

@@ -1,35 +1,60 @@
 #pragma once
-// Inter-sequence batched X-drop extension: the lane engine behind
-// align::SimdBatchAligner.
+// Row-vectorized X-drop extension: the kernel behind align::SimdBatchAligner.
 //
-// Instead of vectorizing one DP matrix (intra-sequence, the anti-diagonal
-// wavefront approach), the engine stripes W *independent* extensions across
-// the W lanes of a vector register and advances them in lockstep, one DP
-// row per pass — the layout GPU aligners use, applied to CPU vector units.
-// When a lane's extension terminates (its live band empties, or its last
-// row completes) the lane retires its Extension and is refilled with the
-// next queued job, so occupancy stays high across the wildly variable task
-// costs the X-drop heuristic produces (paper §4.2).
+// The kernel runs one extension at a time and evaluates each DP row of
+// xdrop_extend eight int32 cells per vector. On long-read candidate sets the
+// live band is wide: evaluated rows average 85 cells on 1.5 kb reads at 12 %
+// error and 150 cells on 12 kb reads at 3 %, and about 1 % of cells sit in
+// rows narrower than 33. So one extension's row fills a register, which eight
+// extensions striped in lockstep do not: their band widths differ row by row.
 //
-// Bit-identity with the scalar kernel is structural, not approximate: each
-// lane executes exactly the recurrence of xdrop_extend (same band bounds,
-// same drop test against the lane's own running best, same left-to-right
-// in-row order for best/bound updates), only interleaved with other lanes.
+// Storage: rows live in *offset space*. Slot s of a row holds column
+// (row_lo + s - 1), where row_lo is the row's first evaluated column. Slot 0
+// is a permanent kNegInf sentinel, and at least 8 kNegInf slots follow each
+// row, so the vector loads at both band edges need no branch. Two ping-pong
+// rows of nb + 17 slots serve an extension of any `a` length.
+//
+// Per 8-column chunk of row i (columns j .. j+7):
+//   diag, up  two unaligned loads of the previous row (slots j - prev_lo and
+//             j - prev_lo + 1);
+//   sub       b[j-1 .. j+6] widened from bytes, compared with the broadcast
+//             a[i-1] (-1 when that base is N, so N matches nothing);
+//   t         max(diag + sub, up + gap);
+//   s'        the left-gap chain as an in-register max-plus prefix scan,
+//             y = max(y, shift_in_k(y) + k*gap) for k = 1, 2, 4, then
+//             max(y, carry + (lane+1)*gap) with the previous chunk's last
+//             lane as carry (kNegInf at row start).
+// The column-0 cell needs no special case: it is evaluated only while the
+// previous row's column 0 is live, which holds (i-1)*gap, so up + gap is the
+// all-gap edge value i*gap, and its diag and carry sources are sentinels.
+//
+// Drop test against the running best: when no lane exceeds the best so far,
+// every lane compares against the broadcast best - x. Otherwise a prefix max
+// gives the best before each lane; the new best is its last lane and best_j
+// the first lane equal to it. Band bounds come from the live-lane bitmask.
+//
+// Why this is exact (bit-identical to xdrop_extend):
+//   - xdrop_extend computes s[j] = max(t[j], stored[j-1] + gap), where a
+//     dropped cell is stored as kNegInf. The scan computes
+//     s'[j] = max(t[j], s'[j-1] + gap) instead.
+//   - The two differ only right after a dropped cell. There, s'[j-1] is below
+//     the drop threshold best - x of cell j-1, so s'[j-1] + gap is below cell
+//     j's threshold too (gap <= 0, and best never decreases). If that term
+//     wins, both s[j] and s'[j] are dropped and stored as kNegInf; otherwise
+//     both equal t[j].
+//   - A cell below best - x never updates the best, so testing against the
+//     prefix max that includes cell j equals testing against the best before
+//     cell j.
+//   - So stored rows, score, best position, band bounds and `cells` are
+//     identical. This needs gap <= 0 and x >= 0, and x well below -kNegInf
+//     (2^29), so that values derived from sentinels always drop.
 // All arithmetic is exact int32; there is nothing to round.
-//
-// Storage layout: rows live in *offset space* — the value of column j is
-// stored at slot (j - row_lo + 1), lane-interleaved (slot s of lane l at
-// buffer index s*W + l). Slot 0 is a permanent kNegInf sentinel, so the
-// prev[j-1] read at the left band edge needs no branch; one kNegInf slot
-// written past each row's end serves the same purpose on the right. Reading
-// the previous row from the current row's offset space shifts indices by
-// (row_lo - prev_row_lo) >= 0, a per-pass constant folded into the gather
-// index vector.
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "align/batch.hpp"
@@ -39,22 +64,23 @@
 
 namespace gnb::align::detail {
 
-/// One extension job: `a` extends row-wise (loaded per pass, one byte per
-/// lane), `b` column-wise from a shared little-endian byte arena with >= 4
-/// pad bytes before offset 0 and after every job's last byte (the kernel
-/// fetches b four columns at a time with a 32-bit gather). Both lengths are
-/// >= 1: callers resolve empty extensions to a zero Extension directly.
+/// Pad bytes the kernel requires before b[0] and after b[nb-1]: it reads
+/// b[j-1 .. j+6] for every chunk, so b[-1] through b[nb+6].
+inline constexpr std::size_t kBPad = 8;
+
+/// One extension job. Both lengths are >= 1: callers resolve empty
+/// extensions to a zero Extension directly. `b` carries kBPad readable bytes
+/// on each side.
 struct ExtJob {
   const std::uint8_t* a = nullptr;
   std::int32_t na = 0;
-  std::int32_t b_off = 0;  // byte offset of b[0] in the arena
+  const std::uint8_t* b = nullptr;
   std::int32_t nb = 0;
 };
 
-/// Reference lane ops: plain arrays, branch-free blends — the semantics the
-/// SIMD backends must match exactly. Compiled in the baseline TU this is
-/// the SSE2/scalar fallback (the compiler auto-vectorizes what it can);
-/// compiled with -mavx2 the same template body maps onto ymm registers.
+/// Reference vector ops: plain arrays, branch-free blends — the semantics
+/// the AVX2 ops must match exactly. Compiled in the baseline TU this is the
+/// portable kernel (the compiler auto-vectorizes what it can).
 template <int kW>
 struct ScalarLaneOps {
   static constexpr int W = kW;
@@ -75,6 +101,12 @@ struct ScalarLaneOps {
   static void store(std::int32_t* p, V x) {
     for (int l = 0; l < kW; ++l) p[l] = x.v[l];
   }
+  /// Zero-extend kW bytes to int32 lanes.
+  static V widen_bytes(const std::uint8_t* p) {
+    V r;
+    for (int l = 0; l < kW; ++l) r.v[l] = p[l];
+    return r;
+  }
   static V add(V a, V b) {
     V r;
     for (int l = 0; l < kW; ++l) r.v[l] = a.v[l] + b.v[l];
@@ -83,11 +115,6 @@ struct ScalarLaneOps {
   static V sub(V a, V b) {
     V r;
     for (int l = 0; l < kW; ++l) r.v[l] = a.v[l] - b.v[l];
-    return r;
-  }
-  static V min(V a, V b) {
-    V r;
-    for (int l = 0; l < kW; ++l) r.v[l] = a.v[l] < b.v[l] ? a.v[l] : b.v[l];
     return r;
   }
   static V max(V a, V b) {
@@ -105,54 +132,25 @@ struct ScalarLaneOps {
     for (int l = 0; l < kW; ++l) r.v[l] = a.v[l] == b.v[l] ? -1 : 0;
     return r;
   }
-  static V and_(V a, V b) {
-    V r;
-    for (int l = 0; l < kW; ++l) r.v[l] = a.v[l] & b.v[l];
-    return r;
-  }
-  static V or_(V a, V b) {
-    V r;
-    for (int l = 0; l < kW; ++l) r.v[l] = a.v[l] | b.v[l];
-    return r;
-  }
-  static V andnot(V m, V x) {
-    V r;
-    for (int l = 0; l < kW; ++l) r.v[l] = ~m.v[l] & x.v[l];
-    return r;
-  }
   /// Lane-wise select: mask lanes are all-ones or all-zeros.
   static V blend(V m, V a, V b) {
     V r;
     for (int l = 0; l < kW; ++l) r.v[l] = (m.v[l] & a.v[l]) | (~m.v[l] & b.v[l]);
     return r;
   }
-  template <int kBits>
-  static V srli(V a) {
+  /// Lane l takes a[l - kK]; the first kK lanes take `fill`.
+  template <int kK>
+  static V shift_in(V a, V fill) {
     V r;
+    for (int l = 0; l < kW; ++l) r.v[l] = l < kK ? fill.v[l] : a.v[l - kK];
+    return r;
+  }
+  static V broadcast_last(V a) { return broadcast(a.v[kW - 1]); }
+  static std::int32_t last(V a) { return a.v[kW - 1]; }
+  static bool any(V m) {
     for (int l = 0; l < kW; ++l)
-      r.v[l] = static_cast<std::int32_t>(static_cast<std::uint32_t>(a.v[l]) >> kBits);
-    return r;
-  }
-  static V mask_gather(const std::int32_t* base, V idx, V m) {
-    V r;
-    for (int l = 0; l < kW; ++l) r.v[l] = m.v[l] != 0 ? base[idx.v[l]] : 0;
-    return r;
-  }
-  /// 32-bit little-endian load at a byte offset (bytes t..t+3 of b).
-  static V mask_gather_bytes(const std::uint8_t* base, V idx, V m) {
-    V r;
-    for (int l = 0; l < kW; ++l) {
-      if (m.v[l] == 0) {
-        r.v[l] = 0;
-        continue;
-      }
-      const std::uint8_t* p = base + idx.v[l];
-      r.v[l] = static_cast<std::int32_t>(static_cast<std::uint32_t>(p[0]) |
-                                         (static_cast<std::uint32_t>(p[1]) << 8) |
-                                         (static_cast<std::uint32_t>(p[2]) << 16) |
-                                         (static_cast<std::uint32_t>(p[3]) << 24));
-    }
-    return r;
+      if (m.v[l] != 0) return true;
+    return false;
   }
   static int movemask(V m) {
     int r = 0;
@@ -161,265 +159,160 @@ struct ScalarLaneOps {
   }
 };
 
-/// Run every job to completion, lane-striped; out[i] receives job i's
-/// Extension (score/a_len/b_len/cells bit-identical to xdrop_extend).
-/// `scratch_a`/`scratch_b` are the caller-owned ping-pong row buffers.
+/// One extension, row by row; bit-identical to xdrop_extend(a, b, params).
+/// `row_a`/`row_b` are the caller-owned ping-pong rows (grown on demand,
+/// slot 0 kept at kNegInf). Adds 8 per issued chunk to stats.lane_steps and
+/// the evaluated cells to stats.lane_steps_active, over rows >= 1.
 template <class Ops>
-void run_extension_batch(std::span<const ExtJob> jobs, const std::uint8_t* b_arena,
-                         const XDropParams& params, std::span<Extension> out,
-                         std::vector<std::int32_t>& scratch_a,
-                         std::vector<std::int32_t>& scratch_b, BatchStats& stats) {
+Extension extend_rows(const ExtJob& job, const XDropParams& params,
+                      std::vector<std::int32_t>& row_a, std::vector<std::int32_t>& row_b,
+                      BatchStats& stats) {
   constexpr int W = Ops::W;
+  static_assert(W == 8, "the left-gap scan shifts by 1, 2 and 4 lanes");
   using V = typename Ops::V;
   const Scoring& sc = params.scoring;
   const std::int32_t x = params.x;
-  GNB_CHECK_MSG(x >= 0, "X-drop threshold must be non-negative");
+  const std::int32_t nb = job.nb;
 
-  const std::size_t n = jobs.size();
-  if (n == 0) return;
-
-  std::int32_t max_nb = 0;
-  for (const ExtJob& job : jobs) max_nb = std::max(max_nb, job.nb);
-  // Slots per lane: row values occupy slots 1..nb+1, plus the left sentinel
-  // at slot 0 and one trailing sentinel slot.
-  const std::size_t cap = static_cast<std::size_t>(max_nb) + 4;
-  scratch_a.assign(cap * W, kNegInf);
-  scratch_b.assign(cap * W, kNegInf);
-  std::int32_t* prev = scratch_a.data();
-  std::int32_t* curr = scratch_b.data();
-
-  // Per-lane extension state (mirrors the locals of xdrop_extend).
-  std::int32_t job_ix[W];
-  const std::uint8_t* aptr[W] = {};
-  std::int32_t na[W] = {}, nb[W] = {}, boff[W] = {};
-  std::int32_t row[W] = {};                        // next DP row, 1-based
-  std::int32_t lo[W] = {}, hi[W] = {};             // live interval of the stored row
-  std::int32_t prev_base[W] = {};                  // row_lo the stored row used
-  std::int32_t best[W] = {}, best_i[W] = {}, best_j[W] = {};
-  std::uint64_t cells[W] = {};
-  for (int l = 0; l < W; ++l) job_ix[l] = -1;
-
-  std::size_t next_job = 0;
-  int active_lanes = 0;
-
-  // Claim the next job for lane l and run its row 0 (pure gaps in a)
-  // scalar, writing the row into the buffer the next pass reads as `prev`.
-  // Identical code path to xdrop_extend's row 0, including the accounting
-  // of the evaluated-but-dropped boundary cell.
-  const auto refill = [&](int l) {
-    if (next_job >= n) {
-      job_ix[l] = -1;
-      return;
-    }
-    const ExtJob& job = jobs[next_job];
-    job_ix[l] = static_cast<std::int32_t>(next_job++);
-    aptr[l] = job.a;
-    na[l] = job.na;
-    nb[l] = job.nb;
-    boff[l] = job.b_off;
-    row[l] = 1;
-    prev_base[l] = 0;
-    best[l] = 0;
-    best_i[l] = 0;
-    best_j[l] = 0;
-    cells[l] = 0;
-    prev[1 * W + l] = 0;  // column 0 scores 0
-    std::int32_t h = 0;
-    for (std::int32_t j = 1; j <= job.nb; ++j) {
-      const std::int32_t s = j * sc.gap;
-      ++cells[l];
-      if (s < best[l] - x) break;
-      prev[(j + 1) * W + l] = s;
-      h = j;
-    }
-    prev[(h + 2) * W + l] = kNegInf;  // right read-sentinel for the next row
-    lo[l] = 0;
-    hi[l] = h;
-    ++active_lanes;
-  };
-  for (int l = 0; l < W; ++l) refill(l);
+  // Highest slot written: chunks*8 + 8 <= (nb + 1 + 7) + 8.
+  const std::size_t cap = static_cast<std::size_t>(nb) + 2 * W + 1;
+  if (row_a.size() < cap) {
+    row_a.assign(cap, kNegInf);
+    row_b.assign(cap, kNegInf);
+  }
+  std::int32_t* prev = row_a.data();
+  std::int32_t* curr = row_b.data();
 
   const V vneginf = Ops::broadcast(kNegInf);
-  const V vzero = Ops::broadcast(0);
-  const V vone = Ops::broadcast(1);
   const V vgap = Ops::broadcast(sc.gap);
+  const V vgap2 = Ops::broadcast(2 * sc.gap);
+  const V vgap4 = Ops::broadcast(4 * sc.gap);
   const V vmatch = Ops::broadcast(sc.match);
   const V vmismatch = Ops::broadcast(sc.mismatch);
-  const V vn = Ops::broadcast(static_cast<std::int32_t>(seq::kN));
   const V vx = Ops::broadcast(x);
-  const V vbyte = Ops::broadcast(0xFF);
-
-  while (active_lanes > 0) {
-    // ---- per-pass setup: one DP row per active lane, scalar bookkeeping ----
-    std::int32_t row_lo[W], count[W], shift_ix[W], achar[W], edge_s[W], bix[W], irow[W];
-    std::int32_t max_count = 0;
-    std::int32_t common_shift = -1;  // slot shift shared by every active lane, or -1
-    bool uniform_shift = true;
-    std::uint64_t active_steps = 0;
-    for (int l = 0; l < W; ++l) {
-      if (job_ix[l] < 0) {
-        row_lo[l] = 0;
-        count[l] = 0;
-        shift_ix[l] = l;
-        achar[l] = 0;
-        edge_s[l] = 0;
-        bix[l] = 0;
-        irow[l] = 0;
-        continue;
-      }
-      const std::int32_t rl = lo[l];
-      const std::int32_t rh = std::min(hi[l] + 1, nb[l]);
-      const std::int32_t shift = rl - prev_base[l];
-      row_lo[l] = rl;
-      count[l] = rh - rl + 1;
-      // Gather index of the prev[j-1] slot at step t is shift_ix + t*W.
-      shift_ix[l] = shift * W + l;
-      if (common_shift < 0)
-        common_shift = shift;
-      else if (shift != common_shift)
-        uniform_shift = false;
-      achar[l] = aptr[l][row[l] - 1];
-      edge_s[l] = row[l] * sc.gap;      // the all-gap j == 0 cell
-      bix[l] = boff[l] + rl - 1;        // byte index of b[j-1] at step 0
-      irow[l] = row[l];
-      cells[l] += static_cast<std::uint64_t>(count[l]);
-      max_count = std::max(max_count, count[l]);
-      active_steps += static_cast<std::uint64_t>(count[l]);
-    }
-    stats.lane_steps += static_cast<std::uint64_t>(max_count) * W;
-    stats.lane_steps_active += active_steps;
-    // When every active lane shifts its band by the same amount (the common
-    // case: bands track the alignment diagonal at similar rates), the
-    // per-step prev[j] gather collapses to a contiguous load. Lanes masked
-    // out of a step read a harmless slot (kNegInf or a value their 0 step
-    // mask discards), so the load needs no per-lane masking.
-    const std::int32_t* prev_run =
-        uniform_shift ? prev + static_cast<std::size_t>(std::max(common_shift, 0)) * W
-                      : nullptr;
-
-    const V vcount = Ops::load(count);
-    const V vshift = Ops::load(shift_ix);
-    const V vachar = Ops::load(achar);
-    const V vedge = Ops::load(edge_s);
-    const V vrow0 = Ops::cmpeq(Ops::load(row_lo), vzero);  // lanes whose row starts at j == 0
-    const V vbix = Ops::load(bix);
-    const V vi = Ops::load(irow);
-    V vj = Ops::load(row_lo);
-    V vbest = Ops::load(best);
-    V vbest_i = Ops::load(best_i);
-    V vbest_j = Ops::load(best_j);
-    V vnewlo = Ops::broadcast(std::numeric_limits<std::int32_t>::max());
-    V vnewhi = Ops::broadcast(std::numeric_limits<std::int32_t>::min());
-    V vsurvived = vzero;
-    V vleft = vneginf;  // curr[j-1] of the previous step (kNegInf when dropped)
-    V vprev_jm1 =
-        prev_run ? Ops::load(prev_run)
-                 : Ops::mask_gather(prev, vshift, Ops::cmpgt(vcount, vzero));
-    V vb4 = vzero;
-
-    for (std::int32_t t = 0; t < max_count; ++t) {
-      const V vstep = Ops::cmpgt(vcount, Ops::broadcast(t));  // t < count: cell is in-row
-      // b[j-1], four columns per 32-bit gather (arena pads make the
-      // overread safe; the j == 0 lane result is replaced by the edge blend).
-      V vb;
-      switch (t & 3) {
-        case 0:
-          vb4 = Ops::mask_gather_bytes(b_arena, Ops::add(vbix, Ops::broadcast(t)), vstep);
-          vb = Ops::and_(vb4, vbyte);
-          break;
-        case 1: vb = Ops::and_(Ops::template srli<8>(vb4), vbyte); break;
-        case 2: vb = Ops::and_(Ops::template srli<16>(vb4), vbyte); break;
-        default: vb = Ops::template srli<24>(vb4); break;
-      }
-      const V vprev_j =
-          prev_run
-              ? Ops::load(prev_run + static_cast<std::size_t>(t + 1) * W)
-              : Ops::mask_gather(prev, Ops::add(vshift, Ops::broadcast((t + 1) * W)), vstep);
-      // substitution(a, b): N on either side always scores as a mismatch.
-      const V vis_match =
-          Ops::andnot(Ops::or_(Ops::cmpeq(vb, vn), Ops::cmpeq(vachar, vn)),
-                      Ops::cmpeq(vb, vachar));
-      const V vsub = Ops::blend(vis_match, vmatch, vmismatch);
-      // No kNegInf guards needed (the scalar kernel has them): a kNegInf
-      // input makes s so negative the drop test fires and stores kNegInf —
-      // the same observable value the guarded computation produces — and
-      // int32 cannot wrap because stored cells never sink below kNegInf.
-      const V vdiag = Ops::add(vprev_jm1, vsub);
-      const V vup = Ops::add(vprev_j, vgap);
-      const V vfrom_left = Ops::add(vleft, vgap);
-      V vs = Ops::max(vdiag, Ops::max(vup, vfrom_left));
-      if (t == 0) vs = Ops::blend(vrow0, vedge, vs);  // all-gap left edge (j == 0)
-      const V vdropped = Ops::cmpgt(Ops::sub(vbest, vx), vs);  // s < best - x
-      const V vlive = Ops::andnot(vdropped, vstep);
-      const V vstore = Ops::blend(vlive, vs, vneginf);
-      Ops::store(curr + static_cast<std::size_t>(t + 1) * W, vstore);
-      vsurvived = Ops::or_(vsurvived, vlive);
-      vnewlo = Ops::blend(vlive, Ops::min(vnewlo, vj), vnewlo);
-      vnewhi = Ops::blend(vlive, Ops::max(vnewhi, vj), vnewhi);
-      // s > best implies the cell survived (x >= 0), exactly as in the
-      // scalar kernel; updates happen in the same left-to-right order.
-      const V vimprove = Ops::and_(Ops::cmpgt(vs, vbest), vstep);
-      vbest = Ops::blend(vimprove, vs, vbest);
-      vbest_i = Ops::blend(vimprove, vi, vbest_i);
-      vbest_j = Ops::blend(vimprove, vj, vbest_j);
-      vleft = vstore;
-      vprev_jm1 = vprev_j;
-      vj = Ops::add(vj, vone);
-    }
-    // Right read-sentinel one past the longest row; shorter lanes already
-    // wrote kNegInf at every slot beyond their own row via the step mask.
-    Ops::store(curr + static_cast<std::size_t>(max_count + 1) * W, vneginf);
-
-    // ---- retirement: spill vectors, advance or retire each lane ----
-    std::int32_t snewlo[W], snewhi[W];
-    Ops::store(snewlo, vnewlo);
-    Ops::store(snewhi, vnewhi);
-    Ops::store(best, vbest);
-    Ops::store(best_i, vbest_i);
-    Ops::store(best_j, vbest_j);
-    const int survived = Ops::movemask(vsurvived);
-    std::swap(prev, curr);
-    for (int l = 0; l < W; ++l) {
-      if (job_ix[l] < 0) continue;
-      bool done;
-      if ((survived >> l & 1) == 0) {
-        done = true;  // every cell dropped: early termination
-      } else {
-        lo[l] = snewlo[l];
-        hi[l] = snewhi[l];
-        prev_base[l] = row_lo[l];
-        done = row[l] == na[l];
-        ++row[l];
-      }
-      if (done) {
-        out[job_ix[l]] =
-            Extension{best[l], static_cast<std::uint32_t>(best_i[l]),
-                      static_cast<std::uint32_t>(best_j[l]), cells[l]};
-        job_ix[l] = -1;
-        --active_lanes;
-        refill(l);  // row 0 lands in the buffer just swapped to `prev`
-      }
-    }
+  std::int32_t lane_ix[W], lane_gap[W];
+  for (int l = 0; l < W; ++l) {
+    lane_ix[l] = l;
+    lane_gap[l] = (l + 1) * sc.gap;
   }
+  const V vlane = Ops::load(lane_ix);
+  const V vlane_gap = Ops::load(lane_gap);
+
+  Extension ext;
+  std::int32_t best = 0, best_i = 0, best_j = 0;
+
+  // Row 0: pure gaps in a, scalar, counting the cell whose drop ends it
+  // exactly as xdrop_extend does.
+  prev[1] = 0;  // column 0
+  std::int32_t hi = 0;
+  for (std::int32_t j = 1; j <= nb; ++j) {
+    const std::int32_t s = j * sc.gap;
+    ++ext.cells;
+    if (s < best - x) break;
+    prev[j + 1] = s;
+    hi = j;
+  }
+  Ops::store(prev + hi + 2, vneginf);
+  const std::uint64_t row0_cells = ext.cells;
+  std::int32_t lo = 0;
+  std::int32_t prev_lo = 0;  // row_lo of the row in `prev`
+
+  std::uint64_t chunks_issued = 0;
+  for (std::int32_t i = 1; i <= job.na; ++i) {
+    const std::int32_t row_lo = lo;
+    const std::int32_t count = std::min(hi + 1, nb) - row_lo + 1;
+    const std::int32_t chunks = (count + W - 1) / W;
+    ext.cells += static_cast<std::uint64_t>(count);
+    chunks_issued += static_cast<std::uint64_t>(chunks);
+
+    const std::int32_t* src = prev + (row_lo - prev_lo);  // slot of column row_lo - 1
+    const std::uint8_t* bj = job.b + row_lo - 1;          // b[j-1] of column row_lo
+    const std::uint8_t ai = job.a[i - 1];
+    const V va = Ops::broadcast(ai == seq::kN ? -1 : ai);
+    V vbest = Ops::broadcast(best);
+    V vfloor = Ops::broadcast(best - x);
+    V vcarry = vneginf;
+    std::int32_t new_lo = -1, new_hi = -1;
+
+    for (std::int32_t off = 0; off < count; off += W) {
+      const V vdiag = Ops::load(src + off);
+      const V vup = Ops::load(src + off + 1);
+      const V vsub = Ops::blend(Ops::cmpeq(Ops::widen_bytes(bj + off), va), vmatch, vmismatch);
+      V y = Ops::max(Ops::add(vdiag, vsub), Ops::add(vup, vgap));
+      y = Ops::max(y, Ops::add(Ops::template shift_in<1>(y, vneginf), vgap));
+      y = Ops::max(y, Ops::add(Ops::template shift_in<2>(y, vneginf), vgap2));
+      y = Ops::max(y, Ops::add(Ops::template shift_in<4>(y, vneginf), vgap4));
+      y = Ops::max(y, Ops::add(vcarry, vlane_gap));
+      vcarry = Ops::broadcast_last(y);
+      // Lanes past the row's last column drop (sentinels for the next row).
+      if (count - off < W)
+        y = Ops::blend(Ops::cmpgt(Ops::broadcast(count - off), vlane), y, vneginf);
+
+      V vdropped;
+      if (!Ops::any(Ops::cmpgt(y, vbest))) {
+        vdropped = Ops::cmpgt(vfloor, y);
+      } else {
+        V p = Ops::max(y, Ops::template shift_in<1>(y, vneginf));
+        p = Ops::max(p, Ops::template shift_in<2>(p, vneginf));
+        p = Ops::max(p, Ops::template shift_in<4>(p, vneginf));
+        p = Ops::max(p, vbest);
+        vdropped = Ops::cmpgt(Ops::sub(p, vx), y);
+        best = Ops::last(p);
+        best_i = i;
+        best_j = row_lo + off +
+                 std::countr_zero(static_cast<unsigned>(
+                     Ops::movemask(Ops::cmpeq(y, Ops::broadcast(best)))));
+        vbest = Ops::broadcast(best);
+        vfloor = Ops::broadcast(best - x);
+      }
+      const unsigned live = ~static_cast<unsigned>(Ops::movemask(vdropped)) & 0xFFu;
+      if (live != 0) {
+        if (new_lo < 0) new_lo = row_lo + off + std::countr_zero(live);
+        new_hi = row_lo + off + std::bit_width(live) - 1;
+      }
+      Ops::store(curr + 1 + off, Ops::blend(vdropped, vneginf, y));
+    }
+    Ops::store(curr + 1 + chunks * W, vneginf);
+
+    if (new_lo < 0) break;  // every cell dropped: early termination
+    lo = new_lo;
+    hi = new_hi;
+    prev_lo = row_lo;
+    std::swap(prev, curr);
+  }
+  stats.lane_steps += chunks_issued * W;
+  stats.lane_steps_active += ext.cells - row0_cells;
+
+  ext.score = best;
+  ext.a_len = static_cast<std::uint32_t>(best_i);
+  ext.b_len = static_cast<std::uint32_t>(best_j);
+  return ext;
 }
 
-/// Signature of an instantiated lane engine (one per ISA translation unit).
-using ExtensionBatchFn = void (*)(std::span<const ExtJob>, const std::uint8_t*,
-                                  const XDropParams&, std::span<Extension>,
-                                  std::vector<std::int32_t>&, std::vector<std::int32_t>&,
-                                  BatchStats&);
+/// Run every job in turn; out[i] receives job i's Extension.
+template <class Ops>
+void extend_batch(std::span<const ExtJob> jobs, const XDropParams& params,
+                  std::span<Extension> out, std::vector<std::int32_t>& row_a,
+                  std::vector<std::int32_t>& row_b, BatchStats& stats) {
+  GNB_CHECK_MSG(params.x >= 0, "X-drop threshold must be non-negative");
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    out[i] = extend_rows<Ops>(jobs[i], params, row_a, row_b, stats);
+}
 
-/// Baseline-ISA instantiation (ScalarLaneOps<8>; SSE2-era autovectorization).
-void run_extension_batch_portable(std::span<const ExtJob> jobs, const std::uint8_t* b_arena,
-                                  const XDropParams& params, std::span<Extension> out,
-                                  std::vector<std::int32_t>& scratch_a,
-                                  std::vector<std::int32_t>& scratch_b, BatchStats& stats);
+/// Signature of an instantiated row kernel (one per ISA translation unit).
+using ExtendBatchFn = void (*)(std::span<const ExtJob>, const XDropParams&,
+                               std::span<Extension>, std::vector<std::int32_t>&,
+                               std::vector<std::int32_t>&, BatchStats&);
+
+/// Baseline-ISA instantiation (ScalarLaneOps<8>).
+void extend_batch_portable(std::span<const ExtJob> jobs, const XDropParams& params,
+                           std::span<Extension> out, std::vector<std::int32_t>& row_a,
+                           std::vector<std::int32_t>& row_b, BatchStats& stats);
 
 /// AVX2 instantiation; present only when the GNB_SIMD build option compiled
 /// the -mavx2 translation unit (align::simd_compiled_in()).
-void run_extension_batch_avx2(std::span<const ExtJob> jobs, const std::uint8_t* b_arena,
-                              const XDropParams& params, std::span<Extension> out,
-                              std::vector<std::int32_t>& scratch_a,
-                              std::vector<std::int32_t>& scratch_b, BatchStats& stats);
+void extend_batch_avx2(std::span<const ExtJob> jobs, const XDropParams& params,
+                       std::span<Extension> out, std::vector<std::int32_t>& row_a,
+                       std::vector<std::int32_t>& row_b, BatchStats& stats);
 
 }  // namespace gnb::align::detail

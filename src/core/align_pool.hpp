@@ -7,8 +7,8 @@
 // keeps running its exchange protocol while workers drain the alignment
 // kernels. A worker claims a whole batch and hands it to its own
 // align::BatchAligner backend — batches, not single tasks, are the unit of
-// dispatch, which is what lets the SIMD backend stripe the batch across
-// vector lanes. Determinism is structural, not accidental: slots carry
+// dispatch, so queue traffic is paid once per batch. Determinism is
+// structural, not accidental: slots carry
 // their task index, batches complete in FIFO submission order, the engine
 // merges per-slot results in that order, and every backend returns
 // bit-identical Alignments — so EngineResult is byte-identical at any

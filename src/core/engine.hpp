@@ -95,15 +95,15 @@ void flush_engine_metrics(rt::Rank& rank, const EngineResult& result);
 /// tasks to an align::BatchAligner backend — either inline
 /// (compute_threads <= 1: same serial timer attribution as before) or on an
 /// AlignPool whose batches complete while the engine keeps exchanging. The
-/// backend (scalar / SIMD lane-batched) comes from
-/// config.proto.batch_aligner, resolved once at construction.
+/// backend (scalar / SIMD row kernel) comes from config.proto.batch_aligner,
+/// resolved once at construction.
 ///
 /// Batches are filled across calls: run_local_tasks and run_tasks append
 /// slots to one pending batch, which goes to the kernel when it holds
 /// kSlotsPerBatch slots, on submit_pending() (BSP calls it at the end of
 /// every round) and in drain(). A pulled read's few tasks therefore share
-/// SIMD lanes with the next reads' tasks instead of running as a batch of
-/// their own.
+/// a pool dispatch with the next reads' tasks instead of paying for one
+/// of their own.
 ///
 /// Determinism contract: tasks are submitted in the engine's serial
 /// execution order, batch results are merged in that same FIFO order, and
@@ -115,11 +115,10 @@ void flush_engine_metrics(rt::Rank& rank, const EngineResult& result);
 /// exactly.
 class TaskRunner {
  public:
-  /// Slots per kernel batch: large enough to amortize queue traffic and
-  /// keep SIMD lanes fed, small enough that merges (and under recovery,
-  /// completion logs) interleave. Inline and pooled modes cut identical
-  /// batch boundaries, so kernel accounting is comparable across thread
-  /// counts.
+  /// Slots per kernel batch: large enough to amortize queue traffic, small
+  /// enough that merges (and under recovery, completion logs) interleave.
+  /// Inline and pooled modes cut identical batch boundaries, so kernel
+  /// accounting is comparable across thread counts.
   static constexpr std::size_t kSlotsPerBatch = 32;
 
   TaskRunner(rt::Rank& rank, const seq::ReadStore& store,

@@ -38,7 +38,7 @@ std::size_t compute_threads_from_env(std::size_t fallback = 1);
 /// oracle, so the knob is a pure throughput choice.
 enum class BatchAlignerKind : std::uint8_t {
   kScalar,  // one xdrop_align call per task (the byte-identity oracle)
-  kSimd,    // inter-sequence lane-batched kernel (AVX2 when available)
+  kSimd,    // row-vectorized kernel, 8 cells per vector (AVX2 when available)
   kAuto,    // runtime CPU dispatch: simd when the host supports it
 };
 

@@ -97,14 +97,15 @@ struct ComputeCounters {
   // Batch-aligner kernel accounting (align::BatchAligner::stats). The
   // backend id and lane width are per-rank capabilities (max on merge);
   // the rest are work sums. lane_steps vs lane_steps_active gives the
-  // SIMD lane occupancy the kernel table prints.
+  // SIMD lane occupancy the kernel table prints: the share of vector slots
+  // that held a DP cell of the live band.
   std::uint64_t kernel_backend = 0;           // 0 scalar, 1 simd-portable, 2 simd-avx2
-  std::uint64_t kernel_lanes = 1;             // extensions striped per register
+  std::uint64_t kernel_lanes = 1;             // int32 DP cells per vector
   std::uint64_t kernel_batches = 0;           // align() calls
   std::uint64_t kernel_tasks = 0;             // tasks aligned through the seam
   std::uint64_t kernel_cells = 0;             // DP cells evaluated by the kernel
-  std::uint64_t kernel_lane_steps = 0;        // (lane, DP-step) slots issued
-  std::uint64_t kernel_lane_steps_active = 0; // slots that evaluated a live cell
+  std::uint64_t kernel_lane_steps = 0;        // vector slots issued (8 per chunk)
+  std::uint64_t kernel_lane_steps_active = 0; // slots that held a live-band cell
 
   struct Field {
     const char* name;          // metrics-registry name (obs/spans.hpp taxonomy)

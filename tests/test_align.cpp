@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "align/banded.hpp"
 #include "align/batch.hpp"
@@ -524,13 +527,14 @@ TEST(Paf, RoundTripsThroughFormatAndParse) {
   EXPECT_EQ(back.target_end, 90u - 10u);
 }
 
-// --- BatchAligner: seam behavior and lane-retirement edge cases -------------
+// --- BatchAligner: seam behavior and row-kernel edge cases ------------------
 //
 // The fuzz sweep (test_fuzz_parity) hammers backend bit-identity across
-// randomized scoring and batch shapes; these tests pin the deliberate edge
-// cases of the lane engine — empty batches, lanes that all terminate on the
-// first rows, widths that force partial fills and mid-flight refills — and
-// the row-0 cell accounting both backends must share.
+// randomized scoring and batch shapes; these tests pin deliberate edge
+// cases — empty batches, extensions that terminate on the first rows, mixed
+// lengths in one batch, row widths at 8-cell chunk edges, left-gap chains
+// and best updates that cross chunks, the column-0 edge cell, N on both
+// sides — and the row-0 cell accounting both backends must share.
 
 TEST(BatchAligner, EmptyBatchReturnsEmpty) {
   for (const auto kind : {proto::BatchAlignerKind::kScalar, proto::BatchAlignerKind::kSimd}) {
@@ -674,46 +678,235 @@ TEST(BatchAligner, StatsAccumulateAcrossBatches) {
   EXPECT_LE(after_two.occupancy(), 1.0);
 }
 
-TEST(BatchAligner, PortableLaneEngineMatchesScalar) {
-  // The dispatcher picks AVX2 on capable hosts, which would leave the
-  // portable instantiation untested exactly where CI runs; drive it
-  // directly against xdrop_extend.
-  Xoshiro256 rng(81);
-  constexpr std::size_t kJobs = 19;  // partial last fill
-  std::vector<Codes> as;
-  std::vector<Codes> bs;
-  for (std::size_t t = 0; t < kJobs; ++t) {
-    Codes seq_a = random_codes(40 + rng.below(400), rng);
-    Codes seq_b = t % 3 == 0 ? random_codes(40 + rng.below(400), rng) : seq_a;
-    as.push_back(std::move(seq_a));
-    bs.push_back(std::move(seq_b));
+namespace {
+
+/// `codes` with exactly align::detail::kBPad bytes on each side and nothing
+/// more, so ASan flags a row-kernel read past the documented padding.
+class PaddedCodes {
+ public:
+  explicit PaddedCodes(const Codes& codes) : buf_(codes.size() + 2 * align::detail::kBPad, 0) {
+    std::copy(codes.begin(), codes.end(), buf_.begin() + align::detail::kBPad);
   }
-  // Shared b arena with 4 pad bytes in front and 4 after every job.
-  std::vector<std::uint8_t> arena(4, 0);
+  [[nodiscard]] const std::uint8_t* data() const { return buf_.data() + align::detail::kBPad; }
+
+ private:
+  std::vector<std::uint8_t> buf_;
+};
+
+/// Run the portable row kernel directly on (a, b) pairs and compare every
+/// Extension with xdrop_extend. The dispatcher picks AVX2 on capable hosts,
+/// which would leave the portable instantiation untested exactly where CI
+/// runs. Returns the kernel's stats.
+BatchStats expect_portable_row_kernel_exact(const std::vector<std::pair<Codes, Codes>>& pairs,
+                                            const XDropParams& params) {
+  std::vector<PaddedCodes> padded;
+  padded.reserve(pairs.size());
   std::vector<align::detail::ExtJob> jobs;
-  for (std::size_t t = 0; t < kJobs; ++t) {
-    align::detail::ExtJob job;
-    job.a = as[t].data();
-    job.na = static_cast<std::int32_t>(as[t].size());
-    job.b_off = static_cast<std::int32_t>(arena.size());
-    job.nb = static_cast<std::int32_t>(bs[t].size());
-    arena.insert(arena.end(), bs[t].begin(), bs[t].end());
-    arena.insert(arena.end(), 4, 0);
-    jobs.push_back(job);
+  for (const auto& [a, b] : pairs) {
+    padded.emplace_back(b);
+    jobs.push_back(align::detail::ExtJob{a.data(), static_cast<std::int32_t>(a.size()),
+                                         padded.back().data(),
+                                         static_cast<std::int32_t>(b.size())});
   }
-  const XDropParams params;
-  std::vector<Extension> out(kJobs);
-  std::vector<std::int32_t> scratch_a;
-  std::vector<std::int32_t> scratch_b;
+  std::vector<Extension> out(jobs.size());
+  std::vector<std::int32_t> row_a, row_b;
   BatchStats stats;
-  align::detail::run_extension_batch_portable(jobs, arena.data(), params, out, scratch_a,
-                                       scratch_b, stats);
-  for (std::size_t t = 0; t < kJobs; ++t) {
-    const Extension expected = xdrop_extend(as[t], bs[t], params);
+  align::detail::extend_batch_portable(jobs, params, out, row_a, row_b, stats);
+  for (std::size_t t = 0; t < pairs.size(); ++t) {
+    const Extension expected = xdrop_extend(pairs[t].first, pairs[t].second, params);
     EXPECT_EQ(out[t].score, expected.score) << "job " << t;
     EXPECT_EQ(out[t].a_len, expected.a_len) << "job " << t;
     EXPECT_EQ(out[t].b_len, expected.b_len) << "job " << t;
     EXPECT_EQ(out[t].cells, expected.cells) << "job " << t;
+  }
+  return stats;
+}
+
+/// Check (a, b) pairs through the portable kernel and through the `simd`
+/// backend (AVX2 on capable hosts) against the scalar oracle. Each pair is
+/// the rightward extension of one task and, reversed, the leftward
+/// extension of another. Returns the portable kernel's stats.
+BatchStats expect_row_kernels_exact(const std::vector<std::pair<Codes, Codes>>& pairs,
+                                    const XDropParams& params) {
+  TaskBatch batch;
+  for (const auto& [a, b] : pairs) {
+    Codes ra(a.rbegin(), a.rend());
+    Codes rb(b.rbegin(), b.rend());
+    ra.push_back(0);
+    rb.push_back(0);
+    const Seed left_seed{static_cast<std::uint32_t>(a.size()),
+                         static_cast<std::uint32_t>(b.size()), 1, false};
+    batch.add(std::move(ra), std::move(rb), left_seed);
+    Codes fa{0};
+    Codes fb{0};
+    fa.insert(fa.end(), a.begin(), a.end());
+    fb.insert(fb.end(), b.begin(), b.end());
+    batch.add(std::move(fa), std::move(fb), Seed{0, 0, 1, false});
+  }
+  const auto tasks = batch.tasks();
+  const auto scalar = make_batch_aligner(proto::BatchAlignerKind::kScalar, params);
+  const auto simd = make_batch_aligner(proto::BatchAlignerKind::kSimd, params);
+  expect_batches_equal(scalar->align(tasks), simd->align(tasks));
+  return expect_portable_row_kernel_exact(pairs, params);
+}
+
+}  // namespace
+
+TEST(BatchAligner, PortableRowKernelMatchesScalar) {
+  Xoshiro256 rng(81);
+  std::vector<std::pair<Codes, Codes>> pairs;
+  for (std::size_t t = 0; t < 19; ++t) {
+    Codes seq_a = random_codes(40 + rng.below(400), rng);
+    Codes seq_b = t % 3 == 0 ? random_codes(40 + rng.below(400), rng) : mutate(seq_a, 0.12, rng);
+    pairs.emplace_back(std::move(seq_a), std::move(seq_b));
+  }
+  const BatchStats stats = expect_portable_row_kernel_exact(pairs, XDropParams{});
+  EXPECT_EQ(stats.lane_steps % 8, 0u);
+  EXPECT_GE(stats.lane_steps, stats.lane_steps_active);
+  EXPECT_GT(stats.lane_steps_active, 0u);
+}
+
+TEST(BatchAligner, RowKernelChunkEdgeWidths) {
+  // With x far above any score drop nothing is pruned, so every row after
+  // row 0 spans all nb + 1 columns: b of length w - 1 pins the width at w.
+  Xoshiro256 rng(82);
+  XDropParams wide;
+  wide.x = 1000;
+  constexpr std::size_t kRows = 24;
+  for (const std::size_t width : {7, 8, 9, 15, 16, 17}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    const std::vector<std::pair<Codes, Codes>> pairs{
+        {random_codes(kRows, rng), random_codes(width - 1, rng)}};
+    const BatchStats stats = expect_row_kernels_exact(pairs, wide);
+    EXPECT_EQ(stats.lane_steps_active, kRows * width);
+    EXPECT_EQ(stats.lane_steps, kRows * 8 * ((width + 7) / 8));
+  }
+  // Width 1: with x = 0 an identical run keeps a 2-cell band on the
+  // diagonal; once b is used up, the row past its end holds column nb alone.
+  const Codes b = random_codes(6, rng);
+  Codes a = b;
+  const Codes tail = random_codes(10, rng);
+  a.insert(a.end(), tail.begin(), tail.end());
+  XDropParams tight;
+  tight.x = 0;
+  const BatchStats stats = expect_row_kernels_exact({{a, b}}, tight);
+  EXPECT_EQ(stats.lane_steps_active, 6u * 2 + 1);
+  EXPECT_EQ(stats.lane_steps, 7u * 8);
+}
+
+TEST(BatchAligner, RowKernelLongInsertionCrossesChunks) {
+  // 24 inserted bases in b: the best path runs 24 columns along one row,
+  // a left-gap chain that crosses at least two 8-column chunk boundaries.
+  Xoshiro256 rng(83);
+  const Codes a = random_codes(200, rng);
+  Codes b(a.begin(), a.begin() + 60);
+  const Codes insert = random_codes(24, rng);
+  b.insert(b.end(), insert.begin(), insert.end());
+  b.insert(b.end(), a.begin() + 60, a.end());
+  for (const std::int32_t gap : {-1, -3}) {
+    SCOPED_TRACE("gap " + std::to_string(gap));
+    XDropParams params;
+    params.scoring.gap = gap;
+    params.x = 24 * -gap + 8;  // the chain stays live
+    expect_row_kernels_exact({{a, b}}, params);
+    const Extension ext = xdrop_extend(a, b, params);
+    EXPECT_EQ(ext.a_len, 200u);
+    EXPECT_EQ(ext.b_len, 224u);
+    EXPECT_EQ(ext.score, 200 + 24 * gap);
+  }
+}
+
+TEST(BatchAligner, RowKernelBestImprovesInTwoChunks) {
+  // With match = 2, unrelated reads and an unpruned band, some rows raise
+  // the running best in one chunk and again in a later one. A plain full DP
+  // confirms the case occurs among the pairs before comparing kernels.
+  XDropParams params;
+  params.x = 1000;
+  params.scoring.match = 2;
+  const Scoring sc = params.scoring;
+  Xoshiro256 rng(84);
+  std::vector<std::pair<Codes, Codes>> pairs;
+  std::size_t rows_hit = 0;
+  for (int t = 0; t < 8; ++t) {
+    Codes a = random_codes(60, rng);
+    Codes b = random_codes(60, rng);
+    std::vector<std::int32_t> prev(b.size() + 1), curr(b.size() + 1);
+    for (std::size_t j = 0; j <= b.size(); ++j) prev[j] = static_cast<std::int32_t>(j) * sc.gap;
+    std::int32_t best = 0;
+    for (std::size_t i = 1; i <= a.size(); ++i) {
+      curr[0] = static_cast<std::int32_t>(i) * sc.gap;
+      for (std::size_t j = 1; j <= b.size(); ++j)
+        curr[j] = std::max({prev[j - 1] + sc.substitution(a[i - 1], b[j - 1]),
+                            prev[j] + sc.gap, curr[j - 1] + sc.gap});
+      std::size_t first_chunk = SIZE_MAX, last_chunk = SIZE_MAX;
+      for (std::size_t j = 0; j <= b.size(); ++j) {
+        if (curr[j] <= best) continue;
+        best = curr[j];
+        if (first_chunk == SIZE_MAX) first_chunk = j / 8;
+        last_chunk = j / 8;
+      }
+      if (first_chunk != last_chunk) ++rows_hit;
+      std::swap(prev, curr);
+    }
+    pairs.emplace_back(std::move(a), std::move(b));
+  }
+  EXPECT_GT(rows_hit, 0u);
+  expect_row_kernels_exact(pairs, params);
+}
+
+TEST(BatchAligner, RowKernelBandPinnedAtColumnZero) {
+  // No base of a matches b, so the best stays 0 and column 0 (score i*gap)
+  // stays live for x rows: the j = 0 edge cell is evaluated row after row.
+  const Codes all_a(90, 0);
+  const Codes all_c(70, 1);
+  Xoshiro256 rng(85);
+  for (const std::int32_t gap : {-1, -3}) {
+    SCOPED_TRACE("gap " + std::to_string(gap));
+    XDropParams params;
+    params.scoring.gap = gap;
+    params.x = 60;
+    expect_row_kernels_exact({{all_a, all_c},
+                              {random_codes(200, rng), random_codes(180, rng)},
+                              {random_codes(30, rng), random_codes(300, rng)}},
+                             params);
+  }
+}
+
+TEST(BatchAligner, RowKernelNRunsOnBothSides) {
+  // N never matches, not even N against N (scoring.hpp); the kernel maps an
+  // N in a to -1 so the vector compare can never hit.
+  Xoshiro256 rng(86);
+  Codes a = random_codes(150, rng);
+  Codes b = mutate(a, 0.03, rng);
+  std::fill(a.begin() + 20, a.begin() + 30, seq::kN);
+  std::fill(b.begin() + 25, b.begin() + 40, seq::kN);  // overlaps a's run
+  std::fill(a.begin() + 70, a.begin() + 75, seq::kN);
+  std::fill(b.begin() + 70, b.begin() + 75, seq::kN);  // N against N
+  const Codes all_n(40, seq::kN);
+  for (const std::int32_t x : {0, 10, 49}) {
+    SCOPED_TRACE("x " + std::to_string(x));
+    XDropParams params;
+    params.x = x;
+    expect_row_kernels_exact({{a, b}, {all_n, all_n}, {all_n, a}, {b, all_n}}, params);
+  }
+}
+
+TEST(BatchAligner, RowKernelZeroXAndSteepGap) {
+  Xoshiro256 rng(87);
+  std::vector<std::pair<Codes, Codes>> pairs;
+  for (int t = 0; t < 6; ++t) {
+    Codes a = random_codes(100 + rng.below(200), rng);
+    Codes b = t % 2 == 0 ? mutate(a, 0.12, rng) : random_codes(100 + rng.below(200), rng);
+    pairs.emplace_back(std::move(a), std::move(b));
+  }
+  for (const std::int32_t x : {0, 49}) {
+    for (const std::int32_t gap : {-1, -3}) {
+      SCOPED_TRACE("x " + std::to_string(x) + " gap " + std::to_string(gap));
+      XDropParams params;
+      params.x = x;
+      params.scoring.gap = gap;
+      expect_row_kernels_exact(pairs, params);
+    }
   }
 }
 

@@ -148,7 +148,7 @@ TEST_P(SelfHealingMatrix, FullStackCombined) {
 INSTANTIATE_TEST_SUITE_P(
     EngineRanks, SelfHealingMatrix,
     ::testing::Combine(::testing::Bool(), ::testing::Values(2, 4, 8)),
-    [](const ::testing::TestParamInfo<SelfHealingMatrix::ParamType>& info) {
-      return std::string(std::get<0>(info.param) ? "Async" : "Bsp") + "R" +
-             std::to_string(std::get<1>(info.param));
+    [](const ::testing::TestParamInfo<SelfHealingMatrix::ParamType>& param_info) {
+      return std::string(std::get<0>(param_info.param) ? "Async" : "Bsp") + "R" +
+             std::to_string(std::get<1>(param_info.param));
     });

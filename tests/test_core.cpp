@@ -321,7 +321,7 @@ seq::Read make_read(seq::ReadId id, std::size_t length, std::uint64_t seed) {
   for (auto& code : codes) code = static_cast<std::uint8_t>(rng.below(4));
   seq::Read read;
   read.id = id;
-  read.name = "r" + std::to_string(id);
+  read.name = std::string("r").append(std::to_string(id));
   read.sequence = seq::Sequence::from_codes(codes);
   return read;
 }

@@ -99,7 +99,9 @@ RunOutcome run_engine(bool async_mode, std::size_t ranks, const Workload& w,
 /// runs locally on the adopter, so wire traffic legitimately shrinks.
 void expect_identical(const RunOutcome& chaos, const RunOutcome& clean,
                       bool compare_exchange = true) {
-  if (compare_exchange) EXPECT_EQ(chaos.exchange_bytes, clean.exchange_bytes);
+  if (compare_exchange) {
+    EXPECT_EQ(chaos.exchange_bytes, clean.exchange_bytes);
+  }
   ASSERT_EQ(chaos.records.size(), clean.records.size());
   for (std::size_t i = 0; i < clean.records.size(); ++i) {
     const align::AlignmentRecord& a = chaos.records[i];
@@ -428,7 +430,9 @@ TEST(Chaos, ComputeThreadsStayByteIdenticalUnderInjection) {
       expect_identical(chaos, clean);
       // BSP has no RPCs for the injector to duplicate or time out; only the
       // async engine is expected to observe fault events in its counters.
-      if (async_mode) EXPECT_TRUE(chaos.faults.any());
+      if (async_mode) {
+        EXPECT_TRUE(chaos.faults.any());
+      }
     }
   }
 }

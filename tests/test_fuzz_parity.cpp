@@ -311,6 +311,54 @@ KernelFuzz make_kernel_fuzz(std::uint64_t trial, std::size_t n_tasks) {
   return fuzz;
 }
 
+/// Related long reads in the wide-band regime of real candidate sets: `b`
+/// is an overlapping stretch of `a` re-read at `error` (substitutions and
+/// 1-base indels in equal parts, about 0.2 % N), joined to `a` by an exact
+/// 17-base anchor. 1.5-6 kb reads; x and the error rate set the band width.
+KernelFuzz make_long_read_fuzz(std::uint64_t trial, double error, std::int32_t x,
+                               bool random_scoring, std::size_t n_tasks) {
+  Xoshiro256 rng(0x10A6ULL * (trial + 1));
+  KernelFuzz fuzz;
+  fuzz.params.x = x;
+  if (random_scoring) {
+    fuzz.params.scoring.match = 1 + static_cast<std::int32_t>(rng.below(3));
+    fuzz.params.scoring.mismatch = -1 - static_cast<std::int32_t>(rng.below(4));
+    fuzz.params.scoring.gap = -1 - static_cast<std::int32_t>(rng.below(4));
+  }
+  const auto base = [&] {
+    return rng.below(500) == 0 ? std::uint8_t{4} : static_cast<std::uint8_t>(rng.below(4));
+  };
+  // Append a[from, to) to `out` as the sequencer would re-read it.
+  const auto reread = [&](const std::vector<std::uint8_t>& a, std::size_t from, std::size_t to,
+                          std::vector<std::uint8_t>& out) {
+    for (std::size_t i = from; i < to; ++i) {
+      const double roll = rng.uniform();
+      if (roll < error / 3) continue;                   // deletion
+      if (roll < 2 * error / 3) out.push_back(base());  // insertion before a[i]
+      out.push_back(roll < error && roll >= 2 * error / 3 ? base() : a[i]);
+    }
+  };
+  for (std::size_t t = 0; t < n_tasks; ++t) {
+    std::vector<std::uint8_t> a(1'500 + rng.below(4'500));
+    for (auto& code : a) code = base();
+    // b covers a[lo, hi): a dovetail or containment of at least half of a.
+    const std::size_t lo = rng.below(a.size() / 4);
+    const std::size_t hi = a.size() - rng.below(a.size() / 4);
+    constexpr std::uint16_t k = 17;
+    const std::size_t pa = lo + rng.below(hi - lo - k);
+    std::vector<std::uint8_t> b;
+    reread(a, lo, pa, b);
+    const auto pb = static_cast<std::uint32_t>(b.size());
+    b.insert(b.end(), a.begin() + static_cast<std::ptrdiff_t>(pa),
+             a.begin() + static_cast<std::ptrdiff_t>(pa + k));
+    reread(a, pa + k, hi, b);
+    fuzz.storage.push_back(std::move(a));
+    fuzz.storage.push_back(std::move(b));
+    fuzz.seeds.push_back(align::Seed{static_cast<std::uint32_t>(pa), pb, k, false});
+  }
+  return fuzz;
+}
+
 void expect_alignments_identical(const std::vector<align::Alignment>& base,
                                  const std::vector<align::Alignment>& got) {
   ASSERT_EQ(base.size(), got.size());
@@ -331,12 +379,11 @@ void expect_alignments_identical(const std::vector<align::Alignment>& base,
 }  // namespace
 
 TEST(FuzzParity, BatchAlignerBackendsBitIdenticalAcrossScoringAndBatchSizes) {
-  // The tentpole contract of the SIMD lane engine: for randomized reads,
-  // randomized Scoring/x parameters and every batch-size shape (partial lane
-  // width, exact width, width+1, multiple refills), the SIMD backend's
-  // Alignment output — score, coordinates, per-task cells — equals the
-  // scalar backend's bit for bit. The scalar backend itself is pinned to
-  // xdrop_align by construction (test_align covers that seam).
+  // The contract of the SIMD row kernel: for randomized reads, randomized
+  // Scoring/x parameters and batch sizes around 8 and 32, the SIMD
+  // backend's Alignment output — score, coordinates, per-task cells —
+  // equals the scalar backend's bit for bit. The scalar backend itself is
+  // pinned to xdrop_align by construction (test_align covers that seam).
   const std::size_t batch_sizes[] = {1, 7, 8, 9, 16, 33};
   std::uint64_t trial = 0;
   for (const std::size_t n_tasks : batch_sizes) {
@@ -361,6 +408,32 @@ TEST(FuzzParity, BatchAlignerBackendsBitIdenticalAcrossScoringAndBatchSizes) {
         return out;
       }();
       expect_alignments_identical(direct, scalar->align(tasks));
+    }
+  }
+}
+
+TEST(FuzzParity, BatchAlignerBackendsBitIdenticalOnLongReads) {
+  // The wide-band regime: on HiFi-like candidate sets most DP cells sit in
+  // rows wider than 256, which the short reads above never reach. Related
+  // 1.5-6 kb reads at 3 % and 12 % error, x in {49, 150}, default and
+  // randomized scoring, one batch each.
+  std::uint64_t trial = 0;
+  for (const double error : {0.03, 0.12}) {
+    for (const std::int32_t x : {49, 150}) {
+      for (const bool random_scoring : {false, true}) {
+        const KernelFuzz fuzz = make_long_read_fuzz(trial++, error, x, random_scoring, 8);
+        SCOPED_TRACE("trial=" + std::to_string(trial - 1) + " error=" + std::to_string(error) +
+                     " x=" + std::to_string(x) +
+                     " match=" + std::to_string(fuzz.params.scoring.match) +
+                     " mismatch=" + std::to_string(fuzz.params.scoring.mismatch) +
+                     " gap=" + std::to_string(fuzz.params.scoring.gap));
+        const std::vector<align::AlignTask> tasks = fuzz.tasks();
+        const auto scalar =
+            align::make_batch_aligner(proto::BatchAlignerKind::kScalar, fuzz.params);
+        const auto simd =
+            align::make_batch_aligner(proto::BatchAlignerKind::kSimd, fuzz.params);
+        expect_alignments_identical(scalar->align(tasks), simd->align(tasks));
+      }
     }
   }
 }

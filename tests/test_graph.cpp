@@ -39,7 +39,7 @@ Tiling make_tiling(std::size_t genome_length = 10'000, std::size_t read_length =
   Tiling tiling;
   tiling.genome_length = genome_length;
   for (std::size_t pos = 0; pos + read_length <= genome.size(); pos += step) {
-    tiling.reads.add("r" + std::to_string(tiling.lengths.size()),
+    tiling.reads.add(std::string("r").append(std::to_string(tiling.lengths.size())),
                      genome.subseq(pos, read_length));
     tiling.lengths.push_back(read_length);
   }

@@ -278,7 +278,9 @@ void run_crash_matrix(bool async_mode, std::size_t ranks, const rt::FaultPlan& p
   std::uint64_t dead_tasks = 0;
   for (const rt::CrashEvent& crash : plan.crashes)
     dead_tasks += w.tasks.per_rank[crash.rank].size();
-  if (dead_tasks > 0) EXPECT_GT(crashed.faults.tasks_reexecuted, 0u);
+  if (dead_tasks > 0) {
+    EXPECT_GT(crashed.faults.tasks_reexecuted, 0u);
+  }
 }
 
 class CrashMatrix : public ::testing::TestWithParam<std::size_t> {};
@@ -339,7 +341,9 @@ void run_rejoin_case(bool async_mode, std::size_t ranks, const std::string& spec
       run_engine(async_mode, ranks, w, config, rt::FaultPlan::parse(spec));
   expect_identical(healed, clean);
   EXPECT_GT(healed.faults.crashes, 0u);
-  if (want_rejoins > 0) EXPECT_EQ(healed.faults.rejoins, want_rejoins) << spec;
+  if (want_rejoins > 0) {
+    EXPECT_EQ(healed.faults.rejoins, want_rejoins) << spec;
+  }
 }
 
 class RejoinMatrix : public ::testing::TestWithParam<std::size_t> {};

@@ -303,7 +303,9 @@ TEST(WireBytes, ConservationAndOutputIdentityAcrossModes) {
         EXPECT_EQ(run.sent, run.received)
             << (async_mode ? "async" : "bsp") << " ranks " << nranks << " mode "
             << proto::to_string(mode);
-        if (nranks > 1) EXPECT_GT(run.received, 0u);
+        if (nranks > 1) {
+          EXPECT_GT(run.received, 0u);
+        }
       }
       const RunTotals& off = per_mode.front();
       for (std::size_t m = 1; m < per_mode.size(); ++m) {
