@@ -110,7 +110,7 @@ void AlignPool::worker_loop() {
       tasks.clear();
       tasks.reserve(batch->slots.size());
       for (const AlignSlot& slot : batch->slots)
-        tasks.push_back(align::AlignTask{*slot.a, *slot.b, slot.seed});
+        tasks.push_back(align::AlignTask{*slot.a, *slot.b, slot.task.seed});
       const std::vector<align::Alignment> results = aligner->align(tasks);
       for (std::size_t i = 0; i < batch->slots.size(); ++i)
         batch->slots[i].alignment = results[i];

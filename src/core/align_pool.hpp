@@ -24,6 +24,7 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -31,6 +32,7 @@
 #include "align/result.hpp"
 #include "align/xdrop.hpp"
 #include "core/read_cache.hpp"
+#include "kmer/candidates.hpp"
 #include "proto/config.hpp"
 
 namespace gnb::core {
@@ -39,11 +41,14 @@ namespace gnb::core {
 /// shared_ptr handles pin the codes independent of cache eviction and of
 /// the (possibly temporary) remote Read they were decoded from.
 struct AlignSlot {
-  std::size_t task_index = 0;  // index into the rank's task list
-  ReadCache::Codes a;          // forward codes of the task's read A
-  ReadCache::Codes b;          // codes of read B, already seed-oriented
-  align::Seed seed;
-  align::Alignment alignment;  // worker (or inline) output
+  kmer::AlignTask task;        // read ids and seed
+  /// Index into the rank's task list — or, for a recovery re-execution,
+  /// into the manifest of rank `origin`.
+  std::size_t task_index = 0;
+  std::optional<std::uint32_t> origin;  // set only on recovery re-executions
+  ReadCache::Codes a;                   // forward codes of the task's read A
+  ReadCache::Codes b;                   // codes of read B, already seed-oriented
+  align::Alignment alignment;           // worker (or inline) output
 };
 
 class AlignPool {

@@ -59,20 +59,23 @@ EngineResult async_align(rt::Rank& rank, const seq::ReadStore& store,
   // callbacks died with the old incarnation). Its comeback: park at the
   // admission gate until the survivors reach the exit agreement loop, then
   // run that loop with them — the recovery fixpoint replays this rank's
-  // durable completion log and re-executes its unfinished manifest tasks,
-  // keeping the merged output byte-identical.
+  // durable completion log and re-executes its unfinished manifest tasks
+  // through a runner over the rebuilt list, keeping the merged output
+  // byte-identical.
   if (chaos && rank.rejoining()) {
     if (!rank.admitting_barrier()) return result;  // phase wound down without us
     const std::vector<AlignTask> mine =
         RecoveryContext::parse_manifest(rank.durable().manifest(me));
     RecoveryContext rrc(rank, store, bounds, mine, config);
+    TaskRunner runner(rank, store, bounds, mine, config, result, &rrc);
     for (;;) {
       rrc.flush();
       rank.service_barrier();
-      rrc.recover(result, nullptr, nullptr);
+      rrc.recover(runner, result, nullptr, nullptr);
       (void)rank.admitting_barrier();
       if (!rrc.needs_recovery()) break;
     }
+    runner.flush();
     flush_engine_metrics(rank, result);
     return result;
   }
@@ -390,14 +393,8 @@ EngineResult async_align(rt::Rank& rank, const seq::ReadStore& store,
   } else {
     runner.drain();
   }
-  runner.flush();
 
   // --- single exit barrier: stay serviceable until everyone is done ---
-  if (!chaos) {
-    rank.service_barrier();
-    flush_engine_metrics(rank, result);
-    return result;
-  }
   // Under a fault plan the exit is an agreement loop. service_barrier keeps
   // this rank serving pulls until every alive rank finished its own loop —
   // only then is it safe to enter collectives (nobody needs RPC service
@@ -407,13 +404,19 @@ EngineResult async_align(rt::Rank& rank, const seq::ReadStore& store,
   // The trailing barrier stamps the snapshot the loop condition reads, so
   // continuing or breaking is unanimous — and doubles as the admission
   // point where a restarted rank parked on its comeback is re-admitted.
-  for (;;) {
-    rc->flush();
+  // The runner flushes after the loop, so its re-executions are counted.
+  if (!chaos) {
     rank.service_barrier();
-    rc->recover(result, nullptr, nullptr);
-    (void)rank.admitting_barrier();
-    if (!rc->needs_recovery()) break;
+  } else {
+    for (;;) {
+      rc->flush();
+      rank.service_barrier();
+      rc->recover(runner, result, nullptr, nullptr);
+      (void)rank.admitting_barrier();
+      if (!rc->needs_recovery()) break;
+    }
   }
+  runner.flush();
   flush_engine_metrics(rank, result);
   return result;
 }

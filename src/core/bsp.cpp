@@ -46,15 +46,17 @@ EngineResult bsp_align(rt::Rank& rank, const seq::ReadStore& store,
   // they do, with my_tasks rebuilt from the durable manifest the old
   // incarnation published. The fixpoint replays this rank's completion log
   // and re-executes its unfinished tasks (proto::plan_recovery's rebalance
-  // path), so the merged output stays byte-identical.
+  // path) through a runner over the rebuilt list, so the merged output
+  // stays byte-identical.
   if (chaos && rank.rejoining()) {
     if (!rank.admitting_barrier()) return result;  // phase wound down without us
     const std::vector<AlignTask> mine =
         RecoveryContext::parse_manifest(rank.durable().manifest(me));
     RecoveryContext rrc(rank, store, bounds, mine, config);
+    TaskRunner runner(rank, store, bounds, mine, config, result, &rrc);
     for (;;) {
       while (rrc.needs_recovery()) {
-        rrc.recover(result, nullptr, nullptr);
+        rrc.recover(runner, result, nullptr, nullptr);
         // Mirror the survivors' replan(): this rank serves and pulls
         // nothing, but the collective sequence must match gate for gate.
         (void)rank.alltoall(std::vector<std::uint64_t>(p, 0));
@@ -64,6 +66,7 @@ EngineResult bsp_align(rt::Rank& rank, const seq::ReadStore& store,
       (void)rank.admitting_barrier();
       if (!rrc.needs_recovery()) break;
     }
+    runner.flush();
     flush_engine_metrics(rank, result);
     return result;
   }
@@ -181,12 +184,12 @@ EngineResult bsp_align(rt::Rank& rank, const seq::ReadStore& store,
 
   // --- recovery hook (a no-op until a death is agreed on) ---
   // Recovery fetches the reads dead owners never delivered, hands them to
-  // run_tasks_for, and the remaining supersteps are re-agreed under the
-  // same memory budget.
+  // run_tasks_for, re-executes lost tasks on the same runner, and the
+  // remaining supersteps are re-agreed under the same memory budget.
   const auto missing = [&](const std::vector<char>& alive) { return fetch.missing(alive); };
   const auto poll_recovery = [&] {
     while (rc && rc->needs_recovery()) {
-      rc->recover(result, missing, run_tasks_for);
+      rc->recover(runner, result, missing, run_tasks_for);
       fetch.replan(rank.collective_alive());
     }
   };
@@ -262,20 +265,21 @@ EngineResult bsp_align(rt::Rank& rank, const seq::ReadStore& store,
   } else {
     runner.drain();
   }
-  runner.flush();
 
   // Final synchronization: end of the bulk-synchronous phase. Loop until
   // the stamped snapshot agrees nothing new died — a rank dying *at* this
   // barrier has finished its own work, but its accepted records must still
   // be adopted from its durable log. The barrier doubles as the admission
   // point: a restarted rank parked on its comeback is re-admitted here and
-  // joins the recovery iteration the stamp forces on everyone.
+  // joins the recovery iteration the stamp forces on everyone. The runner
+  // flushes after the loop, so re-executions it ran are counted too.
   for (;;) {
     checkpoint();
     (void)rank.admitting_barrier();
     if (!rc || !rc->needs_recovery()) break;
     poll_recovery();
   }
+  runner.flush();
   flush_engine_metrics(rank, result);
   return result;
 }

@@ -18,38 +18,6 @@ const seq::Read& local_read(const seq::ReadStore& store, const std::vector<seq::
   return store.get(id);
 }
 
-void execute_task(const kmer::AlignTask& task, const seq::Read& read_a,
-                  const seq::Read& read_b, const EngineConfig& config,
-                  rt::PhaseTimers& timers, EngineResult& result) {
-  GNB_CHECK(read_a.id == task.a && read_b.id == task.b);
-
-  // The whole task is traversal/orientation overhead except the alignment
-  // kernel in the middle, which is charged to compute while the overhead
-  // stopwatch is paused.
-  timers.overhead.start();
-  const std::vector<std::uint8_t> codes_a = seq::oriented_codes(read_a.sequence, false);
-  const std::vector<std::uint8_t> codes_b =
-      seq::oriented_codes(read_b.sequence, task.seed.b_reversed);
-
-  ++result.tasks_done;
-  if (config.skip_compute) {
-    timers.overhead.stop();
-    return;
-  }
-
-  align::Alignment alignment;
-  {
-    ScopedPause hold(timers.overhead);
-    ScopedCharge charge(timers.compute);
-    alignment = align::xdrop_align(codes_a, codes_b, task.seed, config.xdrop);
-  }
-
-  result.cells += alignment.cells;
-  if (config.filter.accepts(alignment))
-    result.accepted.push_back(align::AlignmentRecord{task.a, task.b, alignment});
-  timers.overhead.stop();
-}
-
 void flush_engine_metrics(rt::Rank& rank, const EngineResult& result) {
   obs::MetricsRegistry& registry = rank.metrics();
   registry.add(obs::metric::kAlignTasks, result.tasks_done);
@@ -88,45 +56,27 @@ TaskRunner::TaskRunner(rt::Rank& rank, const seq::ReadStore& store,
             config.xdrop, kind_),
       aligner_(align::make_batch_aligner(kind_, config.xdrop)) {}
 
-AlignSlot TaskRunner::make_slot(std::size_t t, const seq::Read& remote, bool have_remote) {
-  const kmer::AlignTask& task = my_tasks_[t];
-  const bool remote_is_a = have_remote && task.a == remote.id;
-  const bool remote_is_b = have_remote && !remote_is_a;
-  const seq::Read& read_a =
-      remote_is_a ? remote : local_read(store_, bounds_, rank_.id(), task.a);
-  const seq::Read& read_b =
-      remote_is_b ? remote : local_read(store_, bounds_, rank_.id(), task.b);
-  GNB_CHECK(read_a.id == task.a && read_b.id == task.b);
-  AlignSlot slot;
-  slot.task_index = t;
-  slot.seed = task.seed;
-  slot.a = cache_.get(read_a, false);
-  slot.b = cache_.get(read_b, task.seed.b_reversed);
-  return slot;
-}
-
 void TaskRunner::merge_slot(const AlignSlot& slot) {
   ++result_.tasks_done;
   const std::size_t before = result_.accepted.size();
   if (!config_.skip_compute) {
     result_.cells += slot.alignment.cells;
-    if (config_.filter.accepts(slot.alignment)) {
-      const kmer::AlignTask& task = my_tasks_[slot.task_index];
-      result_.accepted.push_back(align::AlignmentRecord{task.a, task.b, slot.alignment});
-    }
+    if (config_.filter.accepts(slot.alignment))
+      result_.accepted.push_back(
+          align::AlignmentRecord{slot.task.a, slot.task.b, slot.alignment});
   }
-  if (recovery_ != nullptr) recovery_->log_completion(slot.task_index, result_, before);
+  if (recovery_ != nullptr) recovery_->log_completion(slot, result_, before);
 }
 
 void TaskRunner::run_inline(std::vector<AlignSlot>& slots) {
   // Inline path: the caller's overhead stopwatch is running; the kernel
-  // batch is charged to compute while overhead is paused — the same
-  // attribution execute_task uses, at batch granularity.
+  // batch is charged to compute while overhead is paused ("Computation
+  // (Alignment)" vs "Computation (Overhead)").
   if (!config_.skip_compute) {
     task_buf_.clear();
     task_buf_.reserve(slots.size());
     for (const AlignSlot& slot : slots)
-      task_buf_.push_back(align::AlignTask{*slot.a, *slot.b, slot.seed});
+      task_buf_.push_back(align::AlignTask{*slot.a, *slot.b, slot.task.seed});
     ScopedPause hold(rank_.timers().overhead);
     ScopedCharge charge(rank_.timers().compute);
     const std::vector<align::Alignment> results = aligner_->align(task_buf_);
@@ -143,18 +93,44 @@ void TaskRunner::run_tasks(const seq::Read& remote, std::span<const std::size_t>
   add_slots(tasks, remote, true);
 }
 
+void TaskRunner::reexecute(const kmer::AlignTask& task, std::uint32_t origin, std::size_t index,
+                           const seq::Read& read_a, const seq::Read& read_b) {
+  rank_.timers().overhead.start();
+  push_slot(task, index, origin, read_a, read_b);
+  rank_.timers().overhead.stop();
+}
+
 void TaskRunner::add_slots(std::span<const std::size_t> tasks, const seq::Read& remote,
                            bool have_remote) {
   rank_.timers().overhead.start();
   for (const std::size_t t : tasks) {
-    pending_.push_back(make_slot(t, remote, have_remote));
-    if (pending_.size() < kSlotsPerBatch) continue;
-    rank_.timers().overhead.stop();
-    submit_pending();
-    rank_.timers().overhead.start();
+    const kmer::AlignTask& task = my_tasks_[t];
+    const bool remote_is_a = have_remote && task.a == remote.id;
+    const bool remote_is_b = have_remote && !remote_is_a;
+    const seq::Read& read_a =
+        remote_is_a ? remote : local_read(store_, bounds_, rank_.id(), task.a);
+    const seq::Read& read_b =
+        remote_is_b ? remote : local_read(store_, bounds_, rank_.id(), task.b);
+    push_slot(task, t, std::nullopt, read_a, read_b);
   }
   rank_.timers().overhead.stop();
   if (recovery_ != nullptr) submit_pending();
+}
+
+void TaskRunner::push_slot(const kmer::AlignTask& task, std::size_t index,
+                           std::optional<std::uint32_t> origin, const seq::Read& read_a,
+                           const seq::Read& read_b) {
+  GNB_CHECK(read_a.id == task.a && read_b.id == task.b);
+  AlignSlot& slot = pending_.emplace_back();
+  slot.task = task;
+  slot.task_index = index;
+  slot.origin = origin;
+  slot.a = cache_.get(read_a, false);
+  slot.b = cache_.get(read_b, task.seed.b_reversed);
+  if (pending_.size() < kSlotsPerBatch) return;
+  rank_.timers().overhead.stop();
+  submit_pending();
+  rank_.timers().overhead.start();
 }
 
 void TaskRunner::submit_pending() {

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -75,21 +76,13 @@ const seq::Read& local_read(const seq::ReadStore& store,
                             const std::vector<seq::ReadId>& bounds, std::uint32_t rank_id,
                             seq::ReadId id);
 
-/// Execute one alignment task: orient `read_b`, run the X-drop kernel, and
-/// record the alignment if it passes the filter. Data-structure traversal
-/// and orientation are charged to timers.overhead, the kernel to
-/// timers.compute ("Computation (Overhead)" vs "Computation (Alignment)").
-/// With config.skip_compute the kernel call is skipped (§4.3 mode).
-void execute_task(const kmer::AlignTask& task, const seq::Read& read_a,
-                  const seq::Read& read_b, const EngineConfig& config,
-                  rt::PhaseTimers& timers, EngineResult& result);
-
 /// Phase-boundary metrics snapshot: both engines call this once before
 /// returning, so `gnbody --metrics` reports the same counter names
 /// (obs/spans.hpp) regardless of backend.
 void flush_engine_metrics(rt::Rank& rank, const EngineResult& result);
 
-/// The intra-rank compute layer both engines share: resolves alignment
+/// The intra-rank compute layer both engines and crash recovery share — the
+/// one path every alignment task executes through: resolves alignment
 /// tasks to decoded code buffers through a per-rank ReadCache (each read
 /// unpacked at most once per orientation per phase) and hands *batches* of
 /// tasks to an align::BatchAligner backend — either inline
@@ -98,12 +91,12 @@ void flush_engine_metrics(rt::Rank& rank, const EngineResult& result);
 /// backend (scalar / SIMD row kernel) comes from config.proto.batch_aligner,
 /// resolved once at construction.
 ///
-/// Batches are filled across calls: run_local_tasks and run_tasks append
-/// slots to one pending batch, which goes to the kernel when it holds
-/// kSlotsPerBatch slots, on submit_pending() (BSP calls it at the end of
-/// every round) and in drain(). A pulled read's few tasks therefore share
-/// a pool dispatch with the next reads' tasks instead of paying for one
-/// of their own.
+/// Batches are filled across calls: run_local_tasks, run_tasks and
+/// reexecute append slots to one pending batch, which goes to the kernel
+/// when it holds kSlotsPerBatch slots, on submit_pending() (BSP calls it at
+/// the end of every round) and in drain(). A pulled read's few tasks
+/// therefore share a pool dispatch with the next reads' tasks instead of
+/// paying for one of their own.
 ///
 /// Determinism contract: tasks are submitted in the engine's serial
 /// execution order, batch results are merged in that same FIFO order, and
@@ -112,7 +105,7 @@ void flush_engine_metrics(rt::Rank& rank, const EngineResult& result);
 /// Under recovery (`recovery != nullptr`) every run_* call submits its
 /// pending batch and drains it synchronously before returning, so
 /// completion-log order and crash-point placement match the serial engine
-/// exactly.
+/// exactly; each merge logs its task's completion (or re-execution) entry.
 class TaskRunner {
  public:
   /// Slots per kernel batch: large enough to amortize queue traffic, small
@@ -134,6 +127,13 @@ class TaskRunner {
   /// are pinned by the cache, so queued slots outlive `remote`.
   void run_tasks(const seq::Read& remote, std::span<const std::size_t> tasks);
 
+  /// Queue a recovery re-execution of task `index` of rank `origin`'s
+  /// manifest. The reads were resolved under the agreed owner map, so they
+  /// may be adopted or fetched rather than rank-local. Its merge logs the
+  /// re-execution entry; the caller drains before flushing the log.
+  void reexecute(const kmer::AlignTask& task, std::uint32_t origin, std::size_t index,
+                 const seq::Read& read_a, const seq::Read& read_b);
+
   /// Hand the pending batch, if any, to the kernel: run it inline, or
   /// submit it to the pool.
   void submit_pending();
@@ -152,20 +152,25 @@ class TaskRunner {
   /// simulator.
   [[nodiscard]] bool pooled() const { return pool_.pooled(); }
 
-  /// Phase-boundary flush (call once, after the final drain): charge the
-  /// workers' aggregate kernel seconds to timers.compute and fold cache and
-  /// pool accounting into result.compute.
+  /// Phase-boundary flush (call once, after the exit agreement loop, so a
+  /// late recovery's re-executions are counted): charge the workers'
+  /// aggregate kernel seconds to timers.compute and fold cache and pool
+  /// accounting into result.compute.
   void flush();
 
   [[nodiscard]] const ReadCache& cache() const { return cache_; }
 
  private:
   void add_slots(std::span<const std::size_t> tasks, const seq::Read& remote, bool have_remote);
+  /// Append a slot to the pending batch (overhead stopwatch running);
+  /// submits the batch once it is full.
+  void push_slot(const kmer::AlignTask& task, std::size_t index,
+                 std::optional<std::uint32_t> origin, const seq::Read& read_a,
+                 const seq::Read& read_b);
   void run_inline(std::vector<AlignSlot>& slots);
   void merge_slot(const AlignSlot& slot);
   void merge_batch(std::unique_ptr<AlignPool::Batch> batch);
   void submit(std::unique_ptr<AlignPool::Batch> batch);
-  [[nodiscard]] AlignSlot make_slot(std::size_t t, const seq::Read& remote, bool have_remote);
 
   rt::Rank& rank_;
   const seq::ReadStore& store_;

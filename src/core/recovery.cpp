@@ -38,14 +38,16 @@ RecoveryContext::RecoveryContext(rt::Rank& rank, const seq::ReadStore& store,
       rank_.durable().write_manifest(rank_.id(), std::move(manifest));
 }
 
-void RecoveryContext::log_completion(std::size_t t, const EngineResult& result,
+void RecoveryContext::log_completion(const AlignSlot& slot, const EngineResult& result,
                                      std::size_t accepted_before) {
   LogEntry entry;
-  entry.kind = kEntryCompletion;
-  entry.index = static_cast<std::uint32_t>(t);
+  entry.kind = slot.origin ? kEntryReexecution : kEntryCompletion;
+  entry.origin = slot.origin.value_or(0);
+  entry.index = static_cast<std::uint32_t>(slot.task_index);
   entry.has_record = result.accepted.size() > accepted_before;
   if (entry.has_record) entry.record = result.accepted.back();
   append_entry(entry);
+  if (slot.origin) ++rank_.fault_counters().tasks_reexecuted;
 }
 
 void RecoveryContext::append_entry(const LogEntry& entry) {
@@ -143,7 +145,7 @@ std::uint32_t RecoveryContext::owner_of(seq::ReadId id) {
 }
 
 void RecoveryContext::recover(
-    EngineResult& result,
+    TaskRunner& runner, EngineResult& result,
     const std::function<std::vector<seq::ReadId>(const std::vector<char>&)>& report_missing,
     const std::function<void(const seq::Read&)>& consume) {
   const std::uint32_t me = rank_.id();
@@ -365,34 +367,28 @@ void RecoveryContext::recover(
       missing_ = std::move(still_missing);
     }
 
-    // --- re-execute only the lost tasks assigned to me ---
+    // --- re-execute only the lost tasks assigned to me, through the
+    // engine's compute layer: batched in claim order, each logged at merge,
+    // all merged before the flush ---
+    const auto read_ptr = [&](seq::ReadId id) -> const seq::Read* {
+      if (map.owns(me, id)) return &store_.get(id);
+      const auto it = fetched_.find(id);
+      return it != fetched_.end() ? &it->second : nullptr;
+    };
     std::uint64_t reexecuted = 0;
     std::vector<proto::TaskClaim> remaining;
     for (const proto::TaskClaim& claim : my_lost_) {
       const AlignTask& task = dead_tasks(claim.origin)[claim.index];
-      const auto read_ptr = [&](seq::ReadId id) -> const seq::Read* {
-        if (map.owns(me, id)) return &store_.get(id);
-        const auto it = fetched_.find(id);
-        return it != fetched_.end() ? &it->second : nullptr;
-      };
       const seq::Read* read_a = read_ptr(task.a);
       const seq::Read* read_b = read_ptr(task.b);
       if (read_a == nullptr || read_b == nullptr) {
         remaining.push_back(claim);  // unfetched: replanned next iteration
         continue;
       }
-      const std::size_t before = result.accepted.size();
-      execute_task(task, *read_a, *read_b, config_, rank_.timers(), result);
-      ++rank_.fault_counters().tasks_reexecuted;
+      runner.reexecute(task, claim.origin, claim.index, *read_a, *read_b);
       ++reexecuted;
-      LogEntry entry;
-      entry.kind = kEntryReexecution;
-      entry.origin = claim.origin;
-      entry.index = claim.index;
-      entry.has_record = result.accepted.size() > before;
-      if (entry.has_record) entry.record = result.accepted.back();
-      append_entry(entry);
     }
+    runner.drain();
     my_lost_ = std::move(remaining);
     if (reexecuted > 0) GNB_INSTANT(obs::span::kRecoveryReexec, "tasks", reexecuted);
     flush();

@@ -50,10 +50,12 @@ class RecoveryContext {
                   const std::vector<seq::ReadId>& bounds,
                   const std::vector<kmer::AlignTask>& my_tasks, const EngineConfig& config);
 
-  /// Buffer a completion entry for my_tasks[t]. If execute_task grew
-  /// result.accepted past `accepted_before`, the record rides in the entry
-  /// (so an adopter can emit it verbatim).
-  void log_completion(std::size_t t, const EngineResult& result, std::size_t accepted_before);
+  /// Buffer the log entry of a merged slot: a completion of my_tasks[t], or
+  /// a re-execution of a lost task (counted in tasks_reexecuted). If the
+  /// merge grew result.accepted past `accepted_before`, the record rides in
+  /// the entry (so an adopter can emit it verbatim).
+  void log_completion(const AlignSlot& slot, const EngineResult& result,
+                      std::size_t accepted_before);
 
   /// Append buffered entries to stable storage. Engines call this before
   /// every collective / after every pull batch: work is lost with a crash
@@ -83,11 +85,13 @@ class RecoveryContext {
   /// set — so deaths detected mid-recovery are covered too) which reads the
   /// interrupted engine still needs from dead owners; each such read, once
   /// fetched (or adopted), is handed to `consume` (the engine executes and
-  /// logs its pending tasks for it). Iterates until no rank has an
-  /// unhandled death, unfetched read, or unexecuted lost task — tolerating
-  /// further deaths mid-recovery. Both callbacks may be null.
+  /// logs its pending tasks for it). Lost tasks assigned to this rank are
+  /// re-executed through `runner`, the engine's compute layer, in claim
+  /// order and drained before the iteration's flush. Iterates until no rank
+  /// has an unhandled death, unfetched read, or unexecuted lost task —
+  /// tolerating further deaths mid-recovery. Both callbacks may be null.
   void recover(
-      EngineResult& result,
+      TaskRunner& runner, EngineResult& result,
       const std::function<std::vector<seq::ReadId>(const std::vector<char>&)>& report_missing,
       const std::function<void(const seq::Read&)>& consume);
 

@@ -367,9 +367,6 @@ CheckpointedRun run_serial_checkpointed(const seq::ReadStore& store,
   std::uint64_t executed_now = 0;
   for (std::uint64_t t = progress.watermark; t < order.size(); ++t) {
     const kmer::AlignTask& task = order[t];
-    // Inlined from core::execute_task (gnb_core links gnb_pipeline, so the
-    // engine helper cannot be called from here): orient b, run the X-drop
-    // kernel, keep the record if the filter accepts.
     const seq::Read& read_a = store.get(task.a);
     const seq::Read& read_b = store.get(task.b);
     const std::vector<std::uint8_t> codes_a = read_a.sequence.unpack();

@@ -190,7 +190,11 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
       const auto parts = parse_event_parts(field, at, "corrupt@RANK:KIND:SEQ", 8, 3);
       CorruptEvent event{static_cast<std::uint32_t>(parts[0]),
                          static_cast<std::uint32_t>(parts[1]), parts[2]};
-      GNB_THROW_IF(event.kind == 0, "faults: corrupt kind must be nonzero at position " << at);
+      // Only kinds with a consumer: rt::DurableStore's 1 (manifest) and 2
+      // (log record), and the pipeline checkpoint kinds 1..5.
+      GNB_THROW_IF(event.kind == 0 || event.kind > 5,
+                   "faults: corrupt kind must be 1..5, got " << event.kind << " at position "
+                                                             << (at + field.find(':') + 1));
       plan.corrupts.push_back(event);
     } else {
       const std::size_t eq = field.find('=');

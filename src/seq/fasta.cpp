@@ -3,6 +3,7 @@
 #include <istream>
 #include <ostream>
 #include <tuple>
+#include <unordered_map>
 
 #include "util/error.hpp"
 
@@ -86,6 +87,26 @@ std::optional<FastaRecord> FastqReader::next() {
   std::tie(record.name, record.comment) = split_header(header, '@');
   record.sequence = Sequence::from_string(bases);
   return record;
+}
+
+ReadStore read_records(std::istream& in, bool fastq) {
+  ReadStore store;
+  std::unordered_map<std::string, std::size_t> first_record;  // name -> record number
+  const auto add = [&](FastaRecord& record) {
+    const std::size_t number = store.size() + 1;
+    const auto [it, fresh] = first_record.emplace(record.name, number);
+    GNB_THROW_IF(!fresh, "duplicate read name '" << record.name << "' in records " << it->second
+                                                 << " and " << number);
+    store.add(std::move(record.name), std::move(record.sequence));
+  };
+  if (fastq) {
+    FastqReader reader(in);
+    while (auto record = reader.next()) add(*record);
+  } else {
+    FastaReader reader(in);
+    while (auto record = reader.next()) add(*record);
+  }
+  return store;
 }
 
 FastaWriter::FastaWriter(std::ostream& out, std::size_t wrap) : out_(out), wrap_(wrap) {

@@ -11,6 +11,7 @@
 #include <optional>
 #include <string>
 
+#include "seq/read_store.hpp"
 #include "seq/sequence.hpp"
 
 namespace gnb::seq {
@@ -47,6 +48,13 @@ class FastqReader {
   std::istream& in_;
   std::size_t line_no_ = 0;
 };
+
+/// Read every record of a FASTA stream (FASTQ with `fastq`) into a
+/// ReadStore in input order, so record n gets id n - 1. Throws gnb::Error on
+/// malformed input and on a name an earlier record already used: PAF and
+/// GFA name reads, so a repeated name would make the output ambiguous. The
+/// error names the duplicate and both record numbers.
+ReadStore read_records(std::istream& in, bool fastq);
 
 /// Write records with fixed line wrapping.
 class FastaWriter {

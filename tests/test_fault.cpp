@@ -256,11 +256,13 @@ TEST(FaultPlan, MalformedSelfHealingSpecsRejectedWithPosition) {
   for (const char* spec :
        {"partition@", "partition@0:100", "partition@0|0:5", "partition@0|1:5:0",
         "partition@x|1:5", "partition@0|1:y", "restart@", "restart@1",
-        "restart@1:z", "corrupt@1", "corrupt@1:2", "corrupt@1:0:0",
+        "restart@1:z", "corrupt@1", "corrupt@1:2", "corrupt@1:0:0", "corrupt@1:6:0",
         "corrupt@a:1:0", "seed=1,partition@0|1"}) {
     SCOPED_TRACE(spec);
     EXPECT_NE(error_text(spec).find("at position"), std::string::npos);
   }
+  // A corrupt kind nothing consumes points at the kind itself.
+  EXPECT_NE(error_text("seed=1,corrupt@1:9:0").find("at position 17"), std::string::npos);
 }
 
 TEST(FaultPlan, CrashNamingOutOfRangeRankIsRejectedAtInstall) {

@@ -23,6 +23,7 @@
 #include "kmer/bella_filter.hpp"
 #include "pipeline/checkpoint.hpp"
 #include "pipeline/pipeline.hpp"
+#include "proto/config.hpp"
 #include "proto/recovery.hpp"
 #include "rt/durable.hpp"
 #include "rt/fault.hpp"
@@ -206,6 +207,13 @@ Workload make_workload(std::size_t ranks, std::uint64_t seed = 33) {
 struct RunOutcome {
   std::vector<align::AlignmentRecord> records;  // sorted, all ranks merged
   stat::FaultCounters faults;                   // summed over ranks
+  // Work executed vs work the kernel seam saw, summed over the ranks that
+  // returned (a dead rank's result stays empty).
+  std::uint64_t tasks_done = 0;
+  std::uint64_t cells = 0;
+  std::uint64_t kernel_tasks = 0;
+  std::uint64_t kernel_cells = 0;
+  std::uint64_t pool_tasks = 0;
 };
 
 RunOutcome run_engine(bool async_mode, std::size_t ranks, const Workload& w,
@@ -221,9 +229,15 @@ RunOutcome run_engine(bool async_mode, std::size_t ranks, const Workload& w,
                                      w.tasks.per_rank[rank.id()], config);
   });
   RunOutcome outcome;
-  for (const auto& result : results)
+  for (const auto& result : results) {
     outcome.records.insert(outcome.records.end(), result.accepted.begin(),
                            result.accepted.end());
+    outcome.tasks_done += result.tasks_done;
+    outcome.cells += result.cells;
+    outcome.kernel_tasks += result.compute.kernel_tasks;
+    outcome.kernel_cells += result.compute.kernel_cells;
+    outcome.pool_tasks += result.compute.pool_tasks;
+  }
   for (const stat::Breakdown& b : world.breakdowns()) outcome.faults.merge(b.faults);
   std::sort(outcome.records.begin(), outcome.records.end(),
             [](const align::AlignmentRecord& x, const align::AlignmentRecord& y) {
@@ -258,6 +272,20 @@ void expect_identical(const RunOutcome& crashed, const RunOutcome& clean) {
         << crashed.records[i].read_b << ")";
 }
 
+/// One task-execution path: every task a returning rank executed — its
+/// own, re-executed lost ones, a rejoiner's unfinished ones — went through
+/// the kernel seam (on the workers, when the config has them), so the
+/// kernel table accounts for all of them.
+void expect_kernel_covers_execution(const RunOutcome& outcome,
+                                    const core::EngineConfig& config) {
+  EXPECT_GT(outcome.tasks_done, 0u);
+  EXPECT_EQ(outcome.kernel_tasks, outcome.tasks_done);
+  EXPECT_EQ(outcome.kernel_cells, outcome.cells);
+  if (config.proto.compute_threads > 1) {
+    EXPECT_EQ(outcome.pool_tasks, outcome.tasks_done);
+  }
+}
+
 rt::FaultPlan crash_plan(std::initializer_list<rt::CrashEvent> crashes) {
   rt::FaultPlan plan;
   plan.crashes = crashes;
@@ -271,6 +299,7 @@ void run_crash_matrix(bool async_mode, std::size_t ranks, const rt::FaultPlan& p
   ASSERT_FALSE(clean.records.empty());
   const RunOutcome crashed = run_engine(async_mode, ranks, w, config, plan);
   expect_identical(crashed, clean);
+  expect_kernel_covers_execution(crashed, config);
   // Recovery evidence: every survivor observed the deaths, stable storage
   // was written, and the dead ranks' unfinished tasks were re-executed.
   EXPECT_GT(crashed.faults.crashes, 0u);
@@ -332,14 +361,15 @@ TEST(CrashMatrix, AsyncCrashWithSmallWindow) {
 // ---------- restart / rejoin: a comeback rank re-enters cleanly ----------
 
 void run_rejoin_case(bool async_mode, std::size_t ranks, const std::string& spec,
-                     std::uint64_t want_rejoins) {
+                     std::uint64_t want_rejoins,
+                     const core::EngineConfig& config = core::EngineConfig{}) {
   const Workload w = make_workload(ranks);
-  const core::EngineConfig config;
   const RunOutcome clean = run_engine(async_mode, ranks, w, config);
   ASSERT_FALSE(clean.records.empty());
   const RunOutcome healed =
       run_engine(async_mode, ranks, w, config, rt::FaultPlan::parse(spec));
   expect_identical(healed, clean);
+  expect_kernel_covers_execution(healed, config);
   EXPECT_GT(healed.faults.crashes, 0u);
   if (want_rejoins > 0) {
     EXPECT_EQ(healed.faults.rejoins, want_rejoins) << spec;
@@ -372,6 +402,42 @@ TEST(Rejoin, LateComebackIsAbandonedHarmlessly) {
   // output is untouched (no rejoin assertion — abandonment is legal).
   run_rejoin_case(true, 4, "seed=55,crash@1:3,restart@1:50", 0);
 }
+
+// ---------- re-execution on the worker pool, both kernel backends ----------
+// Pinned to two compute threads whatever GNB_COMPUTE_THREADS says, so the
+// re-executed and rejoin batches always run on pool workers.
+
+core::EngineConfig pooled_config(proto::BatchAlignerKind kind) {
+  core::EngineConfig config;
+  config.proto.compute_threads = 2;
+  config.proto.batch_aligner = kind;
+  return config;
+}
+
+class PooledCrashMatrix : public ::testing::TestWithParam<proto::BatchAlignerKind> {};
+
+TEST_P(PooledCrashMatrix, BspMidPhaseDeath) {
+  run_crash_matrix(false, 4, crash_plan({{1, 3}}), pooled_config(GetParam()));
+}
+
+TEST_P(PooledCrashMatrix, AsyncMidPhaseDeath) {
+  run_crash_matrix(true, 4, crash_plan({{1, 5}}), pooled_config(GetParam()));
+}
+
+TEST_P(PooledCrashMatrix, BspRestartRejoins) {
+  run_rejoin_case(false, 4, "seed=53,crash@1:3,restart@1:0", 1, pooled_config(GetParam()));
+}
+
+TEST_P(PooledCrashMatrix, AsyncRestartRejoins) {
+  run_rejoin_case(true, 4, "seed=54,crash@1:5,restart@1:0", 1, pooled_config(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, PooledCrashMatrix,
+    ::testing::Values(proto::BatchAlignerKind::kScalar, proto::BatchAlignerKind::kSimd),
+    [](const ::testing::TestParamInfo<proto::BatchAlignerKind>& param_info) {
+      return std::string(proto::to_string(param_info.param));
+    });
 
 // ---------- durable-record corruption: torn writes and ancestor chains ----------
 

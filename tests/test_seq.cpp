@@ -247,6 +247,38 @@ TEST(Fastq, TruncatedRecordThrows) {
   EXPECT_THROW(reader.next(), Error);
 }
 
+TEST(ReadRecords, DenseIdsInInputOrder) {
+  std::istringstream fasta(">a\nACGT\n>b desc\nAA\n");
+  const ReadStore store = read_records(fasta, false);
+  ASSERT_EQ(store.size(), 2u);
+  EXPECT_EQ(store.get(0).name, "a");
+  EXPECT_EQ(store.get(1).name, "b");
+  EXPECT_EQ(store.total_bases(), 6u);
+  std::istringstream fastq("@a\nACGT\n+\nIIII\n@b\nAA\n+\nII\n");
+  EXPECT_EQ(read_records(fastq, true).size(), 2u);
+}
+
+TEST(ReadRecords, DuplicateNameNamesBothRecords) {
+  const auto error_text = [](const std::string& text, bool fastq) -> std::string {
+    std::istringstream in(text);
+    try {
+      (void)read_records(in, fastq);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    ADD_FAILURE() << "duplicate name accepted";
+    return {};
+  };
+  // A different comment does not make the name distinct: PAF carries the
+  // name only.
+  const std::string fasta = error_text(">read0\nACGT\n>read1\nAC\n>read0 again\nGG\n", false);
+  EXPECT_NE(fasta.find("'read0'"), std::string::npos) << fasta;
+  EXPECT_NE(fasta.find("records 1 and 3"), std::string::npos) << fasta;
+  const std::string fastq = error_text("@r\nACGT\n+\nIIII\n@r\nAA\n+\nII\n", true);
+  EXPECT_NE(fastq.find("'r'"), std::string::npos) << fastq;
+  EXPECT_NE(fastq.find("records 1 and 2"), std::string::npos) << fastq;
+}
+
 // ---------- ReadStore ----------
 
 TEST(ReadStore, DenseIdsAndTotals) {

@@ -92,15 +92,8 @@ void finish_trace(const std::string& path, const char* what) {
 seq::ReadStore load_fasta(const std::string& path) {
   std::ifstream in(path);
   GNB_THROW_IF(!in, "cannot open input: " << path);
-  seq::ReadStore store;
   const bool fastq = path.size() > 3 && (path.ends_with(".fq") || path.ends_with(".fastq"));
-  if (fastq) {
-    seq::FastqReader reader(in);
-    while (auto record = reader.next()) store.add(record->name, std::move(record->sequence));
-  } else {
-    seq::FastaReader reader(in);
-    while (auto record = reader.next()) store.add(record->name, std::move(record->sequence));
-  }
+  seq::ReadStore store = seq::read_records(in, fastq);
   GNB_THROW_IF(store.empty(), "no reads in " << path);
   return store;
 }
