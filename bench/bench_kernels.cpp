@@ -21,7 +21,6 @@
 #include "kmer/bella_filter.hpp"
 #include "kmer/counter.hpp"
 #include "obs/trace.hpp"
-#include "kmer/minimizer.hpp"
 #include "pipeline/pipeline.hpp"
 #include "rt/world.hpp"
 #include "seq/read_store.hpp"
@@ -179,19 +178,6 @@ void BM_BandedTraceback(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_BandedTraceback);
-
-void BM_MinimizerExtraction(benchmark::State& state) {
-  const BenchData& d = data();
-  const seq::Read& read = d.reads.get(0);
-  for (auto _ : state) {
-    const auto minimizers = kmer::extract_minimizers(read, 15, 10);
-    benchmark::DoNotOptimize(minimizers.size());
-  }
-  state.counters["bases/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * static_cast<double>(read.length()),
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_MinimizerExtraction);
 
 void BM_ReadSerializeRoundtrip(benchmark::State& state) {
   const BenchData& d = data();

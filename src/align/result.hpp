@@ -67,11 +67,10 @@ struct AlignmentRecord {
   Alignment alignment;
 };
 
-/// The one wire encoding of a record, shared by recovery logs, pipeline
-/// checkpoints and assembly manifests (33 bytes, little-endian): read_a,
-/// read_b, score, a_begin, a_end, b_begin, b_end as u32, b_reversed as u8,
-/// cells as u64. The layout is pinned by a golden-bytes test, so blobs
-/// written by earlier builds still load.
+/// The one wire encoding of a record, shared by recovery logs and assembly
+/// manifests (33 bytes, little-endian): read_a, read_b, score, a_begin,
+/// a_end, b_begin, b_end as u32, b_reversed as u8, cells as u64. Pinned by
+/// a golden-bytes test.
 inline void put_record(std::vector<std::uint8_t>& out, const AlignmentRecord& record) {
   wire::put<std::uint32_t>(out, record.read_a);
   wire::put<std::uint32_t>(out, record.read_b);

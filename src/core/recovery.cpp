@@ -16,11 +16,6 @@ namespace gnb::core {
 namespace {
 using kmer::AlignTask;
 using rt::Bytes;
-
-constexpr std::uint8_t kEntryCompletion = 1;
-constexpr std::uint8_t kEntryReexecution = 2;
-constexpr std::uint8_t kEntryClaim = 3;
-
 }  // namespace
 
 RecoveryContext::RecoveryContext(rt::Rank& rank, const seq::ReadStore& store,
@@ -78,8 +73,7 @@ void RecoveryContext::flush() {
   log_buffer_.clear();
 }
 
-std::vector<RecoveryContext::LogEntry> RecoveryContext::parse_log(std::uint32_t r) const {
-  const Bytes bytes = rank_.durable().log(r);
+std::vector<RecoveryContext::LogEntry> RecoveryContext::parse_log(const Bytes& bytes) {
   std::vector<LogEntry> entries;
   std::size_t offset = 0;
   while (offset < bytes.size()) {
@@ -222,7 +216,7 @@ void RecoveryContext::recover(
     }
     std::vector<std::vector<LogEntry>> logs(p);
     for (std::uint32_t q = 0; q < p; ++q) {
-      logs[q] = parse_log(q);
+      logs[q] = parse_log(rank_.durable().log(q));
       for (const LogEntry& entry : logs[q]) {
         if (entry.kind == kEntryCompletion && !s_alive[q])
           dead_states[dead_pos.at(q)].completed.push_back(entry.index);

@@ -101,20 +101,28 @@ class RecoveryContext {
   /// manifest record.
   [[nodiscard]] static std::vector<kmer::AlignTask> parse_manifest(const rt::Bytes& manifest);
 
- private:
+  /// One durable log entry: a completion of the writer's own task `index`,
+  /// a re-execution of task `index` of dead rank `origin`, or a claim on
+  /// `origin`'s log (its records were adopted by the writer).
+  static constexpr std::uint8_t kEntryCompletion = 1;
+  static constexpr std::uint8_t kEntryReexecution = 2;
+  static constexpr std::uint8_t kEntryClaim = 3;
   struct LogEntry {
-    std::uint8_t kind = 0;  // 1 = completion, 2 = re-execution, 3 = claim
+    std::uint8_t kind = 0;
     std::uint32_t origin = 0;
     std::uint32_t index = 0;
     bool has_record = false;
     align::AlignmentRecord record;
   };
 
+  /// Decode a durable log (the entries flush() appends, as
+  /// rt::DurableStore::log returns them) back into its entries.
+  [[nodiscard]] static std::vector<LogEntry> parse_log(const rt::Bytes& log);
+
+ private:
   void append_entry(const LogEntry& entry);
   void refresh_owner_map_if_stale();
 
-  /// Parse rank `r`'s durable log.
-  [[nodiscard]] std::vector<LogEntry> parse_log(std::uint32_t r) const;
   /// Parse rank `r`'s manifest into tasks (cached per dead rank).
   const std::vector<kmer::AlignTask>& dead_tasks(std::uint32_t r);
 

@@ -28,9 +28,9 @@ struct AlignTask {
 };
 
 /// The one wire encoding of a task, shared by the distributed stage-2/3
-/// exchange, recovery manifests and pipeline checkpoints (19 bytes,
-/// little-endian): a, b, seed.a_pos, seed.b_pos as u32, seed.length as u16,
-/// seed.b_reversed as u8. Pinned by a golden-bytes test.
+/// exchange and recovery manifests (19 bytes, little-endian): a, b,
+/// seed.a_pos, seed.b_pos as u32, seed.length as u16, seed.b_reversed as
+/// u8. Pinned by a golden-bytes test.
 inline void put_task(std::vector<std::uint8_t>& out, const AlignTask& task) {
   wire::put<std::uint32_t>(out, task.a);
   wire::put<std::uint32_t>(out, task.b);

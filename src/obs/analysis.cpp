@@ -115,12 +115,7 @@ Category categorize(std::string_view name) {
       name == span::kCollServiceBarrier) {
     return Category::kWait;
   }
-  if (name == span::kRecovery || name == span::kCkptSave || name == span::kCkptLoad) {
-    return Category::kRecovery;
-  }
-  if (name.starts_with("recovery."sv) || name.starts_with("ckpt."sv)) {
-    return Category::kRecovery;
-  }
+  if (name.starts_with("recovery."sv)) return Category::kRecovery;
   // Graph phases are compute-dominated in their self time (the exchange
   // inside them shows up as nested coll.* spans and is charged there).
   if (name.starts_with("graph."sv) || name.starts_with("stage."sv)) {

@@ -36,7 +36,7 @@ enum class Category : std::uint8_t {
   kCompute = 0,   // alignment / graph kernels
   kExchange = 1,  // visible communication (alltoallv, pulls)
   kWait = 2,      // barrier waiting — imbalance made visible
-  kRecovery = 3,  // crash/rejoin/corruption recovery + checkpoints
+  kRecovery = 3,  // crash/rejoin/corruption recovery (recovery.*)
   kOverhead = 4,  // container-span self time: traversal, dispatch
 };
 inline constexpr std::size_t kCategories = 5;

@@ -46,10 +46,8 @@ inline constexpr const char* kComputeBatch = "compute.batch";
 inline constexpr const char* kWireCompress = "wire.compress";
 inline constexpr const char* kWireDecompress = "wire.decompress";
 
-// Recovery and checkpointing.
+// Crash recovery (core::RecoveryContext's collective fixpoint).
 inline constexpr const char* kRecovery = "recovery.recover";
-inline constexpr const char* kCkptSave = "ckpt.save";
-inline constexpr const char* kCkptLoad = "ckpt.load";
 
 // Distributed graph phases (string graph build, transitive reduction,
 // contig extraction) — emitted by pipeline::run_distributed_assembly and,
@@ -72,14 +70,12 @@ inline constexpr const char* kRpcTimeout = "rpc.timeout";
 inline constexpr const char* kRpcPeerDeath = "rpc.peer_death";
 inline constexpr const char* kRecoveryReexec = "recovery.reexec";
 
-// Self-healing runtime instants: failure-detector transitions, rank
-// comebacks, and durable-record quarantines.
+// Self-healing runtime instants: failure-detector transitions and rank
+// comebacks.
 inline constexpr const char* kDetectorSuspect = "detector.suspect";
 inline constexpr const char* kDetectorClear = "detector.clear";
 inline constexpr const char* kRejoinAdmit = "rejoin.admit";
 inline constexpr const char* kRejoinReplay = "rejoin.replay";
-inline constexpr const char* kCorruptRecord = "corrupt.record";
-inline constexpr const char* kCorruptFallback = "corrupt.fallback";
 
 // Counter tracks.
 inline constexpr const char* kCtrExchangeBytes = "exchange.bytes";

@@ -80,7 +80,7 @@ DistributedAssembly run_distributed_assembly(rt::Rank& rank, const seq::ReadStor
                                              const DistributedAssemblyOptions& options = {});
 
 /// Flat little-endian serialization of a full AssemblyResult — the root's
-/// broadcast format, also reused by the checkpoint layer (kind 5).
+/// broadcast format.
 rt::Bytes pack_assembly(const graph::AssemblyResult& result);
 graph::AssemblyResult unpack_assembly(const rt::Bytes& in);
 

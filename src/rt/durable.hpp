@@ -22,11 +22,13 @@
 //     the healing is observable, never silent.
 //
 // The payloads are opaque to the runtime; core::RecoveryContext defines the
-// entry encoding and pipeline-level checkpoints use real files instead
-// (pipeline/checkpoint.hpp). Corruption is injected at write time through
-// the optional rt::FaultInjector hook (corrupt@RANK:KIND:SEQ events; kind 1
-// = manifest, kind 2 = log record), mutating the *framed* bytes so the
-// fingerprint genuinely mismatches on load.
+// entry encoding. This is the one durable-storage scheme: record framing,
+// validation on read, ancestor fallback and the record kinds that can be
+// corrupted are all decided here. Corruption is injected at write time
+// through the optional rt::FaultInjector hook (corrupt@RANK:KIND:SEQ events;
+// kind 1 = manifest, kind 2 = log record — the only kinds FaultPlan::parse
+// accepts), mutating the *framed* bytes so the fingerprint genuinely
+// mismatches on load.
 
 #include <cstdint>
 #include <cstring>

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <sstream>
 
+#include "rt/durable.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -191,9 +192,10 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
       CorruptEvent event{static_cast<std::uint32_t>(parts[0]),
                          static_cast<std::uint32_t>(parts[1]), parts[2]};
       // Only kinds with a consumer: rt::DurableStore's 1 (manifest) and 2
-      // (log record), and the pipeline checkpoint kinds 1..5.
-      GNB_THROW_IF(event.kind == 0 || event.kind > 5,
-                   "faults: corrupt kind must be 1..5, got " << event.kind << " at position "
+      // (log record).
+      GNB_THROW_IF(event.kind < DurableStore::kKindManifest ||
+                       event.kind > DurableStore::kKindLogRecord,
+                   "faults: corrupt kind must be 1..2, got " << event.kind << " at position "
                                                              << (at + field.find(':') + 1));
       plan.corrupts.push_back(event);
     } else {

@@ -75,8 +75,8 @@ struct RestartEvent {
 
 /// One scheduled durable-record corruption: the `seq`-th record of kind
 /// `kind` written by rank `rank` is bit-flipped (or truncated, hashed from
-/// the identity) at write time. Kinds 1..5 match the pipeline checkpoint
-/// kinds; for rt::DurableStore, kind 1 = manifest, kind 2 = log record.
+/// the identity) at write time. The kinds are rt::DurableStore's: 1 =
+/// manifest, 2 = log record.
 struct CorruptEvent {
   std::uint32_t rank = 0;
   std::uint32_t kind = 0;

@@ -9,6 +9,7 @@
 #include "obs/spans.hpp"
 #include "obs/trace.hpp"
 #include "proto/exchange_plan.hpp"
+#include "rt/durable.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -194,7 +195,8 @@ double straggle_pause(const std::optional<rt::FaultInjector>& chaos, std::size_t
 ///    the rejoin itself is counted on the comeback rank, where
 ///    rt::World::admission_wait counts it.
 ///  * A corrupted durable record is detected at its first validated load:
-///    one quarantine-and-fallback detour. The store's totals fold into
+///    one quarantine detour, plus an ancestor fallback only for a rewritten
+///    manifest (rt::DurableStore's rule). The store's totals fold into
 ///    rank 0's breakdown, exactly where World::run folds them.
 /// Returns the seconds the phase critical path grows by.
 double cost_self_healing(const std::optional<rt::FaultInjector>& chaos,
@@ -244,9 +246,11 @@ double cost_self_healing(const std::optional<rt::FaultInjector>& chaos,
 
   for (const rt::CorruptEvent& corrupt : plan.corrupts) {
     ranks[0].faults.corrupt_records += 1;
-    // A re-written record (seq > 0) has a valid ancestor to fall back to;
-    // a first write can only be quarantined and re-derived.
-    if (corrupt.seq > 0) ranks[0].faults.fallback_checkpoints += 1;
+    // Only a rewritten manifest (seq > 0) has a valid ancestor to fall back
+    // to. A first manifest can only be quarantined, and a log read stops at
+    // the longest valid prefix — recovery re-derives the rest.
+    if (corrupt.kind == rt::DurableStore::kKindManifest && corrupt.seq > 0)
+      ranks[0].faults.fallback_checkpoints += 1;
     ranks[0].comm += agree;
     ranks[0].faults.recovery_seconds += agree;
     extra += agree;

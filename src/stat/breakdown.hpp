@@ -39,7 +39,7 @@ struct FaultCounters {
 
   // Self-healing counters (partition/restart/corrupt faults; see the
   // heartbeat detector in rt::RpcEndpoint, rejoin in rt::World, and the
-  // validated durable chain in rt::DurableStore / pipeline checkpoints).
+  // validated durable records in rt::DurableStore).
   std::uint64_t suspected = 0;             // peers this rank's detector suspected
   std::uint64_t false_suspicions = 0;      // suspicions later cleared (peer was alive)
   std::uint64_t rejoins = 0;               // rank comebacks this rank processed

@@ -256,13 +256,17 @@ TEST(FaultPlan, MalformedSelfHealingSpecsRejectedWithPosition) {
   for (const char* spec :
        {"partition@", "partition@0:100", "partition@0|0:5", "partition@0|1:5:0",
         "partition@x|1:5", "partition@0|1:y", "restart@", "restart@1",
-        "restart@1:z", "corrupt@1", "corrupt@1:2", "corrupt@1:0:0", "corrupt@1:6:0",
-        "corrupt@a:1:0", "seed=1,partition@0|1"}) {
+        "restart@1:z", "corrupt@1", "corrupt@1:2", "corrupt@1:0:0", "corrupt@1:3:0",
+        "corrupt@1:6:0", "corrupt@a:1:0", "seed=1,partition@0|1"}) {
     SCOPED_TRACE(spec);
     EXPECT_NE(error_text(spec).find("at position"), std::string::npos);
   }
-  // A corrupt kind nothing consumes points at the kind itself.
+  // A corrupt kind nothing consumes points at the kind itself. Only
+  // rt::DurableStore's manifest (1) and log record (2) kinds exist.
   EXPECT_NE(error_text("seed=1,corrupt@1:9:0").find("at position 17"), std::string::npos);
+  EXPECT_NE(error_text("seed=1,corrupt@1:3:0")
+                .find("corrupt kind must be 1..2, got 3 at position 17"),
+            std::string::npos);
 }
 
 TEST(FaultPlan, CrashNamingOutOfRangeRankIsRejectedAtInstall) {
@@ -547,7 +551,7 @@ TEST(Chaos, PartitionWindowHealsWithoutChangingResults) {
 }
 
 TEST(Chaos, SelfHealingFullStackStaysByteIdentical) {
-  // Crash + restart/rejoin + partition + write-time checkpoint corruption
+  // Crash + restart/rejoin + partition + write-time durable-log corruption
   // in one plan: the union of every self-healing path, still byte-clean.
   constexpr std::size_t kRanks = 4;
   const Workload w = make_workload(kRanks);

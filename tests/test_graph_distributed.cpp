@@ -338,7 +338,7 @@ TEST(GraphDistributed, FuzzParityAcrossSeedsAndRankCounts) {
   }
 }
 
-// --- checkpoint round-trip of the broadcast format ---
+// --- round-trip of the broadcast format ---
 
 TEST(GraphDistributed, PackUnpackRoundTripsTheResult) {
   const Workload w = make_workload(17);

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <span>
 #include <tuple>
 
@@ -14,7 +13,6 @@
 #include "kmer/counter.hpp"
 #include "kmer/extract.hpp"
 #include "kmer/kmer.hpp"
-#include "kmer/minimizer.hpp"
 #include "util/rng.hpp"
 
 using namespace gnb;
@@ -364,75 +362,6 @@ TEST(Candidates, DeterministicSeedChoice) {
     EXPECT_EQ(t1[i].seed.a_pos, t2[i].seed.a_pos);
     EXPECT_EQ(t1[i].seed.b_pos, t2[i].seed.b_pos);
     EXPECT_EQ(t1[i].seed.b_reversed, t2[i].seed.b_reversed);
-  }
-}
-
-// ---------- minimizers ----------
-
-TEST(Minimizers, DensityNearExpected) {
-  Xoshiro256 rng(21);
-  const auto read = make_read(0, random_dna(20'000, rng));
-  const std::uint32_t w = 10;
-  const auto minimizers = extract_minimizers(read, 15, w);
-  const double n_kmers = 20'000 - 15 + 1;
-  const double density = static_cast<double>(minimizers.size()) / n_kmers;
-  EXPECT_NEAR(density, minimizer_density(w), 0.05);
-}
-
-TEST(Minimizers, SubsetOfAllKmers) {
-  Xoshiro256 rng(22);
-  const auto read = make_read(0, random_dna(1'000, rng));
-  const auto all = extract_kmers(read, 13);
-  const auto minimizers = extract_minimizers(read, 13, 8);
-  EXPECT_LT(minimizers.size(), all.size());
-  // Every minimizer is a real k-mer at its reported position.
-  for (const auto& m : minimizers) {
-    ASSERT_LT(m.occurrence.pos, all.size());
-    EXPECT_EQ(all[m.occurrence.pos], m.kmer);
-  }
-}
-
-TEST(Minimizers, SharedStretchSharesAMinimizer) {
-  // Guarantee: two reads sharing >= w+k-1 exact bases share a minimizer.
-  Xoshiro256 rng(23);
-  const std::uint32_t k = 13, w = 6;
-  const std::string shared = random_dna(k + w - 1 + 40, rng);  // comfortably long
-  const auto r0 = make_read(0, random_dna(200, rng) + shared);
-  const auto r1 = make_read(1, shared + random_dna(150, rng));
-  auto keys = [](const std::vector<Minimizer>& ms) {
-    std::set<std::uint64_t> s;
-    for (const auto& m : ms) s.insert(m.kmer.bits());
-    return s;
-  };
-  const auto k0 = keys(extract_minimizers(r0, k, w));
-  const auto k1 = keys(extract_minimizers(r1, k, w));
-  bool common = false;
-  for (const auto bits : k0) common |= k1.contains(bits);
-  EXPECT_TRUE(common);
-}
-
-TEST(Minimizers, PositionsAreSortedAndDeduplicated) {
-  Xoshiro256 rng(24);
-  const auto read = make_read(0, random_dna(3'000, rng));
-  const auto minimizers = extract_minimizers(read, 11, 5);
-  for (std::size_t i = 1; i < minimizers.size(); ++i)
-    EXPECT_LT(minimizers[i - 1].occurrence.pos, minimizers[i].occurrence.pos);
-}
-
-TEST(Minimizers, WindowOneKeepsEverything) {
-  Xoshiro256 rng(25);
-  const auto read = make_read(0, random_dna(500, rng));
-  EXPECT_EQ(extract_minimizers(read, 13, 1).size(), extract_kmers(read, 13).size());
-}
-
-TEST(Minimizers, NResetsWindows) {
-  // Ns split the read into independent segments; no crash, sane output.
-  const auto read = make_read(0, "ACGTACGTACGTNNACGTACGTACGTACGT");
-  const auto minimizers = extract_minimizers(read, 5, 3);
-  EXPECT_GT(minimizers.size(), 0u);
-  for (const auto& m : minimizers) {
-    // No reported window may straddle the Ns at positions 12-13.
-    EXPECT_TRUE(m.occurrence.pos + 5 <= 12 || m.occurrence.pos >= 14);
   }
 }
 

@@ -111,9 +111,10 @@ std::string straggler_trace() {
   return f.json();
 }
 
-/// Crash/rejoin shape: rank 0 loses time to recovery (checkpoint reload
-/// nested inside recovery.recover) before the barrier; the dominant span
-/// of the critical segment must be the recovery, categorized kRecovery.
+/// Crash/rejoin shape: rank 0 loses time to recovery (a recovery.* child
+/// span nested inside recovery.recover) before the barrier; the dominant
+/// span of the critical segment must be the recovery, categorized
+/// kRecovery, and the child's self time is charged to the same category.
 std::string recovery_trace() {
   TraceFixture f;
   for (std::uint32_t r = 1; r <= 2; ++r) {
@@ -123,7 +124,7 @@ std::string recovery_trace() {
   f.span(1, 0, obs::span::kBspRound, 0, 31'000);
   f.span(1, 0, obs::span::kBspLocalTasks, 0, 10'000);
   f.span(1, 0, obs::span::kRecovery, 10'000, 30'000);
-  f.span(1, 0, obs::span::kCkptLoad, 12'000, 20'000);
+  f.span(1, 0, "recovery.refetch", 12'000, 20'000);
   f.span(1, 0, obs::span::kCollBarrier, 30'000, 31'000);
   f.instant(1, 0, obs::span::kFaultCrash, 10'000);
   f.instant(1, 0, obs::span::kRejoinAdmit, 30'000);
@@ -245,7 +246,7 @@ TEST(CriticalPath, RecoveryShapeChargesTheRecoveryCategory) {
   EXPECT_EQ(seg.track, 0u);  // rank 0 arrives at the barrier last
   EXPECT_EQ(seg.boundary, obs::span::kCollBarrier);
   // recovery.recover has 12 ms of self time vs 10 ms of local compute and
-  // 8 ms of nested checkpoint load: the recovery dominates the window.
+  // 8 ms of nested recovery.refetch: the recovery dominates the window.
   EXPECT_EQ(seg.dominant_span, obs::span::kRecovery);
   EXPECT_EQ(seg.category, analysis::Category::kRecovery);
   EXPECT_NEAR(report.attribution_seconds[cat(analysis::Category::kRecovery)], 0.020, 1e-9);

@@ -3,7 +3,9 @@
 // Three layers of guarantees:
 //   * codec: exact round trip and exact sizing for every mode, on a fuzz
 //     corpus that includes empty, all-N, all-homopolymer and ambiguous
-//     reads; `auto` never exceeds the smaller concrete codec.
+//     reads; `auto` never exceeds the smaller concrete codec. The task and
+//     record encodings every durable record and exchange frame shares are
+//     pinned byte for byte.
 //   * engines: byte conservation (sum of per-rank sent == sum received),
 //     wire.raw_bytes invariance across modes, byte-identical engine
 //     *output* across every codec and rank count — compression changes
@@ -24,8 +26,10 @@
 #include <tuple>
 #include <vector>
 
+#include "align/result.hpp"
 #include "core/async.hpp"
 #include "core/bsp.hpp"
+#include "kmer/candidates.hpp"
 #include "pipeline/pipeline.hpp"
 #include "proto/config.hpp"
 #include "proto/exchange_plan.hpp"
@@ -198,6 +202,48 @@ TEST(WireCodec, ModeledSizesMatchEncoderOnRunFreeReads) {
           << "length " << length << " mode " << proto::to_string(mode);
     }
   }
+}
+
+TEST(SharedCodec, TaskAndRecordGoldenBytes) {
+  // The task and record layouts carried by rt::DurableStore manifests and
+  // recovery log entries, assembly record manifests and the stage-2/3
+  // exchange frames.
+  kmer::AlignTask task;
+  task.a = 0x01020304;
+  task.b = 0x0A0B0C0D;
+  task.seed = align::Seed{0x11, 0x2233, 0x4455, true};
+  align::AlignmentRecord record;
+  record.read_a = 7;
+  record.read_b = 9;
+  record.alignment.score = -2;
+  record.alignment.a_begin = 1;
+  record.alignment.a_end = 300;
+  record.alignment.b_begin = 2;
+  record.alignment.b_end = 0x10000;
+  record.alignment.b_reversed = true;
+  record.alignment.cells = 0x0102030405060708;
+  std::vector<std::uint8_t> encoded;
+  kmer::put_task(encoded, task);
+  align::put_record(encoded, record);
+  const std::vector<std::uint8_t> golden = {
+      0x04, 0x03, 0x02, 0x01, 0x0D, 0x0C, 0x0B, 0x0A,  // task a, b
+      0x11, 0x00, 0x00, 0x00, 0x33, 0x22, 0x00, 0x00,  // seed a_pos, b_pos
+      0x55, 0x44, 0x01,                                // seed length, b_reversed
+      0x07, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00,  // record read_a, read_b
+      0xFE, 0xFF, 0xFF, 0xFF, 0x01, 0x00, 0x00, 0x00,  // score, a_begin
+      0x2C, 0x01, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,  // a_end, b_begin
+      0x00, 0x00, 0x01, 0x00, 0x01,                    // b_end, b_reversed
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // cells
+  };
+  EXPECT_EQ(encoded, golden);
+  // The bytes decode back to the same fields (re-encoding is exact, so
+  // equal bytes mean equal fields).
+  std::size_t offset = 0;
+  std::vector<std::uint8_t> reencoded;
+  kmer::put_task(reencoded, kmer::get_task(golden, offset));
+  align::put_record(reencoded, align::get_record(golden, offset));
+  EXPECT_EQ(offset, golden.size());
+  EXPECT_EQ(reencoded, golden);
 }
 
 // ---------------------------------------------------------------------------

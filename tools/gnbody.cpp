@@ -262,7 +262,8 @@ int cmd_overlap(int argc, char** argv) {
       ",crash@R:S (kill rank R at its S-th fault step)"
       ",partition@A|B:T[:D] (cut the A<->B link for D receiver ticks from tick T)"
       ",restart@R:S (rank R comes back, skipping S admission gates)"
-      ",corrupt@R:K:S (corrupt rank R's S-th durable record of kind K; all repeatable)");
+      ",corrupt@R:K:S (corrupt rank R's S-th durable record of kind K: 1 = manifest,"
+      " 2 = log record; all repeatable)");
   cli.parse(argc, argv);
   kmer::check_k(*k);
   pipeline::check_nranks(*ranks);
