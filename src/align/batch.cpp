@@ -44,13 +44,14 @@ class ScalarBatchAligner final : public BatchAligner {
 
 /// Row-vectorized backend: every task splits into a leftward and a
 /// rightward X-drop extension (exactly as xdrop_align does), the row kernel
-/// runs the extensions one after another, and the per-task Alignment is
-/// assembled from the returned Extensions plus the scalar-scored seed.
+/// instantiation chosen at construction runs the extensions one after
+/// another, and the per-task Alignment is assembled from the returned
+/// Extensions plus the scalar-scored seed.
 class SimdBatchAligner final : public BatchAligner {
  public:
-  SimdBatchAligner(const XDropParams& params, detail::ExtendBatchFn kernel, const char* name,
-                   std::uint64_t backend_id)
-      : params_(params), kernel_(kernel), name_(name), backend_id_(backend_id) {}
+  SimdBatchAligner(const XDropParams& params, detail::ExtendBatchFn kernel, std::size_t lanes,
+                   const char* name, std::uint64_t backend_id)
+      : params_(params), kernel_(kernel), lanes_(lanes), name_(name), backend_id_(backend_id) {}
 
   std::vector<Alignment> align(std::span<const AlignTask> tasks) override {
     ++stats_.batches;
@@ -113,7 +114,7 @@ class SimdBatchAligner final : public BatchAligner {
     }
 
     extensions_.assign(jobs_.size(), Extension{});
-    kernel_(jobs_, params_, extensions_, row_a_, row_b_, stats_);
+    kernel_(jobs_, params_, extensions_, rows_, stats_);
 
     std::vector<Alignment> results;
     results.reserve(tasks.size());
@@ -145,7 +146,7 @@ class SimdBatchAligner final : public BatchAligner {
   }
 
   [[nodiscard]] BatchAlignerInfo info() const override {
-    return BatchAlignerInfo{name_, backend_id_, /*lanes=*/8, /*simd=*/true};
+    return BatchAlignerInfo{name_, backend_id_, lanes_, /*simd=*/true};
   }
   [[nodiscard]] const BatchStats& stats() const override { return stats_; }
 
@@ -162,17 +163,18 @@ class SimdBatchAligner final : public BatchAligner {
 
   const XDropParams params_;
   const detail::ExtendBatchFn kernel_;
+  const std::size_t lanes_;
   const char* name_;
   const std::uint64_t backend_id_;
   BatchStats stats_;
 
   // Per-call staging, reused across align() calls.
   std::vector<detail::ExtJob> jobs_;
-  std::vector<std::uint8_t> arena_;     // b codes, padded for 8-byte loads
+  std::vector<std::uint8_t> arena_;     // b codes, padded for the kernel's wide loads
   std::vector<std::uint8_t> ra_store_;  // reversed a prefixes (left extensions)
   std::vector<std::int32_t> left_job_, right_job_;
   std::vector<Extension> extensions_;
-  std::vector<std::int32_t> row_a_, row_b_;  // the kernel's ping-pong rows
+  detail::RowScratch rows_;  // the kernel's ping-pong rows
 };
 
 }  // namespace
@@ -195,29 +197,42 @@ bool cpu_supports_avx2() {
 
 proto::BatchAlignerKind resolve_batch_aligner(proto::BatchAlignerKind kind) {
   // The row kernel always exists (portable fallback), so `auto` means simd;
-  // which ISA instantiation runs is decided inside make_batch_aligner.
+  // which instantiation runs is decided inside make_batch_aligner.
   return kind == proto::BatchAlignerKind::kAuto ? proto::BatchAlignerKind::kSimd : kind;
 }
 
 std::unique_ptr<BatchAligner> make_batch_aligner(proto::BatchAlignerKind kind,
                                                  const XDropParams& params) {
-  switch (resolve_batch_aligner(kind)) {
-    case proto::BatchAlignerKind::kScalar:
-      return std::make_unique<ScalarBatchAligner>(params);
-    default:
-      break;
-  }
+  if (resolve_batch_aligner(kind) == proto::BatchAlignerKind::kScalar)
+    return std::make_unique<ScalarBatchAligner>(params);
+  // The widest exact width: int16 lanes whenever the AVX2 kernel runs and
+  // the scoring provably fits.
+  const bool avx2 = simd_compiled_in() && cpu_supports_avx2();
+  return detail::make_simd_batch_aligner(params, avx2 && detail::fits_int16(params) ? 16 : 8);
+}
+
+namespace detail {
+
+std::unique_ptr<BatchAligner> make_simd_batch_aligner(const XDropParams& params,
+                                                      std::size_t lanes) {
 #if defined(GNB_HAVE_AVX2_TU)
-  if (cpu_supports_avx2())
-    return std::make_unique<SimdBatchAligner>(params, detail::extend_batch_avx2,
-                                              "simd-avx2", /*backend_id=*/2);
+  if (cpu_supports_avx2()) {
+    GNB_CHECK_MSG(lanes == 8 || (lanes == 16 && fits_int16(params)),
+                  "no exact " << lanes << "-lane row kernel for x " << params.x);
+    return std::make_unique<SimdBatchAligner>(
+        params, lanes == 16 ? extend_batch_avx2_i16 : extend_batch_avx2_i32, lanes, "simd-avx2",
+        /*backend_id=*/2);
+  }
 #endif
-  return std::make_unique<SimdBatchAligner>(params, detail::extend_batch_portable,
+  GNB_CHECK_MSG(lanes == 8, "the portable row kernel runs 8 int32 lanes, not " << lanes);
+  return std::make_unique<SimdBatchAligner>(params, extend_batch_portable, lanes,
                                             "simd-portable", /*backend_id=*/1);
 }
 
-std::string batch_aligner_report(proto::BatchAlignerKind requested) {
-  const auto backend = make_batch_aligner(requested, XDropParams{});
+}  // namespace detail
+
+std::string batch_aligner_report(proto::BatchAlignerKind requested, const XDropParams& params) {
+  const auto backend = make_batch_aligner(requested, params);
   const BatchAlignerInfo info = backend->info();
   std::ostringstream out;
   out << "batch aligner: " << info.name << " (" << info.lanes

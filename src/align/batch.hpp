@@ -3,7 +3,8 @@
 // seed-and-extend tasks to a backend instead of invoking xdrop_align one
 // pair at a time. Two backends exist today — a scalar wrapper around
 // xdrop_align (the byte-identity oracle) and a row-vectorized SIMD kernel
-// that evaluates each extension's DP rows 8 cells per vector — and the same
+// that evaluates each extension's DP rows 16 int16 cells per AVX2 vector, or
+// 8 int32 cells when the scoring is too wide for int16 — and the same
 // interface is where a GPU backend plugs in next (the structural fix
 // diBELLA's follow-up work applies to this N-body bottleneck).
 //
@@ -37,12 +38,12 @@ struct AlignTask {
 struct BatchAlignerInfo {
   const char* name = "scalar";   // human-readable backend name
   std::uint64_t backend_id = 0;  // stat::ComputeCounters::kernel_backend code
-  std::size_t lanes = 1;         // int32 DP cells per vector (1 = scalar)
+  std::size_t lanes = 1;         // DP cells per vector of the running kernel (1 = scalar)
   bool simd = false;             // true for the row-vectorized kernel
 };
 
 /// Cumulative kernel accounting since construction. lane_steps counts every
-/// vector slot the kernel issued (8 per 8-cell chunk of a DP row after
+/// vector slot the kernel issued (`lanes` per chunk of a DP row after
 /// row 0); lane_steps_active counts the slots that held an evaluated cell
 /// of the band — their ratio is the lane occupancy the breakdown tables
 /// report (scalar backends are 100% occupied by definition: one lane,
@@ -100,13 +101,19 @@ class BatchAligner {
 /// and kSimd pass through unchanged.
 [[nodiscard]] proto::BatchAlignerKind resolve_batch_aligner(proto::BatchAlignerKind kind);
 
-/// Construct a backend. kAuto is resolved via resolve_batch_aligner; the
-/// returned instance owns its scratch and is not thread-safe.
+/// Construct a backend. kAuto is resolved via resolve_batch_aligner. kSimd
+/// runs the AVX2 row kernel when the binary has it and the CPU executes it,
+/// at 16 int16 lanes when the scoring provably fits them (DESIGN.md §11; the
+/// default x = 49 at unit scoring does) and 8 int32 lanes otherwise; without
+/// AVX2 it runs the portable kernel at 8 int32 lanes. The returned instance
+/// owns its scratch and is not thread-safe.
 [[nodiscard]] std::unique_ptr<BatchAligner> make_batch_aligner(proto::BatchAlignerKind kind,
                                                                const XDropParams& params);
 
 /// One-line startup report for logs: the requested kind, the resolved
-/// backend and the CPU features that drove the choice.
-[[nodiscard]] std::string batch_aligner_report(proto::BatchAlignerKind requested);
+/// backend, its width at `params` and the CPU features that drove the
+/// choice.
+[[nodiscard]] std::string batch_aligner_report(proto::BatchAlignerKind requested,
+                                               const XDropParams& params = {});
 
 }  // namespace gnb::align

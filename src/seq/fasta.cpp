@@ -2,6 +2,7 @@
 
 #include <istream>
 #include <ostream>
+#include <sstream>
 #include <tuple>
 #include <unordered_map>
 
@@ -15,11 +16,25 @@ void strip_cr(std::string& line) {
 }
 
 std::pair<std::string, std::string> split_header(const std::string& line, char marker) {
-  GNB_THROW_IF(line.empty() || line[0] != marker, "malformed header line: " << line);
+  GNB_THROW_IF(line.empty() || line[0] != marker, "malformed header line: " << printable(line));
   const std::string body = line.substr(1);
   const auto ws = body.find_first_of(" \t");
   if (ws == std::string::npos) return {body, ""};
   return {body.substr(0, ws), body.substr(ws + 1)};
+}
+
+/// Sequence::from_string, with `where` (the record or line it came from)
+/// prefixed to the error an invalid base raises.
+template <class Where>
+Sequence parse_bases(const std::string& bases, const Where& where) {
+  try {
+    return Sequence::from_string(bases);
+  } catch (const Error& error) {
+    std::ostringstream message;
+    where(message);
+    message << ": " << error.what();
+    throw Error(message.str());
+  }
 }
 }  // namespace
 
@@ -31,7 +46,7 @@ std::optional<FastaRecord> FastaReader::next() {
     while (std::getline(in_, line)) {
       strip_cr(line);
       if (line.empty()) continue;
-      GNB_THROW_IF(line[0] != '>', "FASTA: expected '>' header, got: " << line);
+      GNB_THROW_IF(line[0] != '>', "FASTA: expected '>' header, got: " << printable(line));
       pending_header_ = line;
       saw_header_ = true;
       break;
@@ -41,6 +56,7 @@ std::optional<FastaRecord> FastaReader::next() {
 
   FastaRecord record;
   std::tie(record.name, record.comment) = split_header(pending_header_, '>');
+  ++record_no_;
   std::string bases;
   saw_header_ = false;
   while (std::getline(in_, line)) {
@@ -53,8 +69,11 @@ std::optional<FastaRecord> FastaReader::next() {
     }
     bases += line;
   }
-  GNB_THROW_IF(bases.empty(), "FASTA: record '" << record.name << "' has no sequence");
-  record.sequence = Sequence::from_string(bases);
+  GNB_THROW_IF(bases.empty(),
+               "FASTA: record '" << printable(record.name) << "' has no sequence");
+  record.sequence = parse_bases(bases, [&](std::ostream& out) {
+    out << "FASTA record " << record_no_ << " '" << printable(record.name) << "'";
+  });
   return record;
 }
 
@@ -71,7 +90,7 @@ std::optional<FastaRecord> FastqReader::next() {
   if (header.empty()) return std::nullopt;
   GNB_THROW_IF(header[0] != '@', "FASTQ line " << line_no_ << ": expected '@' header");
   GNB_THROW_IF(!std::getline(in_, bases), "FASTQ: truncated record at line " << line_no_);
-  ++line_no_;
+  const std::size_t bases_line = ++line_no_;
   strip_cr(bases);
   GNB_THROW_IF(!std::getline(in_, plus), "FASTQ: truncated record at line " << line_no_);
   ++line_no_;
@@ -85,7 +104,8 @@ std::optional<FastaRecord> FastqReader::next() {
                              << " != sequence length " << bases.size());
   FastaRecord record;
   std::tie(record.name, record.comment) = split_header(header, '@');
-  record.sequence = Sequence::from_string(bases);
+  record.sequence =
+      parse_bases(bases, [&](std::ostream& out) { out << "FASTQ line " << bases_line; });
   return record;
 }
 
@@ -95,8 +115,8 @@ ReadStore read_records(std::istream& in, bool fastq) {
   const auto add = [&](FastaRecord& record) {
     const std::size_t number = store.size() + 1;
     const auto [it, fresh] = first_record.emplace(record.name, number);
-    GNB_THROW_IF(!fresh, "duplicate read name '" << record.name << "' in records " << it->second
-                                                 << " and " << number);
+    GNB_THROW_IF(!fresh, "duplicate read name '" << printable(record.name) << "' in records "
+                                                 << it->second << " and " << number);
     store.add(std::move(record.name), std::move(record.sequence));
   };
   if (fastq) {

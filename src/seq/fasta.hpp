@@ -28,17 +28,20 @@ class FastaReader {
   explicit FastaReader(std::istream& in);
 
   /// Next record, or nullopt at end of stream. Throws gnb::Error on
-  /// malformed input.
+  /// malformed input; an invalid base names the record (its name and
+  /// 1-based number).
   std::optional<FastaRecord> next();
 
  private:
   std::istream& in_;
   std::string pending_header_;
   bool saw_header_ = false;
+  std::size_t record_no_ = 0;  // records parsed so far
 };
 
 /// Pull-style FASTQ parser (4-line records; quality line is validated for
-/// length then discarded — alignment here does not use base qualities).
+/// length then discarded — alignment here does not use base qualities). An
+/// invalid base names its 1-based line.
 class FastqReader {
  public:
   explicit FastqReader(std::istream& in);

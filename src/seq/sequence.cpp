@@ -33,8 +33,8 @@ Sequence Sequence::from_string(std::string_view bases) {
   s.words_.assign(words_for(bases.size()), 0);
   for (std::size_t i = 0; i < bases.size(); ++i) {
     const std::uint8_t code = dna_encode(bases[i]);
-    GNB_THROW_IF(code == kInvalidCode,
-                 "invalid DNA character '" << bases[i] << "' at position " << i);
+    GNB_THROW_IF(code == kInvalidCode, "invalid DNA character '" << printable(bases.substr(i, 1))
+                                                                 << "' at position " << i);
     if (code == kN) {
       s.n_positions_.push_back(static_cast<std::uint32_t>(i));
       // N packs as A; the overlay restores it on read.

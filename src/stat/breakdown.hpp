@@ -100,7 +100,7 @@ struct ComputeCounters {
   // SIMD lane occupancy the kernel table prints: the share of vector slots
   // that held a DP cell of the live band.
   std::uint64_t kernel_backend = 0;           // 0 scalar, 1 simd-portable, 2 simd-avx2
-  std::uint64_t kernel_lanes = 1;             // int32 DP cells per vector
+  std::uint64_t kernel_lanes = 1;             // DP cells per vector of the running kernel
   std::uint64_t kernel_batches = 0;           // align() calls
   std::uint64_t kernel_tasks = 0;             // tasks aligned through the seam
   std::uint64_t kernel_cells = 0;             // DP cells evaluated by the kernel

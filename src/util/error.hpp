@@ -11,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace gnb {
 
@@ -55,6 +56,26 @@ class UnrecoverableError : public Error {
  public:
   explicit UnrecoverableError(const std::string& what) : Error(what) {}
 };
+
+/// `text` with every byte outside printable ASCII written as \xNN, so an
+/// error message that quotes raw input never puts control or non-UTF-8
+/// bytes on a terminal.
+inline std::string printable(std::string_view text) {
+  static constexpr char kHex[] = "0123456789ABCDEF";
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (byte >= 0x20 && byte < 0x7F) {
+      out += c;
+    } else {
+      out += "\\x";
+      out += kHex[byte >> 4];
+      out += kHex[byte & 0xF];
+    }
+  }
+  return out;
+}
 
 namespace detail {
 [[noreturn]] inline void check_failed(const char* expr, const char* file, int line,

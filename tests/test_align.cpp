@@ -532,9 +532,12 @@ TEST(Paf, RoundTripsThroughFormatAndParse) {
 // The fuzz sweep (test_fuzz_parity) hammers backend bit-identity across
 // randomized scoring and batch shapes; these tests pin deliberate edge
 // cases — empty batches, extensions that terminate on the first rows, mixed
-// lengths in one batch, row widths at 8-cell chunk edges, left-gap chains
-// and best updates that cross chunks, the column-0 edge cell, N on both
-// sides — and the row-0 cell accounting both backends must share.
+// lengths in one batch, row widths at 8- and 16-cell chunk edges, left-gap
+// chains and best updates that cross chunks, the column-0 edge cell, N on
+// both sides, scorings at the edge of the int16 bound — and the row-0 cell
+// accounting both backends must share. The RowKernel* cases run the
+// portable kernel and the dispatched one (AVX2 on capable hosts) at every
+// exact width: 8 int32 lanes, and 16 int16 lanes where AVX2 runs.
 
 TEST(BatchAligner, EmptyBatchReturnsEmpty) {
   for (const auto kind : {proto::BatchAlignerKind::kScalar, proto::BatchAlignerKind::kSimd}) {
@@ -552,12 +555,43 @@ TEST(BatchAligner, InfoReportsRequestedBackend) {
   EXPECT_EQ(scalar->info().lanes, 1u);
   EXPECT_FALSE(scalar->info().simd);
   const auto simd = make_batch_aligner(proto::BatchAlignerKind::kSimd, {});
-  EXPECT_EQ(simd->info().lanes, 8u);
   EXPECT_TRUE(simd->info().simd);
   if (simd_compiled_in() && cpu_supports_avx2())
     EXPECT_STREQ(simd->info().name, "simd-avx2");
   else
     EXPECT_STREQ(simd->info().name, "simd-portable");
+}
+
+TEST(BatchAligner, SelectsWidestExactInstantiation) {
+  // 16 int16 lanes whenever the scoring provably fits (the default does),
+  // 8 int32 lanes otherwise: at x = 100 000, and one past the largest x the
+  // bound x + 16m < 2^14 admits, m = max(|match|, |mismatch|, |gap|).
+  // Without AVX2 the portable kernel runs, at 8 int32 lanes only.
+  const std::size_t widest = simd_compiled_in() && cpu_supports_avx2() ? 16 : 8;
+  const auto lanes_at = [](const XDropParams& params) {
+    return make_batch_aligner(proto::BatchAlignerKind::kSimd, params)->info().lanes;
+  };
+  EXPECT_EQ(lanes_at({}), widest);
+  XDropParams unbanded;
+  unbanded.x = 100'000;
+  EXPECT_EQ(lanes_at(unbanded), 8u);
+  for (const std::int32_t gap : {-1, -8}) {
+    SCOPED_TRACE("gap " + std::to_string(gap));
+    XDropParams edge;
+    edge.scoring.gap = gap;
+    edge.x = (1 << 14) - 1 - 16 * -gap;
+    EXPECT_TRUE(align::detail::fits_int16(edge));
+    EXPECT_EQ(lanes_at(edge), widest);
+    ++edge.x;
+    EXPECT_FALSE(align::detail::fits_int16(edge));
+    EXPECT_EQ(lanes_at(edge), 8u);
+  }
+  XDropParams steep;
+  steep.scoring.mismatch = -1000;
+  steep.x = 383;  // 383 + 16 * 1000 = 2^14 - 1
+  EXPECT_EQ(lanes_at(steep), widest);
+  steep.scoring.match = 1001;
+  EXPECT_EQ(lanes_at(steep), 8u);
 }
 
 namespace {
@@ -693,6 +727,15 @@ class PaddedCodes {
   std::vector<std::uint8_t> buf_;
 };
 
+/// The row kernel's lane widths that are exact for `params` on this host:
+/// 8 int32 lanes always, 16 int16 lanes when the AVX2 kernel runs and the
+/// scoring fits int16.
+std::vector<std::size_t> exact_widths(const XDropParams& params) {
+  if (simd_compiled_in() && cpu_supports_avx2() && align::detail::fits_int16(params))
+    return {8, 16};
+  return {8};
+}
+
 /// Run the portable row kernel directly on (a, b) pairs and compare every
 /// Extension with xdrop_extend. The dispatcher picks AVX2 on capable hosts,
 /// which would leave the portable instantiation untested exactly where CI
@@ -709,9 +752,9 @@ BatchStats expect_portable_row_kernel_exact(const std::vector<std::pair<Codes, C
                                          static_cast<std::int32_t>(b.size())});
   }
   std::vector<Extension> out(jobs.size());
-  std::vector<std::int32_t> row_a, row_b;
+  align::detail::RowScratch rows;
   BatchStats stats;
-  align::detail::extend_batch_portable(jobs, params, out, row_a, row_b, stats);
+  align::detail::extend_batch_portable(jobs, params, out, rows, stats);
   for (std::size_t t = 0; t < pairs.size(); ++t) {
     const Extension expected = xdrop_extend(pairs[t].first, pairs[t].second, params);
     EXPECT_EQ(out[t].score, expected.score) << "job " << t;
@@ -722,12 +765,13 @@ BatchStats expect_portable_row_kernel_exact(const std::vector<std::pair<Codes, C
   return stats;
 }
 
-/// Check (a, b) pairs through the portable kernel and through the `simd`
-/// backend (AVX2 on capable hosts) against the scalar oracle. Each pair is
-/// the rightward extension of one task and, reversed, the leftward
-/// extension of another. Returns the portable kernel's stats.
-BatchStats expect_row_kernels_exact(const std::vector<std::pair<Codes, Codes>>& pairs,
-                                    const XDropParams& params) {
+/// Check (a, b) pairs through the portable kernel, and through the `simd`
+/// backend (AVX2 on capable hosts) forced to every exact width, against the
+/// scalar oracle. Each pair is the rightward extension of one task and,
+/// reversed, the leftward extension of another. Returns, per width, the
+/// backend's stats for one run of each pair, as (lanes, stats).
+std::vector<std::pair<std::size_t, BatchStats>> expect_row_kernels_exact(
+    const std::vector<std::pair<Codes, Codes>>& pairs, const XDropParams& params) {
   TaskBatch batch;
   for (const auto& [a, b] : pairs) {
     Codes ra(a.rbegin(), a.rend());
@@ -745,9 +789,23 @@ BatchStats expect_row_kernels_exact(const std::vector<std::pair<Codes, Codes>>& 
   }
   const auto tasks = batch.tasks();
   const auto scalar = make_batch_aligner(proto::BatchAlignerKind::kScalar, params);
-  const auto simd = make_batch_aligner(proto::BatchAlignerKind::kSimd, params);
-  expect_batches_equal(scalar->align(tasks), simd->align(tasks));
-  return expect_portable_row_kernel_exact(pairs, params);
+  const auto base = scalar->align(tasks);
+  std::vector<std::pair<std::size_t, BatchStats>> by_width;
+  for (const std::size_t lanes : exact_widths(params)) {
+    SCOPED_TRACE(std::to_string(lanes) + " lanes");
+    const auto simd = align::detail::make_simd_batch_aligner(params, lanes);
+    EXPECT_EQ(simd->info().lanes, lanes);
+    expect_batches_equal(base, simd->align(tasks));
+    // Every pair ran twice, as a leftward and as a rightward extension.
+    BatchStats once = simd->stats();
+    once.lane_steps /= 2;
+    once.lane_steps_active /= 2;
+    by_width.emplace_back(lanes, once);
+  }
+  const BatchStats portable = expect_portable_row_kernel_exact(pairs, params);
+  EXPECT_EQ(portable.lane_steps, by_width.front().second.lane_steps);
+  EXPECT_EQ(portable.lane_steps_active, by_width.front().second.lane_steps_active);
+  return by_width;
 }
 
 }  // namespace
@@ -773,13 +831,15 @@ TEST(BatchAligner, RowKernelChunkEdgeWidths) {
   XDropParams wide;
   wide.x = 1000;
   constexpr std::size_t kRows = 24;
-  for (const std::size_t width : {7, 8, 9, 15, 16, 17}) {
+  for (const std::size_t width : {7, 8, 9, 15, 16, 17, 31, 32, 33}) {
     SCOPED_TRACE("width " + std::to_string(width));
     const std::vector<std::pair<Codes, Codes>> pairs{
         {random_codes(kRows, rng), random_codes(width - 1, rng)}};
-    const BatchStats stats = expect_row_kernels_exact(pairs, wide);
-    EXPECT_EQ(stats.lane_steps_active, kRows * width);
-    EXPECT_EQ(stats.lane_steps, kRows * 8 * ((width + 7) / 8));
+    for (const auto& [lanes, stats] : expect_row_kernels_exact(pairs, wide)) {
+      EXPECT_EQ(stats.lane_steps_active, kRows * width) << lanes << " lanes";
+      EXPECT_EQ(stats.lane_steps, kRows * lanes * ((width + lanes - 1) / lanes))
+          << lanes << " lanes";
+    }
   }
   // Width 1: with x = 0 an identical run keeps a 2-cell band on the
   // diagonal; once b is used up, the row past its end holds column nb alone.
@@ -789,9 +849,10 @@ TEST(BatchAligner, RowKernelChunkEdgeWidths) {
   a.insert(a.end(), tail.begin(), tail.end());
   XDropParams tight;
   tight.x = 0;
-  const BatchStats stats = expect_row_kernels_exact({{a, b}}, tight);
-  EXPECT_EQ(stats.lane_steps_active, 6u * 2 + 1);
-  EXPECT_EQ(stats.lane_steps, 7u * 8);
+  for (const auto& [lanes, stats] : expect_row_kernels_exact({{a, b}}, tight)) {
+    EXPECT_EQ(stats.lane_steps_active, 6u * 2 + 1) << lanes << " lanes";
+    EXPECT_EQ(stats.lane_steps, 7u * lanes) << lanes << " lanes";
+  }
 }
 
 TEST(BatchAligner, RowKernelLongInsertionCrossesChunks) {
@@ -826,7 +887,7 @@ TEST(BatchAligner, RowKernelBestImprovesInTwoChunks) {
   const Scoring sc = params.scoring;
   Xoshiro256 rng(84);
   std::vector<std::pair<Codes, Codes>> pairs;
-  std::size_t rows_hit = 0;
+  std::size_t rows_hit[2] = {0, 0};  // at 8- and 16-cell chunks
   for (int t = 0; t < 8; ++t) {
     Codes a = random_codes(60, rng);
     Codes b = random_codes(60, rng);
@@ -838,19 +899,23 @@ TEST(BatchAligner, RowKernelBestImprovesInTwoChunks) {
       for (std::size_t j = 1; j <= b.size(); ++j)
         curr[j] = std::max({prev[j - 1] + sc.substitution(a[i - 1], b[j - 1]),
                             prev[j] + sc.gap, curr[j - 1] + sc.gap});
-      std::size_t first_chunk = SIZE_MAX, last_chunk = SIZE_MAX;
+      std::size_t first_col = SIZE_MAX, last_col = SIZE_MAX;
       for (std::size_t j = 0; j <= b.size(); ++j) {
         if (curr[j] <= best) continue;
         best = curr[j];
-        if (first_chunk == SIZE_MAX) first_chunk = j / 8;
-        last_chunk = j / 8;
+        if (first_col == SIZE_MAX) first_col = j;
+        last_col = j;
       }
-      if (first_chunk != last_chunk) ++rows_hit;
+      if (first_col != SIZE_MAX) {
+        rows_hit[0] += first_col / 8 != last_col / 8;
+        rows_hit[1] += first_col / 16 != last_col / 16;
+      }
       std::swap(prev, curr);
     }
     pairs.emplace_back(std::move(a), std::move(b));
   }
-  EXPECT_GT(rows_hit, 0u);
+  EXPECT_GT(rows_hit[0], 0u);
+  EXPECT_GT(rows_hit[1], 0u);
   expect_row_kernels_exact(pairs, params);
 }
 
@@ -908,6 +973,53 @@ TEST(BatchAligner, RowKernelZeroXAndSteepGap) {
       expect_row_kernels_exact(pairs, params);
     }
   }
+}
+
+TEST(BatchAligner, RowKernelAtTheInt16Bound) {
+  // At the largest x the int16 bound admits, live cells reach -x relative
+  // to their row's base, the deepest values int16 lanes hold, and the scan
+  // constants reach 16*gap: row 0 and column 0 run down to the floor on a
+  // short read against a long one, a long insertion keeps a gap chain live
+  // near the floor, and N runs sit on both sides. Every case runs through
+  // both widths.
+  Xoshiro256 rng(88);
+  for (const std::int32_t gap : {-1, -2, -4, -8}) {
+    SCOPED_TRACE("gap " + std::to_string(gap));
+    XDropParams params;
+    params.scoring.gap = gap;
+    params.x = (1 << 14) - 1 - 16 * -gap;
+    ASSERT_TRUE(align::detail::fits_int16(params));
+    const std::size_t reach = static_cast<std::size_t>(params.x / -gap);
+    const Codes a = random_codes(300, rng);
+    Codes b(a.begin(), a.begin() + 100);
+    const Codes insert = random_codes(std::min<std::size_t>(reach - 20, 4000), rng);
+    b.insert(b.end(), insert.begin(), insert.end());
+    b.insert(b.end(), a.begin() + 100, a.end());
+    Codes a_n = mutate(a, 0.03, rng);
+    Codes b_n = mutate(a, 0.03, rng);
+    std::fill(a_n.begin() + 40, a_n.begin() + 70, seq::kN);
+    std::fill(b_n.begin() + 50, b_n.begin() + 90, seq::kN);
+    expect_row_kernels_exact({{a, b},
+                              {random_codes(40, rng), random_codes(reach + 40, rng)},
+                              {random_codes(reach + 40, rng), random_codes(40, rng)},
+                              {a_n, b_n}},
+                             params);
+  }
+  // The steepest admitted scoring: 16*gap = -16000 in the scan constants.
+  // Unrelated extensions die in their first chunk, related ones at their
+  // first gap or mismatch.
+  XDropParams steep;
+  steep.scoring.mismatch = -1000;
+  steep.scoring.gap = -1000;
+  steep.x = 383;
+  ASSERT_TRUE(align::detail::fits_int16(steep));
+  std::vector<std::pair<Codes, Codes>> pairs;
+  for (int t = 0; t < 6; ++t) {
+    Codes seq_a = random_codes(50 + rng.below(200), rng);
+    Codes seq_b = t % 2 == 0 ? random_codes(50 + rng.below(200), rng) : mutate(seq_a, 0.05, rng);
+    pairs.emplace_back(std::move(seq_a), std::move(seq_b));
+  }
+  expect_row_kernels_exact(pairs, steep);
 }
 
 TEST(BatchAligner, RowZeroCellAccountingMatchesScalar) {

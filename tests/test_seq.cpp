@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "seq/alphabet.hpp"
 #include "seq/fasta.hpp"
@@ -206,6 +208,39 @@ TEST(Fasta, RecordWithoutSequenceThrows) {
   EXPECT_THROW(reader.next(), Error);
 }
 
+namespace {
+
+/// The message of the gnb::Error `parse` throws, or "" when it throws none.
+template <class Parse>
+std::string error_of(Parse parse) {
+  try {
+    parse();
+  } catch (const Error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+/// Bytes a corrupt file can hold in a base line, and how errors print them.
+const std::pair<std::string, std::string> kBadBytes[] = {
+    {std::string(1, '\r'), "\\x0D"},
+    {std::string(1, '\0'), "\\x00"},
+    {std::string(1, '\xff'), "\\xFF"},
+};
+
+}  // namespace
+
+TEST(Fasta, InvalidBaseNamesTheRecord) {
+  for (const auto& [raw, shown] : kBadBytes) {
+    SCOPED_TRACE(shown);
+    std::istringstream in(">r1\nACGT\n>r2\nACG" + raw + "TA\n");
+    FastaReader reader(in);
+    ASSERT_TRUE(reader.next().has_value());
+    EXPECT_EQ(error_of([&] { reader.next(); }),
+              "FASTA record 2 'r2': invalid DNA character '" + shown + "' at position 3");
+  }
+}
+
 TEST(Fasta, WriterRoundTrip) {
   std::ostringstream out;
   FastaWriter writer(out, 10);
@@ -239,6 +274,15 @@ TEST(Fastq, QualityLengthMismatchThrows) {
   std::istringstream in("@r1\nACGT\n+\nII\n");
   FastqReader reader(in);
   EXPECT_THROW(reader.next(), Error);
+}
+
+TEST(Fastq, InvalidBaseNamesTheLine) {
+  for (const auto& [raw, shown] : kBadBytes) {
+    SCOPED_TRACE(shown);
+    std::istringstream in("@r1\nACGT\n+\nIIII\n@r2\nACG" + raw + "TA\n+\nIIIIII\n");
+    EXPECT_EQ(error_of([&] { read_records(in, /*fastq=*/true); }),
+              "FASTQ line 6: invalid DNA character '" + shown + "' at position 3");
+  }
 }
 
 TEST(Fastq, TruncatedRecordThrows) {
