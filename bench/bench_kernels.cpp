@@ -17,7 +17,6 @@
 #include "align/cigar.hpp"
 #include "align/exact.hpp"
 #include "align/xdrop.hpp"
-#include "align/xdrop_batch.hpp"
 #include "core/bsp.hpp"
 #include "kmer/bella_filter.hpp"
 #include "kmer/counter.hpp"
@@ -297,8 +296,8 @@ struct BatchKernelCase {
 /// Time `tasks` through one backend, handed over `chunk` tasks per align()
 /// call, in whole passes until at least 0.3 s have passed.
 BatchKernelCase run_batch_kernel_case(std::span<const align::AlignTask> tasks,
-                                      const std::unique_ptr<align::BatchAligner>& backend,
-                                      std::size_t chunk) {
+                                      proto::BatchAlignerKind kind, std::size_t chunk) {
+  const auto backend = align::make_batch_aligner(kind, {});
   BatchKernelCase result;
   result.info = backend->info();
   const auto start = std::chrono::steady_clock::now();
@@ -512,32 +511,25 @@ void write_cache_pool_report() {
           ? (trace_off.tasks_per_s / trace_on.tasks_per_s - 1.0) * 100.0
           : 0;
 
-  const auto scalar_backend = [] {
-    return align::make_batch_aligner(proto::BatchAlignerKind::kScalar, {});
-  };
-  const auto simd_backend = [] {
-    return align::make_batch_aligner(proto::BatchAlignerKind::kSimd, {});
-  };
-  // The int32 instantiation, the fallback for scorings too wide for int16.
-  const auto simd_i32_backend = [] { return align::detail::make_simd_batch_aligner({}, 8); };
   const BatchKernelWorkload& bw = batch_kernel_workload();
   const BatchKernelCase kernel_scalar =
-      run_batch_kernel_case(bw.tasks, scalar_backend(), bw.tasks.size());
+      run_batch_kernel_case(bw.tasks, proto::BatchAlignerKind::kScalar, bw.tasks.size());
   const BatchKernelCase kernel_simd =
-      run_batch_kernel_case(bw.tasks, simd_backend(), bw.tasks.size());
+      run_batch_kernel_case(bw.tasks, proto::BatchAlignerKind::kSimd, bw.tasks.size());
   const double kernel_speedup = kernel_scalar.mcells_per_s > 0
                                     ? kernel_simd.mcells_per_s / kernel_scalar.mcells_per_s
                                     : 0;
 
   const TaskSetWorkload ont = make_task_set_workload(20, 0.12, 1'500);
   const TaskSetWorkload hifi = make_task_set_workload(15, 0.03, 12'000);
-  const BatchKernelCase ont_scalar = run_batch_kernel_case(ont.tasks, scalar_backend(), 32);
-  const BatchKernelCase ont_simd = run_batch_kernel_case(ont.tasks, simd_backend(), 32);
-  const BatchKernelCase ont_simd_i32 = run_batch_kernel_case(ont.tasks, simd_i32_backend(), 32);
-  const BatchKernelCase hifi_scalar = run_batch_kernel_case(hifi.tasks, scalar_backend(), 32);
-  const BatchKernelCase hifi_simd = run_batch_kernel_case(hifi.tasks, simd_backend(), 32);
-  const BatchKernelCase hifi_simd_i32 =
-      run_batch_kernel_case(hifi.tasks, simd_i32_backend(), 32);
+  const BatchKernelCase ont_scalar =
+      run_batch_kernel_case(ont.tasks, proto::BatchAlignerKind::kScalar, 32);
+  const BatchKernelCase ont_simd =
+      run_batch_kernel_case(ont.tasks, proto::BatchAlignerKind::kSimd, 32);
+  const BatchKernelCase hifi_scalar =
+      run_batch_kernel_case(hifi.tasks, proto::BatchAlignerKind::kScalar, 32);
+  const BatchKernelCase hifi_simd =
+      run_batch_kernel_case(hifi.tasks, proto::BatchAlignerKind::kSimd, 32);
 
   std::string json;
   json += "{\n  \"bench\":\"kernels\",\n";
@@ -557,10 +549,8 @@ void write_cache_pool_report() {
   append_batch_kernel_row(json, "batch_xdrop_simd", kernel_simd, true);
   append_batch_kernel_row(json, "batch_xdrop_tasks_ont_scalar", ont_scalar, true);
   append_batch_kernel_row(json, "batch_xdrop_tasks_ont_simd", ont_simd, true);
-  append_batch_kernel_row(json, "batch_xdrop_tasks_ont_simd_i32", ont_simd_i32, true);
   append_batch_kernel_row(json, "batch_xdrop_tasks_hifi_scalar", hifi_scalar, true);
-  append_batch_kernel_row(json, "batch_xdrop_tasks_hifi_simd", hifi_simd, true);
-  append_batch_kernel_row(json, "batch_xdrop_tasks_hifi_simd_i32", hifi_simd_i32, false);
+  append_batch_kernel_row(json, "batch_xdrop_tasks_hifi_simd", hifi_simd, false);
   json += "  ],\n";
   char tail[256];
   std::snprintf(tail, sizeof(tail),
@@ -580,18 +570,13 @@ void write_cache_pool_report() {
       "%.1f%%) -> BENCH_kernels.json\n",
       kernel_scalar.info.name, kernel_scalar.mcells_per_s, kernel_simd.info.name,
       kernel_simd.mcells_per_s, kernel_speedup, kernel_simd.occupancy * 100);
-  for (const auto& [name, scalar, simd, simd_i32] :
-       {std::tuple{"ont", &ont_scalar, &ont_simd, &ont_simd_i32},
-        std::tuple{"hifi", &hifi_scalar, &hifi_simd, &hifi_simd_i32}})
+  for (const auto& [name, scalar, simd] :
+       {std::tuple{"ont", &ont_scalar, &ont_simd}, std::tuple{"hifi", &hifi_scalar, &hifi_simd}})
     std::printf(
-        "batch kernel on %s candidate tasks: %s %.1f Mcells/s vs %s x%zu %.1f Mcells/s "
-        "(occupancy %.1f%%) vs x%zu %.1f Mcells/s (occupancy %.1f%%; x%zu/x%zu %.2fx) "
-        "-> BENCH_kernels.json\n",
-        name, scalar->info.name, scalar->mcells_per_s, simd->info.name, simd->info.lanes,
-        simd->mcells_per_s, simd->occupancy * 100, simd_i32->info.lanes,
-        simd_i32->mcells_per_s, simd_i32->occupancy * 100, simd->info.lanes,
-        simd_i32->info.lanes,
-        simd_i32->mcells_per_s > 0 ? simd->mcells_per_s / simd_i32->mcells_per_s : 0.0);
+        "batch kernel on %s candidate tasks: %s %.1f Mcells/s vs %s %.1f Mcells/s "
+        "(occupancy %.1f%%) -> BENCH_kernels.json\n",
+        name, scalar->info.name, scalar->mcells_per_s, simd->info.name, simd->mcells_per_s,
+        simd->occupancy * 100);
   std::printf(
       "trace overhead (compiled %s): off %.0f tasks/s vs on %.0f tasks/s "
       "(%.2f%% overhead) -> BENCH_kernels.json\n",

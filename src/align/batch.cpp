@@ -203,36 +203,25 @@ proto::BatchAlignerKind resolve_batch_aligner(proto::BatchAlignerKind kind) {
 
 std::unique_ptr<BatchAligner> make_batch_aligner(proto::BatchAlignerKind kind,
                                                  const XDropParams& params) {
-  if (resolve_batch_aligner(kind) == proto::BatchAlignerKind::kScalar)
-    return std::make_unique<ScalarBatchAligner>(params);
-  // The widest exact width: int16 lanes whenever the AVX2 kernel runs and
-  // the scoring provably fits.
-  const bool avx2 = simd_compiled_in() && cpu_supports_avx2();
-  return detail::make_simd_batch_aligner(params, avx2 && detail::fits_int16(params) ? 16 : 8);
-}
-
-namespace detail {
-
-std::unique_ptr<BatchAligner> make_simd_batch_aligner(const XDropParams& params,
-                                                      std::size_t lanes) {
-#if defined(GNB_HAVE_AVX2_TU)
-  if (cpu_supports_avx2()) {
-    GNB_CHECK_MSG(lanes == 8 || (lanes == 16 && fits_int16(params)),
-                  "no exact " << lanes << "-lane row kernel for x " << params.x);
-    return std::make_unique<SimdBatchAligner>(
-        params, lanes == 16 ? extend_batch_avx2_i16 : extend_batch_avx2_i32, lanes, "simd-avx2",
-        /*backend_id=*/2);
+  switch (resolve_batch_aligner(kind)) {
+    case proto::BatchAlignerKind::kScalar:
+      return std::make_unique<ScalarBatchAligner>(params);
+    default:
+      break;
   }
+#if defined(GNB_HAVE_AVX2_TU)
+  // The AVX2 kernel runs int16 lanes only; scorings too wide for them
+  // (none of the defaults') fall back to the portable int32 kernel.
+  if (cpu_supports_avx2() && detail::fits_int16(params))
+    return std::make_unique<SimdBatchAligner>(params, detail::extend_batch_avx2_i16,
+                                              /*lanes=*/16, "simd-avx2", /*backend_id=*/2);
 #endif
-  GNB_CHECK_MSG(lanes == 8, "the portable row kernel runs 8 int32 lanes, not " << lanes);
-  return std::make_unique<SimdBatchAligner>(params, extend_batch_portable, lanes,
-                                            "simd-portable", /*backend_id=*/1);
+  return std::make_unique<SimdBatchAligner>(params, detail::extend_batch_portable,
+                                            /*lanes=*/8, "simd-portable", /*backend_id=*/1);
 }
 
-}  // namespace detail
-
-std::string batch_aligner_report(proto::BatchAlignerKind requested, const XDropParams& params) {
-  const auto backend = make_batch_aligner(requested, params);
+std::string batch_aligner_report(proto::BatchAlignerKind requested) {
+  const auto backend = make_batch_aligner(requested, XDropParams{});
   const BatchAlignerInfo info = backend->info();
   std::ostringstream out;
   out << "batch aligner: " << info.name << " (" << info.lanes

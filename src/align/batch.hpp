@@ -4,9 +4,9 @@
 // pair at a time. Two backends exist today — a scalar wrapper around
 // xdrop_align (the byte-identity oracle) and a row-vectorized SIMD kernel
 // that evaluates each extension's DP rows 16 int16 cells per AVX2 vector, or
-// 8 int32 cells when the scoring is too wide for int16 — and the same
-// interface is where a GPU backend plugs in next (the structural fix
-// diBELLA's follow-up work applies to this N-body bottleneck).
+// 8 int32 cells in its portable form — and the same interface is where a
+// GPU backend plugs in next (the structural fix diBELLA's follow-up work
+// applies to this N-body bottleneck).
 //
 // Contract: every backend returns bit-identical Alignments (score,
 // coordinates, cells) for the same tasks. That is what makes `auto` a safe
@@ -102,18 +102,17 @@ class BatchAligner {
 [[nodiscard]] proto::BatchAlignerKind resolve_batch_aligner(proto::BatchAlignerKind kind);
 
 /// Construct a backend. kAuto is resolved via resolve_batch_aligner. kSimd
-/// runs the AVX2 row kernel when the binary has it and the CPU executes it,
-/// at 16 int16 lanes when the scoring provably fits them (DESIGN.md §11; the
-/// default x = 49 at unit scoring does) and 8 int32 lanes otherwise; without
-/// AVX2 it runs the portable kernel at 8 int32 lanes. The returned instance
-/// owns its scratch and is not thread-safe.
+/// runs the AVX2 row kernel, 16 int16 lanes, when the binary has it, the CPU
+/// executes it and the scoring provably fits int16 (DESIGN.md §11; the
+/// default x = 49 at unit scoring does); otherwise it runs the portable
+/// kernel, 8 int32 lanes. The returned instance owns its scratch and is not
+/// thread-safe.
 [[nodiscard]] std::unique_ptr<BatchAligner> make_batch_aligner(proto::BatchAlignerKind kind,
                                                                const XDropParams& params);
 
 /// One-line startup report for logs: the requested kind, the resolved
-/// backend, its width at `params` and the CPU features that drove the
-/// choice.
-[[nodiscard]] std::string batch_aligner_report(proto::BatchAlignerKind requested,
-                                               const XDropParams& params = {});
+/// backend, its width at the default XDropParams and the CPU features that
+/// drove the choice.
+[[nodiscard]] std::string batch_aligner_report(proto::BatchAlignerKind requested);
 
 }  // namespace gnb::align

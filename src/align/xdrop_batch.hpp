@@ -2,12 +2,11 @@
 // Row-vectorized X-drop extension: the kernel behind align::SimdBatchAligner.
 //
 // The kernel runs one extension at a time and evaluates each DP row of
-// xdrop_extend W cells per vector: 16 int16 cells (AVX2), or 8 int32 cells
-// when the scoring is too wide for int16 (fits_int16) and in the portable
-// kernel. On long-read candidate sets
-// the live band is wide: evaluated rows average 85 cells on 1.5 kb reads at
-// 12 % error and 150 cells on 12 kb reads at 3 %, so one extension's row
-// fills a register.
+// xdrop_extend W cells per vector: 16 int16 cells in the AVX2 kernel, 8
+// int32 cells in the portable one, which also serves scorings too wide for
+// int16 (fits_int16). On long-read candidate sets the live band is wide:
+// evaluated rows average 85 cells on 1.5 kb reads at 12 % error and 150
+// cells on 12 kb reads at 3 %, so one extension's row fills a register.
 //
 // Storage: rows live in *offset space*. Slot s of a row holds column
 // (row_lo + s - 1), where row_lo is the row's first evaluated column. Slot 0
@@ -72,7 +71,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
-#include <memory>
 #include <span>
 #include <tuple>
 #include <utility>
@@ -119,11 +117,10 @@ struct RowPair {
 /// Row scratch for every instantiation; each uses the pair of its lane type.
 using RowScratch = std::tuple<RowPair<std::int16_t>, RowPair<std::int32_t>>;
 
-/// Reference vector ops for the int32 kernel: plain arrays, branch-free
-/// blends — the semantics the AVX2 int32 ops must match exactly (the int16
-/// ops match the same semantics with saturating adds and subtracts).
-/// Compiled in the baseline TU this is the portable kernel (the compiler
-/// auto-vectorizes what it can).
+/// Reference vector ops, 8 int32 lanes: plain arrays, branch-free blends —
+/// the semantics the AVX2 int16 ops match with saturating adds and
+/// subtracts. Compiled in the baseline TU this is the portable kernel (the
+/// compiler auto-vectorizes what it can).
 struct ScalarLaneOps {
   using T = std::int32_t;
   static constexpr int W = 8;
@@ -385,26 +382,16 @@ void extend_batch(std::span<const ExtJob> jobs, const XDropParams& params,
 using ExtendBatchFn = void (*)(std::span<const ExtJob>, const XDropParams&,
                                std::span<Extension>, RowScratch&, BatchStats&);
 
-/// Baseline-ISA instantiation (ScalarLaneOps, 8 int32 lanes). There is no
-/// portable int16 one: compiled for baseline x86-64 it ran at half the
-/// portable int32 kernel's speed (EXPERIMENTS.md).
+/// Baseline-ISA instantiation (ScalarLaneOps, 8 int32 lanes), exact for any
+/// scoring. There is no portable int16 one: compiled for baseline x86-64 it
+/// ran at half the portable int32 kernel's speed (EXPERIMENTS.md).
 void extend_batch_portable(std::span<const ExtJob> jobs, const XDropParams& params,
                            std::span<Extension> out, RowScratch& scratch, BatchStats& stats);
 
-/// AVX2 instantiations (16 int16 / 8 int32 cells per ymm register); present
-/// only when the GNB_SIMD build option compiled the -mavx2 translation unit
-/// (align::simd_compiled_in()).
+/// AVX2 instantiation (16 int16 cells per ymm register), exact where
+/// fits_int16(params) holds; present only when the GNB_SIMD build option
+/// compiled the -mavx2 translation unit (align::simd_compiled_in()).
 void extend_batch_avx2_i16(std::span<const ExtJob> jobs, const XDropParams& params,
                            std::span<Extension> out, RowScratch& scratch, BatchStats& stats);
-void extend_batch_avx2_i32(std::span<const ExtJob> jobs, const XDropParams& params,
-                           std::span<Extension> out, RowScratch& scratch, BatchStats& stats);
-
-/// The `simd` backend at a forced width, on the ISA make_batch_aligner would
-/// pick: `lanes` = 8 runs the int32 instantiation, 16 the int16 one (AVX2
-/// only, and `params` must satisfy fits_int16). make_batch_aligner itself
-/// picks the widest exact width; this entry point lets tests and benches
-/// drive the int32 fallback too.
-std::unique_ptr<BatchAligner> make_simd_batch_aligner(const XDropParams& params,
-                                                      std::size_t lanes);
 
 }  // namespace gnb::align::detail

@@ -535,9 +535,9 @@ TEST(Paf, RoundTripsThroughFormatAndParse) {
 // lengths in one batch, row widths at 8- and 16-cell chunk edges, left-gap
 // chains and best updates that cross chunks, the column-0 edge cell, N on
 // both sides, scorings at the edge of the int16 bound — and the row-0 cell
-// accounting both backends must share. The RowKernel* cases run the
-// portable kernel and the dispatched one (AVX2 on capable hosts) at every
-// exact width: 8 int32 lanes, and 16 int16 lanes where AVX2 runs.
+// accounting both backends must share. The RowKernel* cases run both
+// instantiations: the portable kernel's 8 int32 lanes directly, and the
+// dispatched one, 16 int16 lanes where AVX2 runs and the scoring fits.
 
 TEST(BatchAligner, EmptyBatchReturnsEmpty) {
   for (const auto kind : {proto::BatchAlignerKind::kScalar, proto::BatchAlignerKind::kSimd}) {
@@ -563,13 +563,16 @@ TEST(BatchAligner, InfoReportsRequestedBackend) {
 }
 
 TEST(BatchAligner, SelectsWidestExactInstantiation) {
-  // 16 int16 lanes whenever the scoring provably fits (the default does),
-  // 8 int32 lanes otherwise: at x = 100 000, and one past the largest x the
-  // bound x + 16m < 2^14 admits, m = max(|match|, |mismatch|, |gap|).
-  // Without AVX2 the portable kernel runs, at 8 int32 lanes only.
+  // The AVX2 kernel's 16 int16 lanes whenever the scoring provably fits
+  // (the default does), the portable kernel's 8 int32 lanes otherwise: at
+  // x = 100 000, and one past the largest x the bound x + 16m < 2^14 admits,
+  // m = max(|match|, |mismatch|, |gap|). Without AVX2 the portable kernel
+  // runs at every scoring.
   const std::size_t widest = simd_compiled_in() && cpu_supports_avx2() ? 16 : 8;
   const auto lanes_at = [](const XDropParams& params) {
-    return make_batch_aligner(proto::BatchAlignerKind::kSimd, params)->info().lanes;
+    const auto simd = make_batch_aligner(proto::BatchAlignerKind::kSimd, params);
+    EXPECT_STREQ(simd->info().name, simd->info().lanes == 16 ? "simd-avx2" : "simd-portable");
+    return simd->info().lanes;
   };
   EXPECT_EQ(lanes_at({}), widest);
   XDropParams unbanded;
@@ -727,15 +730,6 @@ class PaddedCodes {
   std::vector<std::uint8_t> buf_;
 };
 
-/// The row kernel's lane widths that are exact for `params` on this host:
-/// 8 int32 lanes always, 16 int16 lanes when the AVX2 kernel runs and the
-/// scoring fits int16.
-std::vector<std::size_t> exact_widths(const XDropParams& params) {
-  if (simd_compiled_in() && cpu_supports_avx2() && align::detail::fits_int16(params))
-    return {8, 16};
-  return {8};
-}
-
 /// Run the portable row kernel directly on (a, b) pairs and compare every
 /// Extension with xdrop_extend. The dispatcher picks AVX2 on capable hosts,
 /// which would leave the portable instantiation untested exactly where CI
@@ -765,11 +759,11 @@ BatchStats expect_portable_row_kernel_exact(const std::vector<std::pair<Codes, C
   return stats;
 }
 
-/// Check (a, b) pairs through the portable kernel, and through the `simd`
-/// backend (AVX2 on capable hosts) forced to every exact width, against the
+/// Check (a, b) pairs through the `simd` backend (AVX2 int16 on capable
+/// hosts when the scoring fits) and through the portable kernel against the
 /// scalar oracle. Each pair is the rightward extension of one task and,
-/// reversed, the leftward extension of another. Returns, per width, the
-/// backend's stats for one run of each pair, as (lanes, stats).
+/// reversed, the leftward extension of another. Returns (lanes, stats) for
+/// one run of each pair: the backend's first, then the portable kernel's.
 std::vector<std::pair<std::size_t, BatchStats>> expect_row_kernels_exact(
     const std::vector<std::pair<Codes, Codes>>& pairs, const XDropParams& params) {
   TaskBatch batch;
@@ -789,23 +783,14 @@ std::vector<std::pair<std::size_t, BatchStats>> expect_row_kernels_exact(
   }
   const auto tasks = batch.tasks();
   const auto scalar = make_batch_aligner(proto::BatchAlignerKind::kScalar, params);
-  const auto base = scalar->align(tasks);
-  std::vector<std::pair<std::size_t, BatchStats>> by_width;
-  for (const std::size_t lanes : exact_widths(params)) {
-    SCOPED_TRACE(std::to_string(lanes) + " lanes");
-    const auto simd = align::detail::make_simd_batch_aligner(params, lanes);
-    EXPECT_EQ(simd->info().lanes, lanes);
-    expect_batches_equal(base, simd->align(tasks));
-    // Every pair ran twice, as a leftward and as a rightward extension.
-    BatchStats once = simd->stats();
-    once.lane_steps /= 2;
-    once.lane_steps_active /= 2;
-    by_width.emplace_back(lanes, once);
-  }
-  const BatchStats portable = expect_portable_row_kernel_exact(pairs, params);
-  EXPECT_EQ(portable.lane_steps, by_width.front().second.lane_steps);
-  EXPECT_EQ(portable.lane_steps_active, by_width.front().second.lane_steps_active);
-  return by_width;
+  const auto simd = make_batch_aligner(proto::BatchAlignerKind::kSimd, params);
+  expect_batches_equal(scalar->align(tasks), simd->align(tasks));
+  // Every pair ran twice, as a leftward and as a rightward extension.
+  BatchStats once = simd->stats();
+  once.lane_steps /= 2;
+  once.lane_steps_active /= 2;
+  return {{simd->info().lanes, once},
+          {8, expect_portable_row_kernel_exact(pairs, params)}};
 }
 
 }  // namespace

@@ -157,7 +157,7 @@ OverlapRun run_overlap(const seq::ReadStore& reads, std::size_t ranks, std::uint
   engine.proto.batch_aligner = batch_aligner;
   engine.proto.wire_compression = wire_compression;
   engine.proto.ranks_per_node = ranks_per_node;
-  log::info(align::batch_aligner_report(batch_aligner, engine.xdrop));
+  log::info(align::batch_aligner_report(batch_aligner));
   log::info("wire compression: ", proto::to_string(wire_compression),
             ranks_per_node > 1 ? " (two-level aggregation on)" : "");
   run.scoring = engine.xdrop.scoring;
