@@ -482,11 +482,64 @@ void append_cache_pool_row(std::string& json, const char* label,
 // measure the same code — the row then documents that the *compiled-out*
 // overhead is zero, while a GNB_TRACE=ON build measures the live recording
 // cost on the span/counter emission path.
-CachePoolCase run_trace_overhead_case(const CachePoolWorkload& w, bool trace_on) {
+//
+// One off/on comparison is noisier than the tracing cost on a shared host,
+// so the sides (each the best of three runs) come in interleaved pairs, the
+// side that runs first alternating, and the report is the median of the
+// per-pair overheads with their quartiles. A quartile range that includes
+// zero cannot tell tracing from noise and is reported as unresolved.
+
+struct TraceOverhead {
+  CachePoolCase off;  // the off run with the median throughput
+  CachePoolCase on;   // likewise with tracing on
+  std::size_t pairs = 0;
+  double median_pct = 0;
+  double q1_pct = 0;
+  double q3_pct = 0;
+
+  [[nodiscard]] bool resolved() const { return q1_pct > 0 || q3_pct < 0; }
+};
+
+/// Linear-interpolated quantile `q` of sorted `values`.
+double quantile(const std::vector<double>& values, double q) {
+  const double at = q * static_cast<double>(values.size() - 1);
+  const auto lo = static_cast<std::size_t>(at);
+  const std::size_t hi = std::min(lo + 1, values.size() - 1);
+  return values[lo] + (at - static_cast<double>(lo)) * (values[hi] - values[lo]);
+}
+
+TraceOverhead run_trace_overhead(const CachePoolWorkload& w, std::size_t pairs) {
   obs::Tracer& tracer = obs::Tracer::instance();
-  if (trace_on) tracer.enable();
-  CachePoolCase result = run_cache_pool_case(w, /*threads=*/1, /*cache_bytes=*/0);
-  if (trace_on) tracer.disable();
+  const auto run = [&](bool trace_on) {
+    if (trace_on) tracer.enable();
+    CachePoolCase result = run_cache_pool_case(w, /*threads=*/1, /*cache_bytes=*/0);
+    if (trace_on) tracer.disable();
+    return result;
+  };
+  std::vector<CachePoolCase> off, on;
+  std::vector<double> overhead_pct;
+  for (std::size_t pair = 0; pair < pairs; ++pair) {
+    const bool on_first = pair % 2 == 1;
+    if (on_first) on.push_back(run(true));
+    off.push_back(run(false));
+    if (!on_first) on.push_back(run(true));
+    const double on_rate = on.back().tasks_per_s;
+    const double off_rate = off.back().tasks_per_s;
+    overhead_pct.push_back(on_rate > 0 ? (off_rate / on_rate - 1.0) * 100.0 : 0.0);
+  }
+  std::sort(overhead_pct.begin(), overhead_pct.end());
+  const auto by_throughput = [](const CachePoolCase& x, const CachePoolCase& y) {
+    return x.tasks_per_s < y.tasks_per_s;
+  };
+  std::sort(off.begin(), off.end(), by_throughput);
+  std::sort(on.begin(), on.end(), by_throughput);
+  TraceOverhead result;
+  result.off = off[pairs / 2];
+  result.on = on[pairs / 2];
+  result.pairs = pairs;
+  result.median_pct = quantile(overhead_pct, 0.5);
+  result.q1_pct = quantile(overhead_pct, 0.25);
+  result.q3_pct = quantile(overhead_pct, 0.75);
   return result;
 }
 
@@ -504,12 +557,7 @@ void write_cache_pool_report() {
   const double speedup =
       serial.tasks_per_s > 0 ? pooled.tasks_per_s / serial.tasks_per_s : 0;
 
-  const CachePoolCase trace_off = run_trace_overhead_case(w, /*trace_on=*/false);
-  const CachePoolCase trace_on = run_trace_overhead_case(w, /*trace_on=*/true);
-  const double trace_overhead_pct =
-      trace_on.tasks_per_s > 0
-          ? (trace_off.tasks_per_s / trace_on.tasks_per_s - 1.0) * 100.0
-          : 0;
+  const TraceOverhead trace = run_trace_overhead(w, /*pairs=*/9);
 
   const BatchKernelWorkload& bw = batch_kernel_workload();
   const BatchKernelCase kernel_scalar =
@@ -543,8 +591,8 @@ void write_cache_pool_report() {
   json += "  \"rows\":[\n";
   append_cache_pool_row(json, "align_tasks_serial_uncached", serial, true);
   append_cache_pool_row(json, "align_tasks_pool4_cached", pooled, true);
-  append_cache_pool_row(json, "align_tasks_trace_off", trace_off, true);
-  append_cache_pool_row(json, "align_tasks_trace_on", trace_on, true);
+  append_cache_pool_row(json, "align_tasks_trace_off", trace.off, true);
+  append_cache_pool_row(json, "align_tasks_trace_on", trace.on, true);
   append_batch_kernel_row(json, "batch_xdrop_scalar", kernel_scalar, true);
   append_batch_kernel_row(json, "batch_xdrop_simd", kernel_simd, true);
   append_batch_kernel_row(json, "batch_xdrop_tasks_ont_scalar", ont_scalar, true);
@@ -552,11 +600,14 @@ void write_cache_pool_report() {
   append_batch_kernel_row(json, "batch_xdrop_tasks_hifi_scalar", hifi_scalar, true);
   append_batch_kernel_row(json, "batch_xdrop_tasks_hifi_simd", hifi_simd, false);
   json += "  ],\n";
-  char tail[256];
+  char tail[512];
   std::snprintf(tail, sizeof(tail),
                 "  \"pool_cache_speedup\":%.2f,\n  \"simd_kernel_speedup\":%.2f,\n"
-                "  \"trace_compiled\":%d,\n  \"trace_overhead_pct\":%.2f\n}\n",
-                speedup, kernel_speedup, GNB_TRACE_ENABLED, trace_overhead_pct);
+                "  \"trace_compiled\":%d,\n  \"trace_overhead_pairs\":%zu,\n"
+                "  \"trace_overhead_pct\":%.2f,\n  \"trace_overhead_q1_pct\":%.2f,\n"
+                "  \"trace_overhead_q3_pct\":%.2f,\n  \"trace_overhead_resolved\":%s\n}\n",
+                speedup, kernel_speedup, GNB_TRACE_ENABLED, trace.pairs, trace.median_pct,
+                trace.q1_pct, trace.q3_pct, trace.resolved() ? "true" : "false");
   json += tail;
 
   std::ofstream out("BENCH_kernels.json");
@@ -578,10 +629,12 @@ void write_cache_pool_report() {
         name, scalar->info.name, scalar->mcells_per_s, simd->info.name, simd->mcells_per_s,
         simd->occupancy * 100);
   std::printf(
-      "trace overhead (compiled %s): off %.0f tasks/s vs on %.0f tasks/s "
-      "(%.2f%% overhead) -> BENCH_kernels.json\n",
-      GNB_TRACE_ENABLED ? "in" : "out", trace_off.tasks_per_s, trace_on.tasks_per_s,
-      trace_overhead_pct);
+      "trace overhead (compiled %s, %zu interleaved pairs): median off %.0f tasks/s vs on "
+      "%.0f tasks/s, paired overhead median %.2f%% (quartiles %.2f%% to %.2f%%)%s "
+      "-> BENCH_kernels.json\n",
+      GNB_TRACE_ENABLED ? "in" : "out", trace.pairs, trace.off.tasks_per_s,
+      trace.on.tasks_per_s, trace.median_pct, trace.q1_pct, trace.q3_pct,
+      trace.resolved() ? "" : ", unresolved: the quartiles include zero");
 }
 
 }  // namespace

@@ -56,17 +56,7 @@ int main(int argc, char** argv) {
   config.hi = kmer_bounds.hi;
   config.keep_frac = spec.keep_frac;
 
-  const std::vector<seq::ReadId> bounds = pipeline::compute_bounds(dataset.reads, *ranks);
-  std::vector<std::vector<kmer::AlignTask>> per_rank(*ranks);
-  {
-    rt::World world(*ranks);
-    world.run([&](rt::Rank& rank) {
-      per_rank[rank.id()] = pipeline::run_distributed(rank, dataset.reads, config, bounds);
-    });
-  }
-  pipeline::TaskSet tasks;
-  tasks.bounds = bounds;
-  tasks.per_rank = std::move(per_rank);
+  const pipeline::TaskSet tasks = pipeline::run_distributed(dataset.reads, config, *ranks);
   pipeline::check_owner_invariant(tasks);
   std::printf("pipeline: k=%u, reliable band [%llu, %llu], %llu tasks discovered\n", spec.k,
               static_cast<unsigned long long>(kmer_bounds.lo),

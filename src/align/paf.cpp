@@ -1,32 +1,35 @@
 #include "align/paf.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "util/error.hpp"
 
 namespace gnb::align {
 
-PafRecord to_paf(const AlignmentRecord& record, const seq::ReadStore& reads,
-                 const Scoring& scoring) {
-  const seq::Read& query = reads.get(record.read_a);
-  const seq::Read& target = reads.get(record.read_b);
+namespace {
+
+/// Every field of `paf` but the two names, which write_paf reads from the
+/// store instead of copying them for every record.
+void fill_numbers(const AlignmentRecord& record, const seq::ReadStore& reads,
+                  const Scoring& scoring, PafRecord& paf) {
+  const std::size_t query_length = reads.get(record.read_a).length();
+  const std::size_t target_length = reads.get(record.read_b).length();
   const Alignment& alignment = record.alignment;
 
-  PafRecord paf;
-  paf.query_name = query.name;
-  paf.query_length = query.length();
+  paf.query_length = query_length;
   paf.query_begin = alignment.a_begin;
   paf.query_end = alignment.a_end;
   paf.reverse_strand = alignment.b_reversed;
-  paf.target_name = target.name;
-  paf.target_length = target.length();
+  paf.target_length = target_length;
   if (alignment.b_reversed) {
     // Alignment coordinates are on the reverse complement of the target;
     // PAF wants forward-strand target coordinates.
-    paf.target_begin = target.length() - alignment.b_end;
-    paf.target_end = target.length() - alignment.b_begin;
+    paf.target_begin = target_length - alignment.b_end;
+    paf.target_end = target_length - alignment.b_begin;
   } else {
     paf.target_begin = alignment.b_begin;
     paf.target_end = alignment.b_end;
@@ -45,17 +48,58 @@ PafRecord to_paf(const AlignmentRecord& record, const seq::ReadStore& reads,
     matches = (alignment.score - block * static_cast<std::int64_t>(scoring.mismatch)) / denom;
   paf.matches = static_cast<std::uint64_t>(std::clamp<std::int64_t>(matches, 0, block));
   paf.score = alignment.score;
+}
+
+template <class Int>
+void append_number(std::string& out, Int value) {
+  char digits[24];
+  out.append(digits, std::to_chars(digits, digits + sizeof digits, value).ptr);
+}
+
+/// Append `paf`'s line, named `query_name` and `target_name`, to `out`
+/// (no trailing newline).
+void append_paf(std::string& out, std::string_view query_name, std::string_view target_name,
+                const PafRecord& paf) {
+  out += query_name;
+  out += '\t';
+  append_number(out, paf.query_length);
+  out += '\t';
+  append_number(out, paf.query_begin);
+  out += '\t';
+  append_number(out, paf.query_end);
+  out += paf.reverse_strand ? "\t-\t" : "\t+\t";
+  out += target_name;
+  out += '\t';
+  append_number(out, paf.target_length);
+  out += '\t';
+  append_number(out, paf.target_begin);
+  out += '\t';
+  append_number(out, paf.target_end);
+  out += '\t';
+  append_number(out, paf.matches);
+  out += '\t';
+  append_number(out, paf.block_length);
+  out += '\t';
+  append_number(out, paf.mapq);
+  out += "\tAS:i:";
+  append_number(out, paf.score);
+}
+
+}  // namespace
+
+PafRecord to_paf(const AlignmentRecord& record, const seq::ReadStore& reads,
+                 const Scoring& scoring) {
+  PafRecord paf;
+  paf.query_name = reads.get(record.read_a).name;
+  paf.target_name = reads.get(record.read_b).name;
+  fill_numbers(record, reads, scoring, paf);
   return paf;
 }
 
 std::string format_paf(const PafRecord& record) {
-  std::ostringstream oss;
-  oss << record.query_name << '\t' << record.query_length << '\t' << record.query_begin
-      << '\t' << record.query_end << '\t' << (record.reverse_strand ? '-' : '+') << '\t'
-      << record.target_name << '\t' << record.target_length << '\t' << record.target_begin
-      << '\t' << record.target_end << '\t' << record.matches << '\t' << record.block_length
-      << '\t' << record.mapq << "\tAS:i:" << record.score;
-  return oss.str();
+  std::string line;
+  append_paf(line, record.query_name, record.target_name, record);
+  return line;
 }
 
 PafRecord parse_paf(const std::string& line) {
@@ -92,7 +136,21 @@ PafRecord parse_paf(const std::string& line) {
 
 void write_paf(std::ostream& out, std::span<const AlignmentRecord> records,
                const seq::ReadStore& reads, const Scoring& scoring) {
-  for (const auto& record : records) out << format_paf(to_paf(record, reads, scoring)) << '\n';
+  // Lines are formatted into one reused buffer, written out in blocks.
+  constexpr std::size_t kBlockBytes = std::size_t{1} << 16;
+  std::string block;
+  block.reserve(kBlockBytes + 512);
+  PafRecord numbers;
+  for (const auto& record : records) {
+    fill_numbers(record, reads, scoring, numbers);
+    append_paf(block, reads.get(record.read_a).name, reads.get(record.read_b).name, numbers);
+    block += '\n';
+    if (block.size() >= kBlockBytes) {
+      out.write(block.data(), static_cast<std::streamsize>(block.size()));
+      block.clear();
+    }
+  }
+  out.write(block.data(), static_cast<std::streamsize>(block.size()));
   GNB_THROW_IF(!out, "PAF write failed");
 }
 

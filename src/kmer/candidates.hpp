@@ -123,41 +123,48 @@ class PostingLists {
   std::vector<Occurrence> occurrences_;
 };
 
-/// Posting lists: retained canonical k-mer -> its occurrences across reads.
-/// Occurrences are appended flat, tagged with their k-mer's KmerSet slot,
-/// and grouped by slot when the lists are read.
-///
-/// `keep_frac` < 1 enables fraction sketching: only k-mers whose hash falls
-/// below keep_frac * 2^64 are indexed. Because the decision is a global
-/// function of the k-mer, matching stays symmetric across reads — a true
-/// overlap (sharing many k-mers) is still found with high probability while
-/// posting-list work drops by ~1/keep_frac. This is a performance knob for
-/// the scaled-down real datasets (high-coverage pairs share hundreds of
-/// k-mers); keep_frac = 1 reproduces exhaustive BELLA-style indexing.
+/// Fraction sketching: a k-mer is kept iff mix64(bits) <= keep_frac * 2^64.
+/// Because the decision is a global function of the k-mer, matching stays
+/// symmetric across reads — a true overlap (sharing many k-mers) is still
+/// found with high probability while posting-list work drops by
+/// ~1/keep_frac. This is a performance knob for the scaled-down real
+/// datasets (high-coverage pairs share hundreds of k-mers); keep_frac = 1
+/// keeps every k-mer, reproducing exhaustive BELLA-style indexing. The one
+/// sketch rule of both pipelines.
+class Sketch {
+ public:
+  explicit Sketch(double keep_frac) : threshold_(threshold_for(keep_frac)) {}
+
+  /// Whether the k-mer with these bits is kept.
+  [[nodiscard]] bool keeps(std::uint64_t bits) const {
+    return threshold_ == ~std::uint64_t{0} || mix64(bits) <= threshold_;
+  }
+
+ private:
+  static std::uint64_t threshold_for(double keep_frac) {
+    if (keep_frac >= 1.0) return ~std::uint64_t{0};
+    return static_cast<std::uint64_t>(keep_frac * 18446744073709551615.0);
+  }
+
+  std::uint64_t threshold_;
+};
+
+/// Posting lists: retained canonical k-mer -> its occurrences across reads,
+/// for the k-mers the sketch keeps. Occurrences are appended flat, tagged
+/// with their k-mer's KmerSet slot, and grouped by slot when the lists are
+/// read.
 class PostingIndex {
  public:
   PostingIndex(const KmerSet& retained, std::uint32_t k, double keep_frac = 1.0)
-      : retained_(retained), k_(k),
-        keep_threshold_(keep_frac >= 1.0
-                            ? ~std::uint64_t{0}
-                            : static_cast<std::uint64_t>(
-                                  keep_frac * 18446744073709551615.0)) {}
+      : retained_(retained), k_(k), sketch_(keep_frac) {}
 
-  /// Whether fraction sketching indexes `km` at all.
-  [[nodiscard]] bool sampled(const Kmer& km) const {
-    return keep_threshold_ == ~std::uint64_t{0} || mix64(km.bits()) <= keep_threshold_;
-  }
-
-  /// Index one occurrence, if its k-mer is sampled and retained.
-  void add(const Kmer& km, const Occurrence& occ) {
-    if (!sampled(km)) return;
-    const std::uint32_t slot = retained_.slot(km);
-    if (slot != KmerSet::kNoSlot) postings_.push_back({slot, occ});
-  }
-
-  /// Index every retained k-mer occurrence of `read`.
+  /// Index every retained, sketched k-mer occurrence of `read`.
   void add_read(const seq::Read& read) {
-    for_each_kmer(read, k_, [this](const Kmer& km, const Occurrence& occ) { add(km, occ); });
+    for_each_kmer(read, k_, [this](const Kmer& km, const Occurrence& occ) {
+      if (!sketch_.keeps(km.bits())) return;
+      const std::uint32_t slot = retained_.slot(km);
+      if (slot != KmerSet::kNoSlot) postings_.push_back({slot, occ});
+    });
   }
 
   /// The occurrences grouped into one list per retained k-mer, each in
@@ -173,7 +180,7 @@ class PostingIndex {
 
   const KmerSet& retained_;
   std::uint32_t k_;
-  std::uint64_t keep_threshold_;
+  Sketch sketch_;
   std::vector<Posting> postings_;  // in indexing order
 };
 

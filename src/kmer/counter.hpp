@@ -1,10 +1,10 @@
 #pragma once
-// K-mer counting and the multiplicity histogram.
+// K-mer counting for the serial stage 2.
 //
-// DiBELLA computes a k-mer histogram between pipeline stages 1 and 2 and
-// filters k-mers (seeds) on user criteria (paper §3). KmerCounter is the
-// local building block; the distributed version in gnb::pipeline shards
-// k-mers across ranks by hash and runs one KmerCounter per rank.
+// DiBELLA counts k-mers between pipeline stages 1 and 2 and filters k-mers
+// (seeds) on user criteria (paper §3). KmerCounter is the serial oracle's
+// counter; the distributed stage 2/3 counts inside its record kernel
+// (kmer/records.hpp) instead.
 //
 // The table is flat and sorted: distinct k-mer bits in increasing order
 // beside their multiplicities. count_reads appends every canonical window
@@ -20,32 +20,19 @@
 
 #include "kmer/extract.hpp"
 #include "kmer/kmer.hpp"
-#include "util/histogram.hpp"
 
 namespace gnb::kmer {
 
 class KmerCounter {
  public:
-  /// Add `count` to `km`'s multiplicity. Every k-mer of one counter has the
-  /// same k. Appending in increasing bits order is O(1); anything else is a
-  /// sorted insert.
-  void add(const Kmer& km, std::uint64_t count = 1);
-
-  /// Count every k-mer of every read.
+  /// Count every k-mer of every read into this counter, which must be
+  /// empty.
   void count_reads(const std::vector<seq::Read>& reads, std::uint32_t k) {
     count_reads(std::span<const seq::Read>(reads), k);
   }
   void count_reads(std::span<const seq::Read> reads, std::uint32_t k);
 
-  /// Add `other`'s multiplicities (a linear merge of the two tables).
-  void merge(const KmerCounter& other);
-
-  [[nodiscard]] std::uint64_t count(const Kmer& km) const;
   [[nodiscard]] std::size_t distinct() const { return bits_.size(); }
-  [[nodiscard]] std::uint64_t total() const;
-
-  /// Multiplicity spectrum: multiplicity -> number of distinct k-mers.
-  [[nodiscard]] CountHistogram histogram() const;
 
   /// K-mers whose multiplicity lies in [lo, hi] inclusive, in bits order.
   [[nodiscard]] std::vector<Kmer> retained(std::uint64_t lo, std::uint64_t hi) const;
@@ -57,10 +44,6 @@ class KmerCounter {
   }
 
  private:
-  void adopt_k(std::uint32_t k);
-  /// Merge a sorted, distinct run of (bits, count) entries into the table.
-  void merge_run(std::span<const std::uint64_t> bits, std::span<const std::uint64_t> counts);
-
   std::uint32_t k_ = 0;
   std::vector<std::uint64_t> bits_;    // distinct k-mer bits, increasing
   std::vector<std::uint64_t> counts_;  // multiplicity of bits_[i]

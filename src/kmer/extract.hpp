@@ -48,7 +48,4 @@ void for_each_kmer(const seq::Read& read, std::uint32_t k, Sink&& sink) {
   }
 }
 
-/// All canonical k-mers of a read (convenience for tests and counting).
-std::vector<Kmer> extract_kmers(const seq::Read& read, std::uint32_t k);
-
 }  // namespace gnb::kmer

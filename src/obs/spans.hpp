@@ -57,9 +57,16 @@ inline constexpr const char* kGraphBuild = "graph.build";
 inline constexpr const char* kGraphReduce = "graph.reduce";
 inline constexpr const char* kGraphContig = "graph.contig";
 
-// Serial pipeline stages (driver thread).
+// Pipeline stages. The stage-1 partition runs on the driver thread, and so
+// does the serial oracle (run_serial: kmer_filter, then task_assign). The
+// distributed stage 2/3 (run_distributed) emits kmer_records, kmer_join,
+// pair_dedup and task_assign on every rank, each around its own
+// collective, if it has one.
 inline constexpr const char* kStagePartition = "stage.partition";
 inline constexpr const char* kStageKmerFilter = "stage.kmer_filter";
+inline constexpr const char* kStageKmerRecords = "stage.kmer_records";
+inline constexpr const char* kStageKmerJoin = "stage.kmer_join";
+inline constexpr const char* kStagePairDedup = "stage.pair_dedup";
 inline constexpr const char* kStageTaskAssign = "stage.task_assign";
 
 // Instant events (faults, retries, deaths).

@@ -3,94 +3,75 @@
 #include <algorithm>
 #include <span>
 
-#include "kmer/counter.hpp"
-#include "kmer/extract.hpp"
-#include "util/wire.hpp"
+#include "kmer/records.hpp"
+#include "obs/spans.hpp"
+#include "obs/trace.hpp"
 
 namespace gnb::pipeline {
 
 using kmer::AlignTask;
-using kmer::Kmer;
 using rt::Bytes;
+
+namespace {
+
+/// Reject what the stage-2/3 kernel cannot represent, on every caller's
+/// thread before any collective.
+void check_inputs(const seq::ReadStore& store, const PipelineConfig& config) {
+  kmer::check_k(config.k);
+  for (const seq::Read& read : store.reads())
+    kmer::check_record_length(read.length(), read.name);
+}
+
+}  // namespace
 
 std::vector<AlignTask> run_distributed(rt::Rank& rank, const seq::ReadStore& store,
                                        const PipelineConfig& config,
                                        const std::vector<seq::ReadId>& bounds) {
-  kmer::check_k(config.k);
+  check_inputs(store, config);
   const std::size_t p = rank.nranks();
   const std::span<const seq::Read> my_reads = std::span(store.reads()).subspan(
       bounds[rank.id()], bounds[rank.id() + 1] - bounds[rank.id()]);
-  const auto shard_of = [p](const Kmer& km) {
-    return static_cast<std::size_t>(kmer::mix64(km.bits()) % p);
-  };
 
-  // --- stage 2a: sharded k-mer counting (distributed histogram) ---
-  // This rank's reads count into one sorted table. Each shard's slice of it
-  // is still sorted, so every received run appends, and the shard merges
-  // the runs linearly.
-  std::vector<Bytes> count_msgs(p);
-  {
-    kmer::KmerCounter local;
-    local.count_reads(my_reads, config.k);
-    for (const auto& [km, count] : local.counts()) {
-      Bytes& msg = count_msgs[shard_of(km)];
-      wire::put<std::uint64_t>(msg, km.bits());
-      wire::put<std::uint64_t>(msg, count);
-    }
-  }
-  kmer::KmerCounter shard;
-  for (const Bytes& msg : rank.alltoallv(std::move(count_msgs))) {
-    kmer::KmerCounter run;
-    std::size_t offset = 0;
-    while (offset < msg.size()) {
-      const auto bits = wire::get<std::uint64_t>(msg, offset);
-      run.add(Kmer(bits, config.k), wire::get<std::uint64_t>(msg, offset));
-    }
-    shard.merge(run);
-  }
-
-  // --- stage 2b: filter to the reliable band (this shard's slice) ---
-  kmer::KmerSet retained;
-  for (const Kmer& km : shard.retained(config.lo, config.hi)) retained.insert(km);
-  shard = kmer::KmerCounter{};
-
-  // --- stage 2c: route sampled occurrences to shards ---
-  kmer::PostingIndex index(retained, config.k, config.keep_frac);
-  std::vector<Bytes> occ_msgs(p);
-  for (const seq::Read& read : my_reads) {
-    kmer::for_each_kmer(read, config.k, [&](const Kmer& km, const kmer::Occurrence& occ) {
-      if (!index.sampled(km)) return;
-      Bytes& msg = occ_msgs[shard_of(km)];
-      wire::put<std::uint64_t>(msg, km.bits());
-      wire::put<std::uint32_t>(msg, occ.read);
-      wire::put<std::uint32_t>(msg, occ.pos);
-      wire::put<std::uint8_t>(msg, occ.reversed ? 1 : 0);
-    });
-  }
-  for (const Bytes& msg : rank.alltoallv(std::move(occ_msgs))) {
-    std::size_t offset = 0;
-    while (offset < msg.size()) {
-      const Kmer km(wire::get<std::uint64_t>(msg, offset), config.k);
-      kmer::Occurrence occ;
-      occ.read = wire::get<std::uint32_t>(msg, offset);
-      occ.pos = wire::get<std::uint32_t>(msg, offset);
-      occ.reversed = wire::get<std::uint8_t>(msg, offset) != 0;
-      index.add(km, occ);
-    }
-  }
-
-  // --- stage 2d: join this shard's lists, dedupe by pair on a pair shard ---
-  // Stage 1 already needs every read's length, so every rank has them.
+  // Stage 1 already needs every read's length, so every rank has them; the
+  // record routing is sized from the windows of the whole store, which every
+  // rank therefore agrees on without a collective.
   std::vector<std::size_t> lengths(store.size());
-  for (const seq::Read& read : store.reads()) lengths[read.id] = read.length();
-  std::vector<Bytes> pair_msgs(p);
-  for (const AlignTask& task : kmer::generate_tasks(index, lengths))
-    kmer::put_task(pair_msgs[kmer::mix64(kmer::pair_key(task.a, task.b)) % p], task);
+  std::uint64_t windows = 0;
+  for (const seq::Read& read : store.reads()) {
+    lengths[read.id] = read.length();
+    if (read.length() >= config.k) windows += read.length() - config.k + 1;
+  }
+  const kmer::Sketch sketch(config.keep_frac);
+  const kmer::RecordRouting routing(
+      p, static_cast<std::uint64_t>(static_cast<double>(windows) *
+                                    std::min(config.keep_frac, 1.0)));
 
+  // --- stage 2a: one record per sketched window, to its k-mer's shard ---
+  std::vector<Bytes> records;
+  {
+    GNB_SPAN(obs::span::kStageKmerRecords, "reads", my_reads.size());
+    records = rank.alltoallv(kmer::pack_records(my_reads, config.k, sketch, routing));
+  }
+
+  // --- stage 2b: count, filter and join this shard's k-mers ---
+  kmer::TaskTable candidates;
+  {
+    GNB_SPAN(obs::span::kStageKmerJoin, "parts", routing.parts());
+    kmer::join_records(records, routing, config.k, config.lo, config.hi, lengths, candidates);
+    std::vector<Bytes>().swap(records);
+  }
+
+  // --- stage 2c: dedupe candidates by pair on a pair shard ---
   kmer::TaskTable pairs;
-  for (const Bytes& msg : rank.alltoallv(std::move(pair_msgs))) {
-    std::size_t offset = 0;
-    while (offset < msg.size()) pairs.offer(kmer::get_task(msg, offset));
+  {
+    GNB_SPAN(obs::span::kStagePairDedup);
+    std::vector<Bytes> pair_msgs(p);
+    for (const AlignTask& task : candidates.take_sorted())
+      kmer::put_task(pair_msgs[kmer::mix64(kmer::pair_key(task.a, task.b)) % p], task);
+    for (const Bytes& msg : rank.alltoallv(std::move(pair_msgs))) {
+      std::size_t offset = 0;
+      while (offset < msg.size()) pairs.offer(kmer::get_task(msg, offset));
+    }
   }
 
   // --- stage 3: redistribute tasks, preserving the owner invariant ---
@@ -100,6 +81,7 @@ std::vector<AlignTask> run_distributed(rt::Rank& rank, const seq::ReadStore& sto
   // set and keeps its own list: per-rank lists equal run_serial's at every
   // rank count. The replay costs every rank the deduplicated task set (the
   // smallest set of stage 2) and one sort.
+  GNB_SPAN(obs::span::kStageTaskAssign);
   Bytes shard_tasks;
   for (const AlignTask& task : pairs.take_sorted()) kmer::put_task(shard_tasks, task);
   std::vector<AlignTask> all;
@@ -111,6 +93,22 @@ std::vector<AlignTask> run_distributed(rt::Rank& rank, const seq::ReadStore& sto
     return kmer::pair_key(x.a, x.b) < kmer::pair_key(y.a, y.b);
   });
   return std::move(assign_tasks(all, bounds)[rank.id()]);
+}
+
+TaskSet run_distributed(const seq::ReadStore& store, const PipelineConfig& config,
+                        std::size_t nranks) {
+  check_inputs(store, config);
+  TaskSet result;
+  {
+    GNB_SPAN(obs::span::kStagePartition, "reads", store.size());
+    result.bounds = compute_bounds(store, nranks);
+  }
+  result.per_rank.resize(nranks);
+  rt::World world(nranks);
+  world.run([&](rt::Rank& rank) {
+    result.per_rank[rank.id()] = run_distributed(rank, store, config, result.bounds);
+  });
+  return result;
 }
 
 }  // namespace gnb::pipeline

@@ -1,5 +1,6 @@
 // Unit and property tests for gnb_kmer: packed k-mers, extraction,
-// counting, the BELLA reliable-band filter and candidate generation.
+// counting, the BELLA reliable-band filter, candidate generation and the
+// stage-2/3 record kernel.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "kmer/counter.hpp"
 #include "kmer/extract.hpp"
 #include "kmer/kmer.hpp"
+#include "kmer/records.hpp"
 #include "util/rng.hpp"
 
 using namespace gnb;
@@ -28,6 +30,20 @@ Kmer kmer_of(const std::string& bases) {
   Kmer km(0, static_cast<std::uint32_t>(bases.size()));
   for (char ch : bases) km = km.rolled(seq::dna_encode(ch));
   return km;
+}
+
+/// Every canonical k-mer for_each_kmer emits for `read`, in order.
+std::vector<Kmer> extract_kmers(const seq::Read& read, std::uint32_t k) {
+  std::vector<Kmer> out;
+  for_each_kmer(read, k, [&](const Kmer& km, const Occurrence&) { out.push_back(km); });
+  return out;
+}
+
+/// The (bits, multiplicity) table of a counter.
+std::map<std::uint64_t, std::uint64_t> table_of(const KmerCounter& counter) {
+  std::map<std::uint64_t, std::uint64_t> table;
+  for (const auto& [km, n] : counter.counts()) table.emplace(km.bits(), n);
+  return table;
 }
 
 std::string random_dna(std::size_t length, Xoshiro256& rng) {
@@ -136,36 +152,17 @@ TEST(Counter, CountsAcrossReads) {
   counter.count_reads({make_read(0, "AAAAA"), make_read(1, "AAAAA")}, 5);
   // "AAAAA" canonical appears once per read.
   EXPECT_EQ(counter.distinct(), 1u);
-  EXPECT_EQ(counter.total(), 2u);
-  EXPECT_EQ(counter.count(kmer_of("AAAAA").canonical()), 2u);
-}
-
-TEST(Counter, MergeEqualsCombinedCount) {
-  Xoshiro256 rng(7);
-  const auto r0 = make_read(0, random_dna(300, rng));
-  const auto r1 = make_read(1, random_dna(300, rng));
-  KmerCounter separate_a, separate_b, combined;
-  separate_a.count_reads({r0}, 11);
-  separate_b.count_reads({r1}, 11);
-  combined.count_reads({r0, r1}, 11);
-  separate_a.merge(separate_b);
-  EXPECT_EQ(separate_a.distinct(), combined.distinct());
-  EXPECT_EQ(separate_a.total(), combined.total());
-}
-
-TEST(Counter, HistogramAccountsForAllDistinctKmers) {
-  Xoshiro256 rng(8);
-  KmerCounter counter;
-  counter.count_reads({make_read(0, random_dna(500, rng))}, 9);
-  const CountHistogram hist = counter.histogram();
-  EXPECT_EQ(hist.total(), counter.distinct());
+  EXPECT_EQ(table_of(counter),
+            (std::map<std::uint64_t, std::uint64_t>{{kmer_of("AAAAA").canonical().bits(), 2}}));
 }
 
 TEST(Counter, RetainedRespectsBand) {
+  // Multiplicities 1, 3 and 10 ("GGGGG" counts as its canonical "CCCCC").
+  std::vector<seq::Read> reads{make_read(0, "AAAAA")};
+  for (seq::ReadId id = 1; id <= 3; ++id) reads.push_back(make_read(id, "ACGTA"));
+  for (seq::ReadId id = 4; id <= 13; ++id) reads.push_back(make_read(id, "GGGGG"));
   KmerCounter counter;
-  counter.add(kmer_of("AAAAA"), 1);
-  counter.add(kmer_of("ACGTA"), 3);
-  counter.add(kmer_of("GGGGG"), 10);
+  counter.count_reads(reads, 5);
   const auto keep = counter.retained(2, 8);
   ASSERT_EQ(keep.size(), 1u);
   EXPECT_EQ(keep[0], kmer_of("ACGTA"));
@@ -481,45 +478,11 @@ TEST_P(Oracle, CounterMatchesMapCount) {
   KmerCounter counter;
   counter.count_reads(store.reads(), c.k);
   expect_counter_matches(counter, oracle);
-  EXPECT_EQ(counter.total(), windows.size());
-
-  std::map<std::uint64_t, std::uint64_t> spectrum;
-  for (const auto& [bits, n] : oracle) ++spectrum[n];
-  EXPECT_EQ(counter.histogram().bins(), spectrum);
-
-  Xoshiro256 rng(c.k);
-  const std::uint64_t mask = c.k == 32 ? ~0ULL : (1ULL << (2 * c.k)) - 1;
-  for (const auto& [bits, n] : oracle) EXPECT_EQ(counter.count(Kmer(bits, c.k)), n);
-  for (int probe = 0; probe < 200; ++probe) {
-    const std::uint64_t bits = rng() & mask;
-    const auto it = oracle.find(bits);
-    EXPECT_EQ(counter.count(Kmer(bits, c.k)), it == oracle.end() ? 0u : it->second);
-  }
-  EXPECT_EQ(counter.count(Kmer(0, c.k == 32 ? 31 : c.k + 1)), 0u);  // another k
 
   std::vector<Kmer> band;
   for (const auto& [bits, n] : oracle)
     if (n >= c.lo && n <= c.hi) band.emplace_back(bits, c.k);
   EXPECT_EQ(counter.retained(c.lo, c.hi), band);
-
-  // Two halves counted apart and merged; the merge of a run into an empty
-  // counter; and add() in shuffled order all equal the whole count.
-  const std::vector<seq::Read>& reads = store.reads();
-  const std::size_t half = reads.size() / 2;
-  KmerCounter front, back, merged;
-  front.count_reads(std::span<const seq::Read>(reads).first(half), c.k);
-  back.count_reads(std::span<const seq::Read>(reads).subspan(half), c.k);
-  front.merge(back);
-  expect_counter_matches(front, oracle);
-  merged.merge(front);
-  expect_counter_matches(merged, oracle);
-
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> entries(oracle.begin(), oracle.end());
-  for (std::size_t i = entries.size(); i > 1; --i)
-    std::swap(entries[i - 1], entries[rng.below(i)]);
-  KmerCounter shuffled;
-  for (const auto& [bits, n] : entries) shuffled.add(Kmer(bits, c.k), n);
-  expect_counter_matches(shuffled, oracle);
 }
 
 TEST_P(Oracle, TaskSetMatchesBruteForceJoin) {
@@ -576,6 +539,51 @@ TEST_P(Oracle, TaskSetMatchesBruteForceJoin) {
   EXPECT_GT(tasks.size(), 0u);
 }
 
+TEST_P(Oracle, RecordKernelMatchesSerialJoin) {
+  // Senders pack contiguous slices of the reads, every shard joins what it
+  // received, and a pair table merges the shards: the tasks equal the
+  // serial index's at any shard count, with one part per shard or many.
+  const auto& [c, keep_frac] = GetParam();
+  const seq::ReadStore store = oracle_reads(c, 31 + c.k);
+  const std::vector<AlignTask> serial = discover_tasks(store, c.k, c.lo, c.hi, keep_frac);
+  std::vector<std::size_t> lengths;
+  for (const seq::Read& read : store.reads()) lengths.push_back(read.length());
+  const std::span<const seq::Read> reads(store.reads());
+  for (const std::size_t shards : {1u, 2u, 3u, 5u}) {
+    const std::uint64_t seven_parts = 7 * shards * RecordRouting::kPartRecords;
+    for (const std::uint64_t records : {std::uint64_t{0}, seven_parts}) {
+      const RecordRouting routing(shards, records);
+      std::vector<std::vector<std::vector<std::uint8_t>>> inbox(shards);
+      for (std::size_t sender = 0; sender < shards; ++sender) {
+        const std::size_t begin = reads.size() * sender / shards;
+        const std::size_t end = reads.size() * (sender + 1) / shards;
+        auto buffers = pack_records(reads.subspan(begin, end - begin), c.k, Sketch(keep_frac),
+                                    routing);
+        for (std::size_t shard = 0; shard < shards; ++shard)
+          inbox[shard].push_back(std::move(buffers[shard]));
+      }
+      TaskTable merged;
+      for (std::size_t shard = 0; shard < shards; ++shard) {
+        TaskTable table;
+        join_records(inbox[shard], routing, c.k, c.lo, c.hi, lengths, table);
+        for (const AlignTask& task : table.take_sorted()) merged.offer(task);
+      }
+      const std::vector<AlignTask> tasks = merged.take_sorted();
+      SCOPED_TRACE("shards " + std::to_string(shards) + ", parts " +
+                   std::to_string(routing.parts()));
+      ASSERT_EQ(tasks.size(), serial.size());
+      for (std::size_t i = 0; i < tasks.size(); ++i) {
+        EXPECT_EQ(tasks[i].a, serial[i].a);
+        EXPECT_EQ(tasks[i].b, serial[i].b);
+        EXPECT_EQ(tasks[i].seed.a_pos, serial[i].seed.a_pos);
+        EXPECT_EQ(tasks[i].seed.b_pos, serial[i].seed.b_pos);
+        EXPECT_EQ(tasks[i].seed.length, serial[i].seed.length);
+        EXPECT_EQ(tasks[i].seed.b_reversed, serial[i].seed.b_reversed);
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     KAndSketch, Oracle,
     ::testing::Combine(::testing::Values(OracleCase{1, 1, 1000, 12, 40},
@@ -584,3 +592,43 @@ INSTANTIATE_TEST_SUITE_P(
                                          OracleCase{32, 2, 8, 48, 300}),
                        ::testing::Values(1.0, 0.3)),
     oracle_case_name);
+
+// ---------- the stage-2/3 record kernel ----------
+
+TEST(Records, RoutingSlotsSpanEveryShardAndPart) {
+  // The part count follows the record count; every hash lands in a slot,
+  // and the extreme low words reach the first and the last.
+  EXPECT_EQ(RecordRouting(4, 0).parts(), 1u);
+  EXPECT_EQ(RecordRouting(4, 4 * RecordRouting::kPartRecords).parts(), 1u);
+  EXPECT_EQ(RecordRouting(4, 4 * RecordRouting::kPartRecords + 4).parts(), 2u);
+  const RecordRouting routing(3, 30 * RecordRouting::kPartRecords);
+  ASSERT_EQ(routing.parts(), 10u);
+  EXPECT_EQ(routing.slot(0), 0u);
+  EXPECT_EQ(routing.slot(0xFFFFFFFF00000000ULL), 0u);
+  EXPECT_EQ(routing.slot(0xFFFFFFFFULL), 29u);
+  std::vector<std::size_t> hits(30, 0);
+  for (std::uint64_t x = 0; x < 30'000; ++x) ++hits.at(routing.slot(mix64(x)));
+  for (const std::size_t n : hits) EXPECT_GT(n, 800u);
+}
+
+TEST(Records, SketchedRoutingStaysBalanced) {
+  // Sketching keeps the hashes below a threshold; the routing reads the
+  // low word, so every shard still gets its share of the kept k-mers.
+  const Sketch sketch(0.3);
+  const RecordRouting routing(4, 0);
+  std::vector<std::size_t> hits(4, 0);
+  std::size_t kept = 0;
+  for (std::uint64_t x = 0; x < 40'000; ++x) {
+    if (!sketch.keeps(x)) continue;
+    ++kept;
+    ++hits[routing.slot(mix64(x))];
+  }
+  for (const std::size_t n : hits) EXPECT_NEAR(static_cast<double>(n), kept / 4.0, kept * 0.05);
+}
+
+TEST(Records, OverlongReadIsATypedError) {
+  // The record's position field holds window starts below 2^31.
+  EXPECT_NO_THROW(check_record_length(kMaxRecordReadLength, "long"));
+  EXPECT_THROW(check_record_length(kMaxRecordReadLength + 1, "too-long"), gnb::Error);
+  EXPECT_THROW(check_record_length(std::uint64_t{1} << 40, "far-too-long"), gnb::Error);
+}

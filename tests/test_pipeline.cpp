@@ -1,5 +1,6 @@
 // Tests for the DiBELLA pipeline: serial reference, task assignment with
-// the owner invariant, and serial/distributed equivalence.
+// the owner invariant, and serial/distributed equivalence on clean and
+// hostile reads.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include "pipeline/distributed.hpp"
 #include "pipeline/pipeline.hpp"
 #include "rt/world.hpp"
+#include "util/rng.hpp"
 #include "wl/presets.hpp"
 
 using namespace gnb;
@@ -38,6 +40,55 @@ const Fixture& fixture() {
     return fx;
   }();
   return f;
+}
+
+std::string random_dna(std::size_t length, Xoshiro256& rng) {
+  std::string s(length, 'A');
+  for (auto& ch : s) ch = seq::dna_decode(static_cast<std::uint8_t>(rng.below(4)));
+  return s;
+}
+
+std::string reverse_complement(const std::string& bases) {
+  return seq::Sequence::from_string(bases).reverse_complement().to_string();
+}
+
+/// Reads built to trip the stage-2/3 kernel: overlapping reads from both
+/// strands of a genome carrying long homopolymers, reads shorter than any
+/// k, an all-N read, N runs inside and at both ends of a read, a pure
+/// homopolymer, a block repeated inside one read, and reads sharing a
+/// reverse-strand seed exactly at their ends.
+const seq::ReadStore& hostile_reads() {
+  static const seq::ReadStore store = [] {
+    Xoshiro256 rng(23);
+    std::string genome = random_dna(4'000, rng);
+    genome.replace(700, 60, std::string(60, 'A'));
+    genome.replace(2'100, 45, std::string(45, 'C'));
+    seq::ReadStore reads;
+    const auto add = [&reads](const std::string& bases) {
+      reads.add("h" + std::to_string(reads.size()), seq::Sequence::from_string(bases));
+    };
+    for (std::size_t start = 0; start + 600 <= genome.size(); start += 150) {
+      const std::string read = genome.substr(start, 600);
+      add(start / 150 % 2 == 1 ? reverse_complement(read) : read);
+    }
+    add("ACGTACGTACGTACG");  // shorter than k
+    add("A");
+    add(std::string(300, 'N'));
+    std::string gapped = genome.substr(1'000, 500);
+    gapped.replace(0, 3, "NNN");
+    gapped.replace(200, 10, std::string(10, 'N'));
+    gapped.replace(497, 3, "NNN");
+    add(gapped);
+    add(std::string(400, 'A'));
+    const std::string block = genome.substr(2'500, 80);
+    add(genome.substr(2'400, 100) + block + random_dna(30, rng) + block);
+    // 40 reverse-complemented genome bases at the very start / end of a
+    // read: their seeds meet tiling reads of both strands at a read end.
+    add(reverse_complement(genome.substr(3'300, 40)) + random_dna(200, rng));
+    add(random_dna(200, rng) + reverse_complement(genome.substr(3'520, 40)));
+    return reads;
+  }();
+  return store;
 }
 
 bool tasks_equal(const kmer::AlignTask& x, const kmer::AlignTask& y) {
@@ -106,38 +157,67 @@ TEST(Pipeline, RankCountDoesNotChangeTaskSet) {
 class DistributedEquivalence : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(DistributedEquivalence, MatchesSerialTaskSet) {
-  const auto& f = fixture();
+  // Both read sets, at k = 17 and k = 32 (a key of all 64 bits), exhaustive
+  // and sketched: every rank holds exactly run_serial's list.
   const std::size_t nranks = GetParam();
-  const TaskSet serial = run_serial(f.dataset.reads, f.config, nranks);
-  const auto serial_union = serial.sorted_union();
+  for (const bool hostile : {false, true}) {
+    const seq::ReadStore& store = hostile ? hostile_reads() : fixture().dataset.reads;
+    for (const std::uint32_t k : {17u, 32u}) {
+      for (const double keep_frac : {1.0, 0.3}) {
+        PipelineConfig config = fixture().config;
+        config.k = k;
+        config.keep_frac = keep_frac;
+        if (hostile) {
+          config.lo = 2;
+          config.hi = 64;
+        } else {
+          const wl::DatasetSpec spec = wl::tiny_spec();
+          const auto band = kmer::reliable_bounds(
+              kmer::BellaParams{8, spec.reads.error_rate, k, 1e-3});
+          config.lo = band.lo;
+          config.hi = band.hi;
+        }
+        SCOPED_TRACE(std::string(hostile ? "hostile" : "clean") + " reads, k " +
+                     std::to_string(k) + ", keep_frac " + std::to_string(keep_frac));
+        const TaskSet serial = run_serial(store, config, nranks);
+        EXPECT_GT(serial.total_tasks(), 0u);
 
-  const auto bounds = compute_bounds(f.dataset.reads, nranks);
-  TaskSet distributed;
-  distributed.bounds = bounds;
-  distributed.per_rank.resize(nranks);
-  rt::World world(nranks);
-  world.run([&](rt::Rank& rank) {
-    distributed.per_rank[rank.id()] =
-        run_distributed(rank, f.dataset.reads, f.config, bounds);
-  });
-  check_owner_invariant(distributed);
-  const auto distributed_union = distributed.sorted_union();
+        const auto bounds = compute_bounds(store, nranks);
+        TaskSet distributed;
+        distributed.bounds = bounds;
+        distributed.per_rank.resize(nranks);
+        rt::World world(nranks);
+        world.run([&](rt::Rank& rank) {
+          distributed.per_rank[rank.id()] = run_distributed(rank, store, config, bounds);
+        });
+        check_owner_invariant(distributed);
+        for (std::size_t r = 0; r < nranks; ++r) {
+          const auto& want = serial.per_rank[r];
+          const auto& got = distributed.per_rank[r];
+          ASSERT_EQ(got.size(), want.size()) << "rank " << r;
+          for (std::size_t i = 0; i < want.size(); ++i)
+            EXPECT_TRUE(tasks_equal(got[i], want[i]))
+                << "rank " << r << " task " << i << ": (" << want[i].a << "," << want[i].b
+                << ") vs (" << got[i].a << "," << got[i].b << ")";
+        }
+      }
+    }
+  }
+}
 
-  ASSERT_EQ(distributed_union.size(), serial_union.size());
-  for (std::size_t i = 0; i < serial_union.size(); ++i)
-    EXPECT_TRUE(tasks_equal(distributed_union[i], serial_union[i]))
-        << "task " << i << " differs: (" << serial_union[i].a << "," << serial_union[i].b
-        << ") vs (" << distributed_union[i].a << "," << distributed_union[i].b << ")";
-
-  // Stage 3 agrees too: every rank holds exactly run_serial's list.
-  for (std::size_t r = 0; r < nranks; ++r) {
-    const auto& want = serial.per_rank[r];
-    const auto& got = distributed.per_rank[r];
-    ASSERT_EQ(got.size(), want.size()) << "rank " << r;
-    for (std::size_t i = 0; i < want.size(); ++i)
-      EXPECT_TRUE(tasks_equal(got[i], want[i]))
-          << "rank " << r << " task " << i << ": (" << want[i].a << "," << want[i].b
-          << ") vs (" << got[i].a << "," << got[i].b << ")";
+TEST(Pipeline, DistributedEntryMatchesSerial) {
+  // The entry the CLI uses: stage 1 plus a fault-free World of nranks.
+  const auto& f = fixture();
+  for (const std::size_t nranks : {1u, 4u}) {
+    const TaskSet serial = run_serial(f.dataset.reads, f.config, nranks);
+    const TaskSet distributed = run_distributed(f.dataset.reads, f.config, nranks);
+    EXPECT_EQ(distributed.bounds, serial.bounds);
+    ASSERT_EQ(distributed.per_rank.size(), nranks);
+    for (std::size_t r = 0; r < nranks; ++r) {
+      ASSERT_EQ(distributed.per_rank[r].size(), serial.per_rank[r].size()) << "rank " << r;
+      for (std::size_t i = 0; i < serial.per_rank[r].size(); ++i)
+        EXPECT_TRUE(tasks_equal(distributed.per_rank[r][i], serial.per_rank[r][i]));
+    }
   }
 }
 
@@ -159,6 +239,7 @@ TEST(Pipeline, EmptyStoreYieldsNoTasks) {
   const TaskSet tasks = run_serial(empty, config, 3);
   EXPECT_EQ(tasks.total_tasks(), 0u);
   EXPECT_EQ(tasks.bounds.back(), 0u);
+  EXPECT_EQ(run_distributed(empty, config, 3).total_tasks(), 0u);
 }
 
 TEST(Pipeline, SingleReadYieldsNoTasks) {
@@ -185,6 +266,7 @@ TEST(Pipeline, ZeroRanksIsATypedError) {
   const auto& f = fixture();
   EXPECT_THROW((void)compute_bounds(f.dataset.reads, 0), gnb::Error);
   EXPECT_THROW((void)run_serial(f.dataset.reads, f.config, 0), gnb::Error);
+  EXPECT_THROW((void)run_distributed(f.dataset.reads, f.config, 0), gnb::Error);
   EXPECT_THROW(check_nranks(0), gnb::Error);
   EXPECT_NO_THROW(check_nranks(1));
 }
@@ -200,6 +282,7 @@ TEST(Pipeline, OutOfRangeKIsATypedError) {
     EXPECT_THROW((void)run_serial(f.dataset.reads, config, 2), gnb::Error) << "k=" << k;
     EXPECT_THROW((void)kmer::discover_tasks(f.dataset.reads, k, 1, 100), gnb::Error)
         << "k=" << k;
+    EXPECT_THROW((void)run_distributed(f.dataset.reads, config, 2), gnb::Error) << "k=" << k;
     rt::World world(2);
     world.run([&](rt::Rank& rank) {
       EXPECT_THROW((void)run_distributed(rank, f.dataset.reads, config, bounds), gnb::Error)

@@ -51,6 +51,7 @@
 #include "obs/spans.hpp"
 #include "obs/trace.hpp"
 #include "pipeline/assembly.hpp"
+#include "pipeline/distributed.hpp"
 #include "pipeline/pipeline.hpp"
 #include "proto/config.hpp"
 #include "rt/world.hpp"
@@ -142,7 +143,9 @@ OverlapRun run_overlap(const seq::ReadStore& reads, std::size_t ranks, std::uint
   config.k = k;
   config.lo = band.lo;
   config.hi = band.hi;
-  const pipeline::TaskSet tasks = pipeline::run_serial(reads, config, ranks);
+  // Stage 2/3 runs on its own fault-free World of the same rank count, so
+  // the fault plan's steps count from the alignment phase on.
+  const pipeline::TaskSet tasks = pipeline::run_distributed(reads, config, ranks);
   log::info("discovered ", tasks.total_tasks(), " alignment tasks");
 
   OverlapRun run;
@@ -273,7 +276,7 @@ int cmd_overlap(int argc, char** argv) {
   proto::check_ranks_per_node(*ranks_per_node, *engine == "bsp", plan.enabled());
 
   // Open the recording epoch before the pipeline runs and bind a driver
-  // track (pid = nranks, after the rank pids) so the serial stage spans
+  // track (pid = nranks, after the rank pids) so the driver's stage spans
   // land on their own Perfetto row next to the rank timelines.
   if (!trace->empty()) {
     obs::Tracer& tracer = obs::Tracer::instance();
