@@ -1,19 +1,21 @@
 #include "core/align_pool.hpp"
 
-#include <chrono>
+#include <string>
 #include <utility>
 
+#include "obs/spans.hpp"
+#include "obs/trace.hpp"
 #include "util/error.hpp"
 
 namespace gnb::core {
 
-AlignPool::AlignPool(std::size_t threads, align::XDropParams params,
+AlignPool::AlignPool(std::uint32_t rank, std::size_t threads, align::XDropParams params,
                      proto::BatchAlignerKind kind)
-    : threads_(threads == 0 ? 1 : threads), params_(params), kind_(kind) {
+    : rank_(rank), threads_(threads == 0 ? 1 : threads), params_(params), kind_(kind) {
   if (!pooled()) return;
   workers_.reserve(threads_);
   for (std::size_t i = 0; i < threads_; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, i] { worker_loop(i); });
 }
 
 AlignPool::~AlignPool() {
@@ -67,11 +69,6 @@ std::size_t AlignPool::pending() const {
   return queue_.size();
 }
 
-double AlignPool::worker_seconds() const {
-  std::lock_guard lock(mu_);
-  return worker_seconds_;
-}
-
 std::uint64_t AlignPool::tasks_executed() const {
   std::lock_guard lock(mu_);
   return tasks_executed_;
@@ -87,7 +84,14 @@ align::BatchStats AlignPool::kernel_stats() const {
   return kernel_stats_;
 }
 
-void AlignPool::worker_loop() {
+void AlignPool::worker_loop(std::size_t worker) {
+  // The worker's own trace track, next to its rank's (tid 0).
+  obs::Tracer& tracer = obs::Tracer::instance();
+  if (tracer.enabled()) {
+    const auto tid = static_cast<std::uint32_t>(1 + worker);
+    obs::Tracer::bind(tracer.buffer(rank_, tid, "rank " + std::to_string(rank_),
+                                    "worker " + std::to_string(worker)));
+  }
   // One backend per worker: BatchAligner instances own kernel scratch and
   // are single-threaded by contract.
   const std::unique_ptr<align::BatchAligner> aligner =
@@ -105,27 +109,24 @@ void AlignPool::worker_loop() {
     }
 
     std::exception_ptr error;
-    const auto t0 = std::chrono::steady_clock::now();
     try {
       tasks.clear();
       tasks.reserve(batch->slots.size());
       for (const AlignSlot& slot : batch->slots)
         tasks.push_back(align::AlignTask{*slot.a, *slot.b, slot.task.seed});
+      GNB_SPAN(obs::span::kComputeBatch, "tasks", tasks.size());
       const std::vector<align::Alignment> results = aligner->align(tasks);
       for (std::size_t i = 0; i < batch->slots.size(); ++i)
         batch->slots[i].alignment = results[i];
     } catch (...) {
       error = std::current_exception();
     }
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     const align::BatchStats delta = aligner->stats() - reported;
     reported = aligner->stats();
 
     bool front_done = false;
     {
       std::lock_guard lock(mu_);
-      worker_seconds_ += seconds;
       kernel_stats_ += delta;
       if (error && !batch->error) batch->error = error;
       batch->done = true;

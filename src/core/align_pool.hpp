@@ -15,7 +15,10 @@
 // thread count and any backend.
 //
 // The pool spawns workers only for threads > 1; the engines execute slots
-// inline (today's serial behavior, including timer attribution) otherwise.
+// inline on the rank thread otherwise. While the tracer records, each worker
+// binds its own track (pid = rank, tid = 1 + worker) and wraps every kernel
+// call in a compute.batch span there, so worker kernel time is the rank's
+// compute in the trace-derived breakdown.
 
 #include <condition_variable>
 #include <cstddef>
@@ -66,8 +69,9 @@ class AlignPool {
   };
 
   /// `kind` must already be resolved (align::resolve_batch_aligner); each
-  /// worker constructs its own backend instance from it.
-  AlignPool(std::size_t threads, align::XDropParams params,
+  /// worker constructs its own backend instance from it. `rank` is the
+  /// owning rank: the pid of the workers' trace tracks.
+  AlignPool(std::uint32_t rank, std::size_t threads, align::XDropParams params,
             proto::BatchAlignerKind kind = proto::BatchAlignerKind::kScalar);
   ~AlignPool();
   AlignPool(const AlignPool&) = delete;
@@ -87,10 +91,6 @@ class AlignPool {
   /// Batches submitted but not yet popped.
   [[nodiscard]] std::size_t pending() const;
 
-  /// Aggregate kernel seconds spent inside workers since construction; the
-  /// engine charges this to timers.compute at the phase boundary (worker
-  /// threads never touch the rank's stopwatches).
-  [[nodiscard]] double worker_seconds() const;
   /// Tasks executed by workers (pooled mode only).
   [[nodiscard]] std::uint64_t tasks_executed() const;
   /// Batches submitted to workers.
@@ -99,8 +99,9 @@ class AlignPool {
   [[nodiscard]] align::BatchStats kernel_stats() const;
 
  private:
-  void worker_loop();
+  void worker_loop(std::size_t worker);
 
+  const std::uint32_t rank_;
   const std::size_t threads_;
   const align::XDropParams params_;
   const proto::BatchAlignerKind kind_;
@@ -111,7 +112,6 @@ class AlignPool {
   std::deque<std::unique_ptr<Batch>> queue_;  // submission order
   std::deque<Batch*> work_;                   // batches awaiting a worker
   bool stop_ = false;
-  double worker_seconds_ = 0;
   std::uint64_t tasks_executed_ = 0;
   std::uint64_t batches_submitted_ = 0;
   align::BatchStats kernel_stats_;

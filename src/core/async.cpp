@@ -94,7 +94,6 @@ EngineResult async_align(rt::Rank& rank, const seq::ReadStore& store,
   std::unordered_map<std::uint64_t, Bytes> reply_cache;  // (src, logical) -> reply
   {
     GNB_SPAN(obs::span::kAsyncIndex);
-    rank.timers().overhead.start();
     for (std::size_t t = 0; t < my_tasks.size(); ++t) {
       const AlignTask& task = my_tasks[t];
       const auto owner_a = static_cast<std::uint32_t>(seq::partition_owner(bounds, task.a));
@@ -140,7 +139,6 @@ EngineResult async_align(rt::Rank& rank, const seq::ReadStore& store,
           if (chaos) reply_cache.emplace(cache_key, reply);
           return reply;
         });
-    rank.timers().overhead.stop();
   }
   proto::RequestWindow window(config.proto.async_window);
   std::vector<PullState> states(batches.size());
@@ -233,7 +231,6 @@ EngineResult async_align(rt::Rank& rank, const seq::ReadStore& store,
     // the golden determinism checks (those use BSP/sim).
     GNB_COUNTER(obs::span::kCtrRpcInflight, window.issued() - completed);
     rank.metrics().gauge_max(obs::metric::kRpcInflightMax, window.issued() - completed);
-    rank.timers().comm.start();
     rank.rpc().call(batches[b].owner, kReadLookupRpc, std::move(payload),
                     [&, b](rt::RpcStatus status, Bytes reply) {
                       if (status != rt::RpcStatus::kOk) {
@@ -242,7 +239,6 @@ EngineResult async_align(rt::Rank& rank, const seq::ReadStore& store,
                       }
                       on_reply(std::move(reply));
                     });
-    rank.timers().comm.stop();
   };
 
   // Re-route failed work: a pull whose peer died releases all its reads;
@@ -377,19 +373,15 @@ EngineResult async_align(rt::Rank& rank, const seq::ReadStore& store,
 
   // Drain the pool before the exit barrier, staying RPC-serviceable: peers
   // may still be pulling reads from this rank while its workers finish.
-  // compute.batch is emitted iff the kernels ran at all, compute.pool iff
-  // workers are active — the simulator mirrors both gates (span parity).
-  if (!config.skip_compute) {
-    GNB_SPAN(obs::span::kComputeBatch);
-    if (runner.pooled()) {
-      GNB_SPAN(obs::span::kComputePool);
-      runner.submit_pending();
-      while (!runner.drained()) {
-        if (rank.rpc().progress() == 0) std::this_thread::yield();
-        runner.poll();
-      }
+  // compute.pool, the rank thread waiting for its workers, exists iff
+  // workers are active — the simulator mirrors the gate (span parity).
+  if (runner.pooled()) {
+    GNB_SPAN(obs::span::kComputePool);
+    runner.submit_pending();
+    while (!runner.drained()) {
+      if (rank.rpc().progress() == 0) std::this_thread::yield();
+      runner.poll();
     }
-    runner.drain();
   } else {
     runner.drain();
   }

@@ -81,7 +81,6 @@ EngineResult bsp_align(rt::Rank& rank, const seq::ReadStore& store,
   proto::PullIndex index;
   {
     GNB_SPAN(obs::span::kBspIndex);
-    rank.timers().overhead.start();
     for (std::size_t t = 0; t < my_tasks.size(); ++t) {
       const AlignTask& task = my_tasks[t];
       const auto owner_a = static_cast<std::uint32_t>(seq::partition_owner(bounds, task.a));
@@ -89,7 +88,6 @@ EngineResult bsp_align(rt::Rank& rank, const seq::ReadStore& store,
       index.add_task(t, task.a, task.b, owner_a, owner_b, me);
     }
     index.finalize();
-    rank.timers().overhead.stop();
   }
 
   // The shared intra-rank compute layer: decoded-read cache + worker pool.
@@ -120,7 +118,6 @@ EngineResult bsp_align(rt::Rank& rank, const seq::ReadStore& store,
   std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> forward_to;
   if (hierarchy) {
     GNB_SPAN(obs::span::kBspRequestExchange);
-    rank.timers().overhead.start();
     Bytes my_list;
     for (std::size_t o = 0; o < p; ++o) {
       if (node_of(o) == node_of(me)) continue;
@@ -129,9 +126,7 @@ EngineResult bsp_align(rt::Rank& rank, const seq::ReadStore& store,
     std::vector<Bytes> share(p);
     for (std::size_t peer = 0; peer < p; ++peer)
       if (peer != me && node_of(peer) == node_of(me)) share[peer] = my_list;
-    rank.timers().overhead.stop();
     const std::vector<Bytes> shared = rank.alltoallv(std::move(share));
-    rank.timers().overhead.start();
     // Lowest co-located requester of each read I need; peers needing it too.
     std::unordered_map<std::uint32_t, std::uint32_t> proxy;
     std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> requesters;
@@ -160,7 +155,6 @@ EngineResult bsp_align(rt::Rank& rank, const seq::ReadStore& store,
       }
       needed[o] = std::move(kept);
     }
-    rank.timers().overhead.stop();
   }
   // The read-shipping layer: request lists, FIFO serve queues with exact
   // wire sizes, and the shared round formula (proto::rounds_needed) over
@@ -251,20 +245,10 @@ EngineResult bsp_align(rt::Rank& rank, const seq::ReadStore& store,
   }
 
   // Drain the pool before the exit synchronization: the last rounds' tail
-  // compute runs here, under the spans the simulator mirrors (compute.batch
-  // iff the kernels ran at all, compute.pool iff workers are active — the
-  // span-name parity tests compare both gates).
-  if (!config.skip_compute) {
-    GNB_SPAN(obs::span::kComputeBatch);
-    if (runner.pooled()) {
-      GNB_SPAN(obs::span::kComputePool);
-      runner.drain();
-    } else {
-      runner.drain();
-    }
-  } else {
-    runner.drain();
-  }
+  // compute runs here. With workers active the drain is a compute.pool
+  // wait, which the simulator mirrors (the span-name parity tests compare
+  // it).
+  runner.drain();
 
   // Final synchronization: end of the bulk-synchronous phase. Loop until
   // the stamped snapshot agrees nothing new died — a rank dying *at* this

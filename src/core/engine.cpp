@@ -4,7 +4,7 @@
 
 #include "core/recovery.hpp"
 #include "obs/spans.hpp"
-#include "rt/phase.hpp"
+#include "obs/trace.hpp"
 #include "rt/world.hpp"
 #include "util/error.hpp"
 
@@ -52,7 +52,8 @@ TaskRunner::TaskRunner(rt::Rank& rank, const seq::ReadStore& store,
       cache_(config.proto.read_cache_bytes),
       // skip_compute has no kernels to offload: stay inline so §4.3 runs
       // keep their exact serial shape (and spawn no idle workers).
-      pool_(config.skip_compute ? 1 : std::max<std::size_t>(1, config.proto.compute_threads),
+      pool_(rank.id(),
+            config.skip_compute ? 1 : std::max<std::size_t>(1, config.proto.compute_threads),
             config.xdrop, kind_),
       aligner_(align::make_batch_aligner(kind_, config.xdrop)) {}
 
@@ -69,16 +70,16 @@ void TaskRunner::merge_slot(const AlignSlot& slot) {
 }
 
 void TaskRunner::run_inline(std::vector<AlignSlot>& slots) {
-  // Inline path: the caller's overhead stopwatch is running; the kernel
-  // batch is charged to compute while overhead is paused ("Computation
-  // (Alignment)" vs "Computation (Overhead)").
+  // The inline kernel call is the rank thread's compute.batch span, whether
+  // it runs in a BSP round, a local task loop, an async reply callback or
+  // a recovery re-execution ("Computation (Alignment)"; the slot building
+  // around it is the enclosing span's).
   if (!config_.skip_compute) {
     task_buf_.clear();
     task_buf_.reserve(slots.size());
     for (const AlignSlot& slot : slots)
       task_buf_.push_back(align::AlignTask{*slot.a, *slot.b, slot.task.seed});
-    ScopedPause hold(rank_.timers().overhead);
-    ScopedCharge charge(rank_.timers().compute);
+    GNB_SPAN(obs::span::kComputeBatch, "tasks", slots.size());
     const std::vector<align::Alignment> results = aligner_->align(task_buf_);
     for (std::size_t i = 0; i < slots.size(); ++i) slots[i].alignment = results[i];
   }
@@ -95,14 +96,11 @@ void TaskRunner::run_tasks(const seq::Read& remote, std::span<const std::size_t>
 
 void TaskRunner::reexecute(const kmer::AlignTask& task, std::uint32_t origin, std::size_t index,
                            const seq::Read& read_a, const seq::Read& read_b) {
-  rank_.timers().overhead.start();
   push_slot(task, index, origin, read_a, read_b);
-  rank_.timers().overhead.stop();
 }
 
 void TaskRunner::add_slots(std::span<const std::size_t> tasks, const seq::Read& remote,
                            bool have_remote) {
-  rank_.timers().overhead.start();
   for (const std::size_t t : tasks) {
     const kmer::AlignTask& task = my_tasks_[t];
     const bool remote_is_a = have_remote && task.a == remote.id;
@@ -113,7 +111,6 @@ void TaskRunner::add_slots(std::span<const std::size_t> tasks, const seq::Read& 
         remote_is_b ? remote : local_read(store_, bounds_, rank_.id(), task.b);
     push_slot(task, t, std::nullopt, read_a, read_b);
   }
-  rank_.timers().overhead.stop();
   if (recovery_ != nullptr) submit_pending();
 }
 
@@ -128,17 +125,13 @@ void TaskRunner::push_slot(const kmer::AlignTask& task, std::size_t index,
   slot.a = cache_.get(read_a, false);
   slot.b = cache_.get(read_b, task.seed.b_reversed);
   if (pending_.size() < kSlotsPerBatch) return;
-  rank_.timers().overhead.stop();
   submit_pending();
-  rank_.timers().overhead.start();
 }
 
 void TaskRunner::submit_pending() {
   if (pending_.empty()) return;
   if (!pooled()) {
-    rank_.timers().overhead.start();
     run_inline(pending_);
-    rank_.timers().overhead.stop();
     pending_.clear();
     return;
   }
@@ -162,6 +155,8 @@ void TaskRunner::submit(std::unique_ptr<AlignPool::Batch> batch) {
   // Bound unmerged work: pending slots pin decoded codes via their cache
   // handles, so a producer far ahead of the workers would grow the heap.
   constexpr std::size_t kMaxPendingBatches = 64;
+  if (pool_.pending() <= kMaxPendingBatches) return;
+  GNB_SPAN(obs::span::kComputePool);
   while (pool_.pending() > kMaxPendingBatches) merge_batch(pool_.wait_pop());
 }
 
@@ -174,6 +169,7 @@ void TaskRunner::poll() {
 void TaskRunner::drain() {
   submit_pending();
   if (!pooled()) return;
+  GNB_SPAN(obs::span::kComputePool);
   while (std::unique_ptr<AlignPool::Batch> batch = pool_.wait_pop())
     merge_batch(std::move(batch));
 }
@@ -184,16 +180,11 @@ bool TaskRunner::drained() const {
 
 void TaskRunner::merge_batch(std::unique_ptr<AlignPool::Batch> batch) {
   if (batch->error) std::rethrow_exception(batch->error);
-  rank_.timers().overhead.start();
   for (const AlignSlot& slot : batch->slots) merge_slot(slot);
-  rank_.timers().overhead.stop();
 }
 
 void TaskRunner::flush() {
   GNB_CHECK_MSG(drained(), "TaskRunner::flush before drain");
-  // Workers never touch the rank's stopwatches; their aggregate kernel time
-  // lands in the compute phase here, at the boundary.
-  rank_.timers().compute.add(pool_.worker_seconds());
   stat::ComputeCounters& c = result_.compute;
   c.threads = pool_.threads();
   const ReadCache::Stats& stats = cache_.stats();

@@ -15,7 +15,6 @@
 #include "core/read_cache.hpp"
 #include "kmer/candidates.hpp"
 #include "proto/config.hpp"
-#include "rt/phase.hpp"
 #include "seq/read_store.hpp"
 #include "stat/breakdown.hpp"
 
@@ -41,8 +40,9 @@ struct EngineConfig {
   proto::ProtoConfig proto;
 };
 
-/// Per-rank outcome of an engine run. Phase timings and peak memory live
-/// in the rank's instrumentation (rt::PhaseTimers / MemoryMeter).
+/// Per-rank outcome of an engine run. Phase timings are the rank's trace
+/// spans (rt::World::breakdowns derives them); peak memory lives in the
+/// rank's MemoryMeter.
 struct EngineResult {
   std::vector<align::AlignmentRecord> accepted;
   std::uint64_t tasks_done = 0;
@@ -85,9 +85,10 @@ void flush_engine_metrics(rt::Rank& rank, const EngineResult& result);
 /// one path every alignment task executes through: resolves alignment
 /// tasks to decoded code buffers through a per-rank ReadCache (each read
 /// unpacked at most once per orientation per phase) and hands *batches* of
-/// tasks to an align::BatchAligner backend — either inline
-/// (compute_threads <= 1: same serial timer attribution as before) or on an
-/// AlignPool whose batches complete while the engine keeps exchanging. The
+/// tasks to an align::BatchAligner backend — either inline on the rank
+/// thread (compute_threads <= 1) or on an AlignPool whose batches complete
+/// while the engine keeps exchanging. Either way each align() call runs
+/// inside a compute.batch span on the thread that made it. The
 /// backend (scalar / SIMD row kernel) comes from config.proto.batch_aligner,
 /// resolved once at construction.
 ///
@@ -142,7 +143,10 @@ class TaskRunner {
   void poll();
   /// Submit the pending batch, then block until every batch is merged.
   /// Engines that must stay RPC-serviceable call submit_pending() and
-  /// interleave progress() with poll()/drained() instead.
+  /// interleave progress() with poll()/drained() instead. Wherever the
+  /// rank thread blocks on its workers (here, and at the pending-batch
+  /// bound in submit), it is inside a compute.pool span: a wait, since the
+  /// workers' own tracks carry the kernel time.
   void drain();
   /// Nothing is pending and every submitted batch is merged.
   [[nodiscard]] bool drained() const;
@@ -153,17 +157,16 @@ class TaskRunner {
   [[nodiscard]] bool pooled() const { return pool_.pooled(); }
 
   /// Phase-boundary flush (call once, after the exit agreement loop, so a
-  /// late recovery's re-executions are counted): charge the workers'
-  /// aggregate kernel seconds to timers.compute and fold cache and pool
-  /// accounting into result.compute.
+  /// late recovery's re-executions are counted): fold cache, pool and
+  /// kernel accounting into result.compute.
   void flush();
 
   [[nodiscard]] const ReadCache& cache() const { return cache_; }
 
  private:
   void add_slots(std::span<const std::size_t> tasks, const seq::Read& remote, bool have_remote);
-  /// Append a slot to the pending batch (overhead stopwatch running);
-  /// submits the batch once it is full.
+  /// Append a slot to the pending batch; submits the batch once it is
+  /// full.
   void push_slot(const kmer::AlignTask& task, std::size_t index,
                  std::optional<std::uint32_t> origin, const seq::Read& read_a,
                  const seq::Read& read_b);

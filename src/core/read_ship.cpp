@@ -77,9 +77,7 @@ void ReadShip::unpack(std::span<const std::uint8_t> in, std::size_t offset, std:
   // mirrors), then its reads are consumed in frame order.
   std::vector<seq::Read> decoded;
   const auto decode = [&] {
-    rank_.timers().overhead.start();
     while (offset < in.size()) decoded.push_back(seq::decode_read(in, offset));
-    rank_.timers().overhead.stop();
   };
   maybe_span(spans_, decode, obs::span::kWireDecompress, "bytes", payload);
   for (seq::Read& read : decoded) {

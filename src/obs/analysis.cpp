@@ -41,25 +41,6 @@ std::uint32_t event_u32(const Value& ev, const char* key) {
   return static_cast<std::uint32_t>(v.num);
 }
 
-struct RawTrack {
-  std::string process_label;
-  std::string thread_label;
-  std::vector<Span> spans;          // closed spans, unsorted
-  std::vector<Span> open;           // B-stack
-  std::map<std::string, std::uint64_t> instant_counts;
-  std::map<std::string, std::uint64_t> counter_counts;
-  std::uint64_t async_pairs = 0;
-  std::int64_t first_ns = 0;
-  std::int64_t last_ns = 0;
-  bool any = false;
-
-  void touch(std::int64_t ts) {
-    if (!any || ts < first_ns) first_ns = ts;
-    if (!any || ts > last_ns) last_ns = ts;
-    any = true;
-  }
-};
-
 /// Compute self_ns and depth for a track whose spans are sorted by
 /// (begin, -end): walk with an enclosing-span stack and subtract each
 /// child's duration from its parent's self time.
@@ -99,20 +80,24 @@ const char* to_string(Category category) {
 
 Category categorize(std::string_view name) {
   using namespace std::string_view_literals;
-  // Compute-carrying spans: the batch kernel drain, the local task loops,
-  // and bsp.compute (its body deserializes received reads and runs their
-  // alignments inline — the paper's "Computation (Alignment)" bucket).
-  if (name == span::kComputeBatch || name == span::kComputePool ||
-      name == span::kBspCompute || name == span::kBspLocalTasks ||
-      name == span::kAsyncLocalTasks) {
+  // Compute-carrying spans: the batch kernel (compute.batch, one per
+  // BatchAligner::align call on whichever thread ran it), the local task
+  // loops, and bsp.compute (its body deserializes received reads and
+  // queues their alignments — the paper's "Computation (Alignment)"
+  // bucket).
+  if (name == span::kComputeBatch || name == span::kBspCompute ||
+      name == span::kBspLocalTasks || name == span::kAsyncLocalTasks) {
     return Category::kCompute;
   }
-  if (name == span::kCollAlltoallv || name == span::kRpcPull ||
+  if (name == span::kCollAlltoallv || name == span::kCollAlltoall || name == span::kRpcPull ||
       name == span::kBspRequestExchange || name == span::kAsyncPulls) {
     return Category::kExchange;
   }
+  // compute.pool is the rank thread waiting for its workers, whose kernel
+  // time their own tracks already carry as compute.batch.
   if (name == span::kCollBarrier || name == span::kCollSplitBarrier ||
-      name == span::kCollServiceBarrier) {
+      name == span::kCollServiceBarrier || name == span::kCollAllgather ||
+      name == span::kComputePool) {
     return Category::kWait;
   }
   if (name.starts_with("recovery."sv)) return Category::kRecovery;
@@ -125,7 +110,8 @@ Category categorize(std::string_view name) {
 }
 
 bool is_collective(std::string_view name) {
-  return name == span::kCollAlltoallv || name == span::kCollBarrier ||
+  return name == span::kCollAlltoallv || name == span::kCollAlltoall ||
+         name == span::kCollAllgather || name == span::kCollBarrier ||
          name == span::kCollSplitBarrier || name == span::kCollServiceBarrier;
 }
 
@@ -144,6 +130,90 @@ std::string Track::label() const {
   return out;
 }
 
+Trace build_trace(std::span<const TrackEvents> tracks, std::uint64_t dropped_events) {
+  Trace trace;
+  trace.dropped_events = dropped_events;
+  bool any_monotonic = false;
+  bool any_virtual = false;
+  for (const TrackEvents& in : tracks) {
+    Track track;
+    track.pid = in.pid;
+    track.tid = in.tid;
+    track.process_label = in.process_label;
+    track.thread_label = in.thread_label;
+    if (!in.process_label.empty()) {
+      // The clock domain rides in the process label ("rank 0 [virtual]").
+      if (in.process_label.find("[virtual]") != std::string::npos) {
+        any_virtual = true;
+      } else {
+        any_monotonic = true;
+      }
+    }
+    std::vector<Span> open;  // B-stack
+    bool any = false;
+    const auto touch = [&](std::int64_t ts) {
+      if (!any || ts < track.first_ns) track.first_ns = ts;
+      if (!any || ts > track.last_ns) track.last_ns = ts;
+      any = true;
+    };
+    for (const TraceEvent& e : in.events) {
+      touch(e.ts_ns);
+      switch (e.phase) {
+        case TraceEvent::Phase::kBegin: {
+          Span s;
+          s.name = e.name;
+          s.begin_ns = e.ts_ns;
+          open.push_back(std::move(s));
+          break;
+        }
+        case TraceEvent::Phase::kEnd: {
+          GNB_THROW_IF(open.empty(), "perf: unbalanced E event for " << e.name);
+          Span s = std::move(open.back());
+          open.pop_back();
+          s.end_ns = e.ts_ns;
+          GNB_THROW_IF(s.end_ns < s.begin_ns,
+                       "perf: span " << s.name << " ends before it begins");
+          track.spans.push_back(std::move(s));
+          break;
+        }
+        case TraceEvent::Phase::kComplete: {
+          Span s;
+          s.name = e.name;
+          s.begin_ns = e.ts_ns;
+          s.end_ns = e.ts_ns + e.dur_ns;
+          touch(s.end_ns);
+          track.spans.push_back(std::move(s));
+          break;
+        }
+        case TraceEvent::Phase::kInstant:
+          ++track.instant_counts[e.name];
+          break;
+        case TraceEvent::Phase::kCounter:
+          ++track.counter_counts[e.name];
+          break;
+        case TraceEvent::Phase::kAsyncBegin:
+          ++track.async_pairs;
+          break;
+        case TraceEvent::Phase::kAsyncEnd:  // closes a kAsyncBegin; nothing to count
+          break;
+      }
+    }
+    // A ring that dropped events lost the newest ones, E events included:
+    // close what is still open at the track's last timestamp. An intact
+    // trace must be balanced.
+    GNB_THROW_IF(!open.empty() && dropped_events == 0,
+                 "perf: track (" << in.pid << "," << in.tid << ") has unclosed spans");
+    for (Span& s : open) {
+      s.end_ns = track.last_ns;
+      track.spans.push_back(std::move(s));
+    }
+    resolve_nesting(track.spans);
+    trace.tracks.push_back(std::move(track));
+  }
+  trace.clock = any_virtual ? (any_monotonic ? "mixed" : "virtual") : "monotonic";
+  return trace;
+}
+
 Trace load_trace(std::string_view json_text) {
   std::string error;
   std::optional<Value> doc = json::parse(json_text, &error);
@@ -152,109 +222,84 @@ Trace load_trace(std::string_view json_text) {
   const Value& events = expect(doc->find("traceEvents"), "traceEvents");
   GNB_THROW_IF(events.kind != Value::Kind::kArray, "perf: traceEvents is not an array");
 
-  Trace trace;
+  std::uint64_t dropped_events = 0;
   if (const Value* other = doc->find("otherData")) {
     if (const Value* dropped = other->find("dropped_events")) {
       // Written as a string by Tracer::write_json; tolerate numbers too.
       if (dropped->kind == Value::Kind::kString) {
-        trace.dropped_events = std::strtoull(dropped->str.c_str(), nullptr, 10);
+        dropped_events = std::strtoull(dropped->str.c_str(), nullptr, 10);
       } else if (dropped->kind == Value::Kind::kNumber) {
-        trace.dropped_events = static_cast<std::uint64_t>(dropped->num);
+        dropped_events = static_cast<std::uint64_t>(dropped->num);
       }
     }
   }
 
-  std::map<std::pair<std::uint32_t, std::uint32_t>, RawTrack> raw;
+  // Parse back into the tracer's own event records (names point into
+  // `doc`, which outlives build_trace), then build spans through the same
+  // path as in-memory events.
+  std::map<std::pair<std::uint32_t, std::uint32_t>, TrackEvents> tracks;
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<TraceEvent>> recorded;
   std::map<std::uint32_t, std::string> process_labels;
-  bool any_monotonic = false;
-  bool any_virtual = false;
-
   for (const Value& ev : events.array) {
     GNB_THROW_IF(ev.kind != Value::Kind::kObject, "perf: trace event is not an object");
     const Value& ph = expect(ev.find("ph"), "event ph");
     const Value& name = expect(ev.find("name"), "event name");
     if (ph.str == "M") {
-      // Metadata names tracks: process_name carries the clock-domain
-      // suffix "[virtual]" for simulated timelines. process_name is
-      // process-scoped (no tid) — apply its label to every (pid, *) track.
-      std::uint32_t pid = event_u32(ev, "pid");
+      // Metadata names tracks: process_name (which carries the clock-domain
+      // suffix) is process-scoped, so it labels every (pid, *) track.
+      const std::uint32_t pid = event_u32(ev, "pid");
       const Value* args = ev.find("args");
       const Value* label = args ? args->find("name") : nullptr;
       if (label && label->kind == Value::Kind::kString) {
         if (name.str == "process_name") {
           process_labels[pid] = label->str;
-          if (label->str.find("[virtual]") != std::string::npos) {
-            any_virtual = true;
-          } else {
-            any_monotonic = true;
-          }
         } else if (name.str == "thread_name") {
-          raw[{pid, event_u32(ev, "tid")}].thread_label = label->str;
+          tracks[{pid, event_u32(ev, "tid")}].thread_label = label->str;
         }
       }
       continue;
     }
-    std::uint32_t pid = event_u32(ev, "pid");
-    std::uint32_t tid = event_u32(ev, "tid");
-    std::int64_t ts = event_ts_ns(ev);
-    RawTrack& t = raw[{pid, tid}];
-    t.touch(ts);
+    TraceEvent e;
     if (ph.str == "B") {
-      Span s;
-      s.name = name.str;
-      s.begin_ns = ts;
-      t.open.push_back(std::move(s));
+      e.phase = TraceEvent::Phase::kBegin;
     } else if (ph.str == "E") {
-      GNB_THROW_IF(t.open.empty(), "perf: unbalanced E event for " << name.str);
-      Span s = std::move(t.open.back());
-      t.open.pop_back();
-      s.end_ns = ts;
-      GNB_THROW_IF(s.end_ns < s.begin_ns, "perf: span " << s.name << " ends before it begins");
-      t.spans.push_back(std::move(s));
+      e.phase = TraceEvent::Phase::kEnd;
     } else if (ph.str == "X") {
-      Span s;
-      s.name = name.str;
-      s.begin_ns = ts;
-      std::int64_t dur = 0;
+      e.phase = TraceEvent::Phase::kComplete;
       if (const Value* d = ev.find("dur")) {
         GNB_THROW_IF(d->kind != Value::Kind::kNumber, "perf: X dur not a number");
-        dur = std::llround(d->num * 1000.0);
+        e.dur_ns = std::llround(d->num * 1000.0);
       }
-      s.end_ns = ts + dur;
-      t.touch(s.end_ns);
-      t.spans.push_back(std::move(s));
     } else if (ph.str == "i" || ph.str == "I") {
-      ++t.instant_counts[name.str];
+      e.phase = TraceEvent::Phase::kInstant;
     } else if (ph.str == "C") {
-      ++t.counter_counts[name.str];
+      e.phase = TraceEvent::Phase::kCounter;
     } else if (ph.str == "b") {
-      ++t.async_pairs;
+      e.phase = TraceEvent::Phase::kAsyncBegin;
+    } else if (ph.str == "e") {
+      e.phase = TraceEvent::Phase::kAsyncEnd;
+    } else {
+      continue;
     }
-    // "e" closes a "b"; nothing further to count.
+    e.name = name.str.c_str();
+    e.ts_ns = event_ts_ns(ev);
+    const auto key = std::make_pair(event_u32(ev, "pid"), event_u32(ev, "tid"));
+    tracks[key];  // a track exists once it has an event or a thread_name
+    recorded[key].push_back(e);
   }
 
-  for (auto& [key, t] : raw) {
-    GNB_THROW_IF(!t.open.empty(), "perf: track (" << key.first << "," << key.second << ") has "
-                                                  << t.open.size() << " unclosed span(s)");
-    resolve_nesting(t.spans);
-    Track track;
+  std::vector<TrackEvents> in;
+  in.reserve(tracks.size());
+  for (auto& [key, track] : tracks) {
     track.pid = key.first;
     track.tid = key.second;
     if (auto it = process_labels.find(key.first); it != process_labels.end()) {
-      t.process_label = it->second;
+      track.process_label = it->second;
     }
-    track.process_label = std::move(t.process_label);
-    track.thread_label = std::move(t.thread_label);
-    track.spans = std::move(t.spans);
-    track.instant_counts = std::move(t.instant_counts);
-    track.counter_counts = std::move(t.counter_counts);
-    track.async_pairs = t.async_pairs;
-    track.first_ns = t.any ? t.first_ns : 0;
-    track.last_ns = t.any ? t.last_ns : 0;
-    trace.tracks.push_back(std::move(track));  // map order == (pid, tid) order
+    track.events = recorded[key];
+    in.push_back(std::move(track));
   }
-  trace.clock = any_virtual ? (any_monotonic ? "mixed" : "virtual") : "monotonic";
-  return trace;
+  return build_trace(in, dropped_events);
 }
 
 namespace {
@@ -307,6 +352,16 @@ std::pair<std::string, Category> dominant_in_window(const Track& track, std::int
 
 }  // namespace
 
+void add_track_stats(TrackStats& stats, const Track& track) {
+  for (const Span& s : track.spans) {
+    ++stats.span_count;
+    const Category cat = categorize(s.name);
+    const double sec = to_seconds(s.self_ns);
+    stats.seconds[static_cast<std::size_t>(cat)] += sec;
+    if (cat != Category::kWait) stats.busy_seconds += sec;
+  }
+}
+
 Report analyze(const Trace& trace) {
   Report report;
   report.clock = trace.clock;
@@ -314,6 +369,12 @@ Report analyze(const Trace& trace) {
 
   std::int64_t extent_ns = 0;
   std::vector<std::size_t> rank_tracks;
+  // The rank each track charges (index into report.ranks): a rank track
+  // charges itself, and a track without collectives charges the rank track
+  // with its pid (that rank's alignment workers). Simulated cores share a
+  // pid but each has collectives, so each stays its own rank.
+  std::vector<std::size_t> charges(trace.tracks.size(), SIZE_MAX);
+  std::map<std::uint32_t, std::size_t> rank_of_pid;
   for (std::size_t i = 0; i < trace.tracks.size(); ++i) {
     const Track& track = trace.tracks[i];
     report.track_labels.push_back(track.label());
@@ -328,17 +389,19 @@ Report analyze(const Trace& trace) {
     if (!track.has_collectives()) continue;
     rank_tracks.push_back(i);
     extent_ns = std::max(extent_ns, track.last_ns - track.first_ns);
-
+    charges[i] = report.ranks.size();
+    rank_of_pid.emplace(track.pid, charges[i]);
     TrackStats stats;
     stats.track = i;
-    for (const Span& s : track.spans) {
-      ++stats.span_count;
-      Category cat = categorize(s.name);
-      double sec = to_seconds(s.self_ns);
-      stats.seconds[static_cast<std::size_t>(cat)] += sec;
-      if (cat != Category::kWait) stats.busy_seconds += sec;
-    }
     report.ranks.push_back(stats);
+  }
+  for (std::size_t i = 0; i < trace.tracks.size(); ++i) {
+    if (charges[i] == SIZE_MAX) {
+      const auto it = rank_of_pid.find(trace.tracks[i].pid);
+      if (it == rank_of_pid.end()) continue;
+      charges[i] = it->second;
+    }
+    add_track_stats(report.ranks[charges[i]], trace.tracks[i]);
   }
   report.rank_tracks = rank_tracks.size();
   report.total_seconds = to_seconds(extent_ns);
@@ -440,10 +503,8 @@ bool counted_metric(std::string_view name) {
   if (name == metric::kRpcInflightMax || name == metric::kAlignScratchBytes) return false;
   return name.starts_with("exchange."sv) || name.starts_with("align."sv) ||
          name.starts_with("pipeline."sv) || name.starts_with("graph."sv) ||
-         name.starts_with("fault."sv) || name.starts_with("detector."sv) ||
-         name.starts_with("rejoin."sv) || name.starts_with("corrupt."sv) ||
-         name.starts_with("rpc."sv) || name.starts_with("trace."sv) ||
-         name.starts_with("wire."sv);
+         name.starts_with("fault."sv) || name.starts_with("rpc."sv) ||
+         name.starts_with("trace."sv) || name.starts_with("wire."sv);
 }
 
 void merge_metrics_json(Report& report, std::string_view metrics_json) {

@@ -1,12 +1,15 @@
 #pragma once
-// Trace analytics: load a Chrome trace-event JSON (as written by
-// obs::Tracer for real runs or sim::perf_model for virtual-clock runs)
-// back into per-(pid, tid) span trees and compute the things the raw
+// Trace analytics: build per-(pid, tid) span trees from trace events —
+// a Chrome trace-event JSON (as written by obs::Tracer for real runs or
+// sim::perf_model for virtual-clock runs), or the tracer's in-memory
+// buffers, through the same path — and compute the things the raw
 // timeline only shows visually —
 //
 //  * per-phase attribution: every nanosecond of every track charged to one
 //    category (alignment compute, exchange, wait/imbalance, recovery,
-//    overhead) by *self time*, so nested spans never double-count;
+//    overhead) by *self time*, so nested spans never double-count. A
+//    rank's alignment-worker tracks charge that rank. rt::World fills each
+//    rank's stat::Breakdown with this same attribution;
 //  * per-rank load-imbalance statistics (busy time, compute max/mean);
 //  * the cross-rank critical path: rank timelines are stitched at
 //    collective boundaries (coll.* spans occur in the same order on every
@@ -23,15 +26,20 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "obs/trace.hpp"
 
 namespace gnb::obs::analysis {
 
 /// Attribution taxonomy. Every span name in obs/spans.hpp maps to exactly
 /// one category (see categorize); kOverhead is the default for container
 /// spans (bsp.align, bsp.round, ...) whose self time is bookkeeping.
+/// stat::Breakdown reads compute as compute, exchange as comm, wait as sync,
+/// and overhead plus recovery as overhead.
 enum class Category : std::uint8_t {
   kCompute = 0,   // alignment / graph kernels
   kExchange = 1,  // visible communication (alltoallv, pulls)
@@ -88,6 +96,25 @@ struct Trace {
   std::string clock;  // "monotonic", "virtual", or "mixed"
 };
 
+/// The events of one track in recording order, as obs::TraceBuffer holds
+/// them. `process_label` is the exported process name, clock domain
+/// included ("rank 0 [monotonic]").
+struct TrackEvents {
+  std::uint32_t pid = 0;
+  std::uint32_t tid = 0;
+  std::string process_label;
+  std::string thread_label;
+  std::span<const TraceEvent> events;
+};
+
+/// Build span trees from recorded events, `tracks` in (pid, tid) order
+/// (as Tracer::buffers() lists them); load_trace parses JSON into the same
+/// records and ends here. With `dropped_events` > 0 (the ring lost its
+/// newest events) spans still open at a track's end are closed at its last
+/// timestamp; otherwise unbalanced B/E nesting throws gnb::Error.
+[[nodiscard]] Trace build_trace(std::span<const TrackEvents> tracks,
+                                std::uint64_t dropped_events = 0);
+
 /// Parse a Chrome trace-event JSON document into span trees. Throws
 /// gnb::Error on malformed JSON or unbalanced B/E nesting.
 [[nodiscard]] Trace load_trace(std::string_view json_text);
@@ -104,13 +131,18 @@ struct CriticalSegment {
   Category category = Category::kOverhead;
 };
 
-/// Per-track attribution and activity statistics.
+/// Per-rank attribution and activity statistics: the rank's own track
+/// plus its worker tracks.
 struct TrackStats {
-  std::size_t track = 0;
+  std::size_t track = 0;             // the rank track
   double seconds[kCategories] = {};  // self-time by category
   double busy_seconds = 0;           // sum of non-wait categories
   std::uint64_t span_count = 0;
 };
+
+/// Charge every span of `track` to `stats` by the self time of its
+/// category. analyze() and rt::World::run attribute through this one call.
+void add_track_stats(TrackStats& stats, const Track& track);
 
 /// The full analysis of one trace.
 struct Report {
@@ -125,7 +157,7 @@ struct Report {
   double total_seconds = 0;  // extent of the longest rank track
   double attribution_seconds[kCategories] = {};
   std::map<std::string, double> span_seconds;  // total duration per name
-  std::vector<TrackStats> ranks;               // rank tracks only
+  std::vector<TrackStats> ranks;               // one per rank track
   double load_imbalance = 1;                   // max/mean of per-rank compute
   std::vector<CriticalSegment> critical_path;
   double critical_path_seconds = 0;

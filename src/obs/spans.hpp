@@ -21,6 +21,9 @@ inline constexpr const char* kAsyncPulls = "async.pulls";
 // Runtime collectives (emitted by rt::Rank, and by the sim at the matching
 // virtual instants).
 inline constexpr const char* kCollAlltoallv = "coll.alltoallv";
+inline constexpr const char* kCollAlltoall = "coll.alltoall";
+// One per allgather, and so per allreduce_* and exscan_sum built on it.
+inline constexpr const char* kCollAllgather = "coll.allgather";
 inline constexpr const char* kCollBarrier = "coll.barrier";
 inline constexpr const char* kCollSplitBarrier = "coll.split_barrier";
 inline constexpr const char* kCollServiceBarrier = "coll.service_barrier";
@@ -28,15 +31,17 @@ inline constexpr const char* kCollServiceBarrier = "coll.service_barrier";
 // Async RPC pulls: one async begin/end pair per logical batch id.
 inline constexpr const char* kRpcPull = "rpc.pull";
 
-// Intra-rank compute layer. The pool-drain span is emitted iff
-// compute_threads > 1, by the real engines and the sim under the same
-// condition (the sim-vs-real parity tests compare span-name sets, so the
-// gate must match exactly). Cache activity is counters/metrics only —
-// parity-exempt, since the sim has no cache to mirror.
+// Intra-rank compute layer. compute.batch wraps every BatchAligner::align
+// call, with a "tasks" argument, on the thread that ran it: the rank thread
+// (inline batches) or an alignment worker's own track (pid = rank,
+// tid = 1 + worker). compute.pool is the rank thread's pre-exit wait for
+// its workers, emitted iff compute_threads > 1 — by the real engines and
+// the sim under the same condition (the sim-vs-real parity tests compare
+// span-name sets). The sim emits one compute.batch per rank iff the
+// kernels run at all (skip_compute off). Cache activity is
+// counters/metrics only — parity-exempt, since the sim has no cache to
+// mirror.
 inline constexpr const char* kComputePool = "compute.pool";
-// One span over the batch-aligner kernel drain of a phase, emitted iff the
-// engine ran the compute at all (skip_compute off) — same gate in the real
-// engines and the sim, for the same parity reason as kComputePool.
 inline constexpr const char* kComputeBatch = "compute.batch";
 
 // Wire codec (seq/wire_codec): frame packing before a send, frame decode
@@ -145,15 +150,6 @@ inline constexpr const char* kKernelLaneStepsActive = "kernel.lane_steps_active"
 // stat::FaultCounters fields are exported under this prefix (names come
 // from the single stat::FaultCounters::fields() descriptor table).
 inline constexpr const char* kFaultPrefix = "fault.";
-
-// Self-healing runtime metrics, emitted by rt::World::run from the merged
-// fault counters (duplicates of the fault.* rows under stable, purposeful
-// names so dashboards need not know the descriptor table).
-inline constexpr const char* kDetectorSuspected = "detector.suspected";
-inline constexpr const char* kDetectorFalseSuspicions = "detector.false_suspicions";
-inline constexpr const char* kRejoins = "rejoin.count";
-inline constexpr const char* kCorruptRecords = "corrupt.records";
-inline constexpr const char* kFallbackCheckpoints = "corrupt.fallback_checkpoints";
 
 // Trace-buffer ring drops observed during the phase (rt::World::run takes
 // the Tracer::dropped() delta across the phase). Non-zero means the trace

@@ -3,13 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <map>
 #include <string>
 #include <thread>
+#include <utility>
 
+#include "obs/analysis.hpp"
 #include "obs/spans.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
-#include "util/timer.hpp"
 
 namespace gnb::rt {
 
@@ -201,9 +203,7 @@ bool Rank::admitting_barrier(std::uint32_t phase) {
   GNB_SPAN(obs::span::kCollBarrier);
   crash_point();
   maybe_straggle();
-  WallTimer wait;
   world_.gate_wait(*this, /*admitting=*/true, phase);
-  timers_.sync.add(wait.seconds());
   return true;
 }
 
@@ -237,9 +237,7 @@ void Rank::barrier() {
   GNB_SPAN(obs::span::kCollBarrier);
   crash_point();
   maybe_straggle();
-  WallTimer wait;
   world_.gate_wait(*this);
-  timers_.sync.add(wait.seconds());
 }
 
 double Rank::allreduce_sum(double local) {
@@ -267,6 +265,7 @@ double Rank::allreduce_max(double local) {
 }
 
 std::vector<double> Rank::allgather(double local) {
+  GNB_SPAN(obs::span::kCollAllgather);
   crash_point();
   world_.dbl_slots_[id_] = local;
   world_.gate_wait(*this);
@@ -284,7 +283,6 @@ std::vector<Bytes> Rank::alltoallv(std::vector<Bytes> send) {
   GNB_SPAN(obs::span::kCollAlltoallv);
   crash_point();
   maybe_straggle();
-  WallTimer wait;
   const std::size_t p = world_.nranks_;
   for (std::size_t dst = 0; dst < p; ++dst)
     world_.mail_[dst * p + id_] = std::move(send[dst]);
@@ -297,15 +295,14 @@ std::vector<Bytes> Rank::alltoallv(std::vector<Bytes> send) {
     if (!agreed_alive_[src]) received[src].clear();
   }
   world_.gate_wait(*this);
-  timers_.comm.add(wait.seconds());
   return received;
 }
 
 std::vector<std::uint64_t> Rank::alltoall(const std::vector<std::uint64_t>& send) {
   GNB_CHECK(send.size() == world_.nranks_);
+  GNB_SPAN(obs::span::kCollAlltoall);
   crash_point();
   maybe_straggle();
-  WallTimer wait;
   const std::size_t p = world_.nranks_;
   for (std::size_t dst = 0; dst < p; ++dst) world_.u64_slots_[dst * p + id_] = send[dst];
   world_.gate_wait(*this);
@@ -313,13 +310,11 @@ std::vector<std::uint64_t> Rank::alltoall(const std::vector<std::uint64_t>& send
   for (std::size_t src = 0; src < p; ++src)
     if (agreed_alive_[src]) received[src] = world_.u64_slots_[id_ * p + src];
   world_.gate_wait(*this);
-  timers_.comm.add(wait.seconds());
   return received;
 }
 
 Bytes Rank::broadcast(Bytes buffer, RankId root) {
   crash_point();
-  WallTimer wait;
   const std::size_t p = world_.nranks_;
   if (id_ == root) {
     for (std::size_t dst = 0; dst < p; ++dst)
@@ -329,13 +324,11 @@ Bytes Rank::broadcast(Bytes buffer, RankId root) {
   Bytes received = std::move(world_.mail_[id_ * p + root]);
   if (!agreed_alive_[root]) received.clear();
   world_.gate_wait(*this);
-  timers_.comm.add(wait.seconds());
   return received;
 }
 
 std::vector<Bytes> Rank::gather(Bytes local, RankId root) {
   crash_point();
-  WallTimer wait;
   const std::size_t p = world_.nranks_;
   world_.mail_[root * p + id_] = std::move(local);
   world_.gate_wait(*this);
@@ -348,7 +341,6 @@ std::vector<Bytes> Rank::gather(Bytes local, RankId root) {
     }
   }
   world_.gate_wait(*this);
-  timers_.comm.add(wait.seconds());
   return received;
 }
 
@@ -373,7 +365,6 @@ void Rank::split_barrier_wait() {
   // on the next poll, so the wait never hangs for a ghost.
   GNB_SPAN(obs::span::kCollSplitBarrier);
   split_phase_ += 1;
-  WallTimer wait;
   for (;;) {
     bool done = true;
     for (std::size_t r = 0; r < world_.nranks_; ++r) {
@@ -386,7 +377,6 @@ void Rank::split_barrier_wait() {
     if (done) break;
     if (rpc().progress() == 0) std::this_thread::yield();
   }
-  timers_.sync.add(wait.seconds());
 }
 
 void Rank::service_barrier() {
@@ -449,7 +439,14 @@ void World::run(const std::function<void(Rank&)>& body) {
     endpoint->revive();
   }
 
-  const std::uint64_t dropped_before = obs::Tracer::instance().dropped();
+  // Each existing track's event count: this run's breakdowns attribute
+  // only the events recorded after it (tracks made during the run start
+  // at 0).
+  obs::Tracer& tracer = obs::Tracer::instance();
+  const std::uint64_t dropped_before = tracer.dropped();
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::size_t> trace_start;
+  for (const obs::TraceBuffer* buf : tracer.buffers())
+    trace_start[{buf->pid(), buf->tid()}] = buf->events().size();
 
   std::vector<std::unique_ptr<Rank>> ranks;
   ranks.reserve(nranks_);
@@ -467,7 +464,6 @@ void World::run(const std::function<void(Rank&)>& body) {
         // (one core per rank in the threaded runtime). Real runs stamp the
         // monotonic clock; the simulator emits the same span names on a
         // virtual clock (see sim/perf_model.cpp).
-        obs::Tracer& tracer = obs::Tracer::instance();
         if (tracer.enabled()) {
           obs::Tracer::bind(tracer.buffer(static_cast<std::uint32_t>(r), 0,
                                           "rank " + std::to_string(r), "core 0"));
@@ -508,11 +504,43 @@ void World::run(const std::function<void(Rank&)>& body) {
     }
   }  // jthreads join here
 
+  // Trace-ring drops during this phase: a non-zero count means the trace
+  // undercounts spans and any downstream analysis is truncated. Surface it
+  // as a counted metric (gnbody also warns loudly at end of run).
+  const std::uint64_t dropped_delta = tracer.dropped() - dropped_before;
+
+  // The phase seconds are a view of the trace: every track of rank r (its
+  // rank thread, pid r tid 0, and its alignment workers, tid 1 + w)
+  // charges rank r through the attribution `gnbody perf report` uses.
+  std::vector<obs::analysis::TrackStats> phases(nranks_);
+  if (tracer.enabled()) {
+    std::vector<obs::analysis::TrackEvents> tracks;
+    for (const obs::TraceBuffer* buf : tracer.buffers()) {
+      if (buf->pid() >= nranks_) continue;
+      const auto start = trace_start.find({buf->pid(), buf->tid()});
+      obs::analysis::TrackEvents& track = tracks.emplace_back();
+      track.pid = buf->pid();
+      track.tid = buf->tid();
+      track.events = buf->events().subspan(start == trace_start.end() ? 0 : start->second);
+    }
+    const obs::analysis::Trace trace = obs::analysis::build_trace(tracks, dropped_delta);
+    for (const obs::analysis::Track& track : trace.tracks)
+      obs::analysis::add_track_stats(phases[track.pid], track);
+  }
+
   breakdowns_.clear();
   breakdowns_.reserve(nranks_);
   metrics_.clear();
   for (std::size_t r = 0; r < nranks_; ++r) {
-    stat::Breakdown breakdown = snapshot(ranks[r]->timers_, ranks[r]->memory_);
+    using obs::analysis::Category;
+    const double* seconds = phases[r].seconds;
+    stat::Breakdown breakdown;
+    breakdown.compute = seconds[static_cast<std::size_t>(Category::kCompute)];
+    breakdown.comm = seconds[static_cast<std::size_t>(Category::kExchange)];
+    breakdown.sync = seconds[static_cast<std::size_t>(Category::kWait)];
+    breakdown.overhead = seconds[static_cast<std::size_t>(Category::kOverhead)] +
+                         seconds[static_cast<std::size_t>(Category::kRecovery)];
+    breakdown.peak_memory = ranks[r]->memory_.peak();
     breakdown.faults = ranks[r]->fault_counters_;
     // rt-level evidence: injected duplicates surface as orphan replies on
     // the endpoint that issued the duplicated exchange; peer-death
@@ -540,21 +568,6 @@ void World::run(const std::function<void(Rank&)>& body) {
     registry.gauge_max(obs::metric::kMemPeakBytes, breakdown.peak_memory);
     metrics_.merge(registry);
   }
-
-  // Purposeful self-healing metrics on top of the descriptor-table fault.*
-  // rows: detector, rejoin, and corruption activity summed across ranks.
-  stat::FaultCounters merged;
-  for (const stat::Breakdown& breakdown : breakdowns_) merged.merge(breakdown.faults);
-  metrics_.add(obs::metric::kDetectorSuspected, merged.suspected);
-  metrics_.add(obs::metric::kDetectorFalseSuspicions, merged.false_suspicions);
-  metrics_.add(obs::metric::kRejoins, merged.rejoins);
-  metrics_.add(obs::metric::kCorruptRecords, merged.corrupt_records);
-  metrics_.add(obs::metric::kFallbackCheckpoints, merged.fallback_checkpoints);
-
-  // Trace-ring drops during this phase: a non-zero count means the trace
-  // undercounts spans and any downstream analysis is truncated. Surface it
-  // as a counted metric (gnbody also warns loudly at end of run).
-  const std::uint64_t dropped_delta = obs::Tracer::instance().dropped() - dropped_before;
   if (dropped_delta > 0) metrics_.add(obs::metric::kTraceDropped, dropped_delta);
 
   if (unrecoverable) std::rethrow_exception(unrecoverable);

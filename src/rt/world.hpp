@@ -32,8 +32,8 @@
 #include "obs/metrics.hpp"
 #include "rt/durable.hpp"
 #include "rt/fault.hpp"
-#include "rt/phase.hpp"
 #include "rt/rpc.hpp"
+#include "stat/breakdown.hpp"
 #include "util/memory.hpp"
 
 namespace gnb::rt {
@@ -60,7 +60,7 @@ class Rank {
   [[nodiscard]] std::size_t nranks() const;
 
   // --- collectives (each entry is a crash point and a straggle point) ---
-  /// Synchronizing barrier; waiting time is charged to timers().sync.
+  /// Synchronizing barrier (a coll.barrier span: wait).
   void barrier();
 
   /// Barrier that doubles as a membership *admission point*: when every
@@ -102,17 +102,18 @@ class Rank {
   double allreduce_max(double local);
 
   /// Gather one value from every rank (returned on all ranks); entries for
-  /// dead ranks are zeroed.
+  /// dead ranks are zeroed. A coll.allgather span (wait): the call is
+  /// where ranks meet the slowest one.
   std::vector<double> allgather(double local);
 
   /// Irregular all-to-all byte exchange (MPI_Alltoallv analogue):
   /// `send[r]` goes to rank r; returns the buffers received, indexed by
-  /// source (empty for dead sources). Charged to timers().comm.
+  /// source (empty for dead sources). A coll.alltoallv span (exchange).
   std::vector<Bytes> alltoallv(std::vector<Bytes> send);
 
   /// Regular all-to-all of one uint64 per peer (MPI_Alltoall analogue,
   /// used to exchange sizes ahead of an alltoallv). Entries from dead
-  /// sources read as zero.
+  /// sources read as zero. A coll.alltoall span (exchange).
   std::vector<std::uint64_t> alltoall(const std::vector<std::uint64_t>& send);
 
   /// One-to-all broadcast of a byte buffer from `root` (MPI_Bcast).
@@ -133,7 +134,7 @@ class Rank {
   /// Split-phase barrier, entry side: signals arrival without waiting.
   void split_barrier_arrive();
   /// Split-phase barrier, completion side: polls rpc progress while
-  /// waiting for all alive ranks; waiting time is charged to timers().sync.
+  /// waiting for all alive ranks (a coll.split_barrier span: wait).
   void split_barrier_wait();
 
   /// Exit barrier for asynchronous phases: arrive, then keep serving RPC
@@ -178,7 +179,8 @@ class Rank {
   DurableStore& durable();
 
   // --- instrumentation ---
-  PhaseTimers& timers() { return timers_; }
+  // Phase seconds are not charged here: World::run attributes them from
+  // the spans this rank's threads record (see World::breakdowns).
   MemoryMeter& memory() { return memory_; }
   /// Robustness counters this rank's engine protocol accumulates (retries,
   /// timeouts, duplicates dropped, checksum failures, recovery work);
@@ -225,7 +227,6 @@ class Rank {
   std::uint64_t agreed_epoch_ = 0;    // stamp copied at the last gate passage
   std::vector<char> agreed_alive_;    // stamp copied at the last gate passage
   std::vector<std::uint64_t> agreed_rejoin_;  // stamp copied at the last gate passage
-  PhaseTimers timers_;
   MemoryMeter memory_;
   stat::FaultCounters fault_counters_;
   stat::ComputeCounters compute_counters_;
@@ -248,7 +249,13 @@ class World {
   /// exception aborts the world (a silently missing rank would deadlock).
   void run(const std::function<void(Rank&)>& body);
 
-  /// Per-rank phase breakdowns from the last run().
+  /// Per-rank phase breakdowns from the last run(). The four phase seconds
+  /// are a view of the trace: the spans rank r's threads (the rank thread
+  /// and its alignment workers) recorded during that run, attributed by
+  /// obs::analysis exactly as `gnbody perf report` does — compute as
+  /// compute, exchange as comm, wait as sync, overhead and recovery as
+  /// overhead. While the tracer is off (or under GNB_TRACE=OFF) they are
+  /// 0; peak memory and the counters do not depend on it.
   [[nodiscard]] const std::vector<stat::Breakdown>& breakdowns() const { return breakdowns_; }
 
   /// Merged metrics snapshot from the last run(): every rank's registry

@@ -397,6 +397,11 @@ SimResult simulate_bsp(const MachineParams& machine, const SimAssignment& assign
       strace.complete(r, obs::span::kBspIndex, 0.0, 0.0);
       strace.complete(r, obs::span::kBspRequestExchange, 0.0, request_comm);
       strace.complete(r, obs::span::kCollAlltoallv, 0.0, request_comm);
+      // The round plan's agreement: the serve-size alltoall and the
+      // allreduce_max (an allgather) over rounds_needed, costed in
+      // request_comm.
+      strace.complete(r, obs::span::kCollAlltoall, request_comm, 0.0);
+      strace.complete(r, obs::span::kCollAllgather, request_comm, 0.0);
     }
   }
 
@@ -572,9 +577,9 @@ SimResult simulate_bsp(const MachineParams& machine, const SimAssignment& assign
 
   if (strace.on()) {
     for (std::size_t r = 0; r < p; ++r) {
-      // Same gates as the real engine: compute.batch iff the kernels ran
-      // at all, compute.pool iff workers are active — the final drain
-      // before the exit barrier.
+      // compute.batch iff the kernels run at all (the real engine emits
+      // one per kernel call), compute.pool iff workers are active (the
+      // real engine's gate) — the final drain before the exit barrier.
       if (!options.skip_compute) strace.complete(r, obs::span::kComputeBatch, runtime, 0.0);
       if (pooled) strace.complete(r, obs::span::kComputePool, runtime, 0.0);
       strace.complete(r, obs::span::kCollBarrier, runtime, 0.0);
@@ -863,8 +868,9 @@ SimResult simulate_async(const MachineParams& machine, const SimAssignment& assi
         strace.instant(r, obs::span::kRecoveryReexec, busy_end - t.faults.recovery_seconds,
                        "tasks", t.faults.tasks_reexecuted);
       }
-      // Kernel/pool drain before the exit barrier — same gates as the real
-      // engine (compute.batch: kernels ran; compute.pool: workers active).
+      // Kernel/pool drain before the exit barrier: compute.batch iff the
+      // kernels run at all, compute.pool iff workers are active (the real
+      // engine's gate).
       if (!options.skip_compute) strace.complete(r, obs::span::kComputeBatch, busy_end, 0.0);
       if (pooled) strace.complete(r, obs::span::kComputePool, busy_end, 0.0);
       const double exit_sync = std::max(0.0, phase - busy_end);

@@ -2,10 +2,13 @@
 // The one phase-breakdown vocabulary for both backends, mirroring the
 // paper's runtime categories: alignment computation, computation overhead
 // (data-structure traversal, kernel invocation), visible communication, and
-// synchronization. The real runtime snapshots rt::PhaseTimers into a
-// Breakdown; the simulator fills one per virtual rank; sim/report,
-// bench/figlib and tools/gnbody all reduce and print through this header —
-// no binary hand-formats the four phase columns anymore.
+// synchronization. The real runtime fills a Breakdown per rank as a view of
+// the trace: rt::World::run attributes the spans the rank's threads
+// recorded with obs::analysis (compute -> compute, exchange -> comm,
+// wait -> sync, overhead and recovery -> overhead), so the seconds are 0
+// when nothing was traced. The simulator fills one per virtual rank;
+// sim/report, bench/figlib and tools/gnbody all reduce and print through
+// this header — no binary hand-formats the four phase columns anymore.
 
 #include <cstdint>
 #include <span>

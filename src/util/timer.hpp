@@ -1,7 +1,6 @@
 #pragma once
-// Wall-clock and per-thread CPU timers, plus an accumulating stopwatch used
-// for per-rank phase breakdowns (compute / communication / synchronization /
-// overhead), mirroring the instrumentation in the paper's two codes.
+// Wall-clock and per-thread CPU timers. Per-rank phase breakdowns are not
+// timed here: rt::World derives them from the span trace (obs/analysis).
 
 #include <chrono>
 #include <cstdint>
@@ -23,92 +22,13 @@ class WallTimer {
   clock::time_point start_;
 };
 
-/// Per-thread CPU time in seconds (CLOCK_THREAD_CPUTIME_ID). Kept for the
+/// Per-thread CPU time in seconds (CLOCK_THREAD_CPUTIME_ID), for the
 /// cost-model calibration and kernel micro-benchmarks, where per-thread CPU
-/// time is the quantity being measured; the phase Stopwatch below is
-/// steady_clock so rank timelines line up with the span tracer.
+/// time is the quantity being measured.
 inline double thread_cpu_seconds() {
   timespec ts{};
   clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
   return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
 }
-
-/// Accumulating stopwatch on the monotonic clock: start()/stop() pairs add
-/// into a running total. pause()/resume() suspend charging inside a running
-/// interval — the "charge this region, but not the kernel call in the
-/// middle" pattern the engines previously hand-rolled with extra
-/// start()/stop() pairs.
-class Stopwatch {
- public:
-  void start() {
-    t0_ = clock::now();
-    running_ = true;
-    paused_ = false;
-  }
-  void stop() {
-    if (!running_) return;
-    if (!paused_) total_ += seconds_since(t0_);
-    running_ = false;
-    paused_ = false;
-  }
-  /// Stop charging without closing the interval. No-op unless running.
-  void pause() {
-    if (!running_ || paused_) return;
-    total_ += seconds_since(t0_);
-    paused_ = true;
-  }
-  /// Resume charging after pause(). No-op unless paused.
-  void resume() {
-    if (!running_ || !paused_) return;
-    t0_ = clock::now();
-    paused_ = false;
-  }
-  void add(double seconds) { total_ += seconds; }
-  [[nodiscard]] double total() const { return total_; }
-  [[nodiscard]] bool running() const { return running_; }
-  [[nodiscard]] bool paused() const { return paused_; }
-  void reset() {
-    total_ = 0;
-    running_ = false;
-    paused_ = false;
-  }
-
- private:
-  using clock = std::chrono::steady_clock;
-  static double seconds_since(clock::time_point t0) {
-    return std::chrono::duration<double>(clock::now() - t0).count();
-  }
-  double total_ = 0;
-  clock::time_point t0_{};
-  bool running_ = false;
-  bool paused_ = false;
-};
-
-/// RAII scope guard that charges elapsed monotonic time to a Stopwatch.
-class ScopedCharge {
- public:
-  explicit ScopedCharge(Stopwatch& sw) : sw_(sw), start_(clock::now()) {}
-  ~ScopedCharge() { sw_.add(std::chrono::duration<double>(clock::now() - start_).count()); }
-  ScopedCharge(const ScopedCharge&) = delete;
-  ScopedCharge& operator=(const ScopedCharge&) = delete;
-
- private:
-  using clock = std::chrono::steady_clock;
-  Stopwatch& sw_;
-  clock::time_point start_;
-};
-
-/// RAII pause: suspends a running Stopwatch for the enclosing scope, e.g.
-/// while a differently-charged kernel runs inside an overhead region.
-class ScopedPause {
- public:
-  explicit ScopedPause(Stopwatch& sw) : sw_(sw) { sw_.pause(); }
-  ~ScopedPause() { sw_.resume(); }
-  ScopedPause(const ScopedPause&) = delete;
-  ScopedPause& operator=(const ScopedPause&) = delete;
-
- private:
-  Stopwatch& sw_;
-};
 
 }  // namespace gnb

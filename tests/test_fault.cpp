@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -496,12 +497,14 @@ TEST(Chaos, StragglersDoNotDeadlockCollectives) {
 // --- the failure detector: partitions are suspected, then forgiven ---
 
 TEST(Detector, PartitionedPeerIsSuspectedThenCleared) {
-  // Cut the 0<->1 link for a window much longer than the lease: each side
-  // suspects the other (silence > lease), quarantines it, and clears the
-  // suspicion as a false one when the link heals — all without perturbing
-  // a single output byte. Only the async engine drives RPC progress (and
-  // with it the detector); BSP collectives ride the mail slots.
+  // Cut the 0<->1 link for a window much longer than the lease: a side
+  // polling through it suspects the other (silence > lease), quarantines
+  // it, and clears the suspicion as a false one when the link heals — all
+  // without perturbing a single output byte. Only the async engine drives
+  // RPC progress (and with it the detector); BSP collectives ride the mail
+  // slots.
   constexpr std::size_t kRanks = 4;
+  constexpr std::uint64_t kLease = 64;
   const Workload w = make_workload(kRanks);
   const core::EngineConfig config;
   const RunOutcome clean = run_engine(true, kRanks, w, config);
@@ -509,14 +512,31 @@ TEST(Detector, PartitionedPeerIsSuspectedThenCleared) {
 
   rt::FaultPlan plan;
   plan.seed = 61;
-  plan.partitions.push_back({0, 1, 50, 600});
+  const rt::PartitionEvent cut{0, 1, 50, 600};
+  plan.partitions.push_back(cut);
   rt::World world(kRanks);
   world.set_faults(plan);
-  world.set_detector_lease(64);  // suspect quickly inside the window
+  world.set_detector_lease(kLease);  // suspect quickly inside the window
   std::vector<core::EngineResult> results(kRanks);
+  // The engine can finish before a rank has polled through the window
+  // (no request is in flight once the exit barrier passes). So every rank
+  // then polls until it has seen all ranks' ticks past the window's end
+  // plus the lease, and once more. Of ranks 0 and 1, the one that reaches
+  // the window first polls through it (a suspicion after the lease), and
+  // its last poll sees the other's tick moved since the window opened (a
+  // clear), however the threads are scheduled.
+  const std::uint64_t settled = cut.at_tick + cut.duration + kLease + 1;
   world.run([&](rt::Rank& rank) {
     results[rank.id()] = core::async_align(rank, w.dataset.reads, w.tasks.bounds,
                                            w.tasks.per_rank[rank.id()], config);
+    const auto all_settled = [&] {
+      for (std::uint32_t r = 0; r < kRanks; ++r)
+        if (rank.rpc().peer_ticks(r) < settled) return false;
+      return true;
+    };
+    while (!all_settled())
+      if (rank.rpc().progress() == 0) std::this_thread::yield();
+    (void)rank.rpc().progress();
   });
   RunOutcome chaos;
   for (const auto& result : results) {

@@ -2,11 +2,14 @@
 // (nesting, ring capacity, thread safety), Chrome-trace JSON schema
 // validation, sim-vs-real span-name parity on one small workload,
 // determinism of the event sequence across identically-seeded runs, the
-// metrics registry, and the FaultCounters descriptor-table export.
+// phase breakdown as a view of the trace (equal to the perf report's
+// attribution, compute.batch spans covering every task), the metrics
+// registry, and the FaultCounters descriptor-table export.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <set>
@@ -18,11 +21,13 @@
 
 #include "core/async.hpp"
 #include "core/bsp.hpp"
+#include "obs/analysis.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/spans.hpp"
 #include "obs/trace.hpp"
 #include "pipeline/pipeline.hpp"
+#include "rt/fault.hpp"
 #include "rt/world.hpp"
 #include "sim/assignment.hpp"
 #include "sim/machine.hpp"
@@ -33,6 +38,10 @@
 using namespace gnb;
 
 namespace {
+
+// Everything up to the metrics-registry tests records spans through the
+// GNB_* macros, which GNB_TRACE=OFF compiles away.
+#if GNB_TRACE_ENABLED
 
 /// A comparable, timestamp-free digest of one event.
 using EventKey = std::tuple<std::string, int, std::string, std::uint64_t, std::uint64_t>;
@@ -84,8 +93,6 @@ std::set<std::string> span_names(const std::vector<TrackSnapshot>& tracks) {
   return names;
 }
 
-#if GNB_TRACE_ENABLED
-
 // ---------- real-run harness (tiny dataset, 4 ranks) ----------
 
 struct RealRun {
@@ -93,13 +100,18 @@ struct RealRun {
   std::string json;
 };
 
-RealRun run_real(bool async_mode, std::size_t nranks = 4) {
+const wl::SampledDataset& tiny_dataset() {
   static const wl::SampledDataset dataset = [] {
     wl::DatasetSpec spec = wl::tiny_spec();
     spec.genome.length = 12'000;
     spec.reads.coverage = 8;
     return wl::synthesize(spec, 21);
   }();
+  return dataset;
+}
+
+RealRun run_real(bool async_mode, std::size_t nranks = 4) {
+  const wl::SampledDataset& dataset = tiny_dataset();
   pipeline::PipelineConfig config;
   config.k = wl::tiny_spec().k;
   const pipeline::TaskSet tasks = pipeline::run_serial(dataset.reads, config, nranks);
@@ -392,6 +404,137 @@ TEST(Determinism, JsonExportIsGloballyOrderedAndStable) {
   }
   ASSERT_EQ(order.size(), 4u);
   EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+}
+
+// ---------- the phase breakdown is a view of the trace ----------
+
+/// One traced World run of an engine on the tiny dataset, 4 ranks: the
+/// breakdowns World::run attributed from the in-memory events, and the
+/// events and JSON the tracer holds for the same run.
+struct TracedEngineRun {
+  std::string label;
+  std::size_t threads = 1;
+  bool crash = false;
+  std::vector<stat::Breakdown> breakdowns;
+  std::vector<char> returned;             // the rank's body returned (it did not die)
+  std::vector<std::uint64_t> tasks_done;  // per rank that returned
+  std::vector<TrackSnapshot> tracks;
+  std::string json;
+};
+
+TracedEngineRun run_traced_engine(bool async_mode, std::size_t threads, bool crash) {
+  constexpr std::size_t kRanks = 4;
+  const wl::SampledDataset& dataset = tiny_dataset();
+  pipeline::PipelineConfig config;
+  config.k = wl::tiny_spec().k;
+  const pipeline::TaskSet tasks = pipeline::run_serial(dataset.reads, config, kRanks);
+  core::EngineConfig engine_config;
+  engine_config.proto.compute_threads = threads;
+
+  TracedEngineRun run;
+  run.label = std::string(async_mode ? "async" : "bsp") + " x" + std::to_string(threads) +
+              (crash ? " crash@2:3" : " fault-free");
+  run.threads = threads;
+  run.crash = crash;
+  run.returned.assign(kRanks, 0);
+  run.tasks_done.assign(kRanks, 0);
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.enable();
+  rt::World world(kRanks);
+  if (crash) world.set_faults(rt::FaultPlan::parse("seed=3,crash@2:3"));
+  world.run([&](rt::Rank& rank) {
+    const std::vector<kmer::AlignTask>& mine = tasks.per_rank[rank.id()];
+    const core::EngineResult result =
+        async_mode ? core::async_align(rank, dataset.reads, tasks.bounds, mine, engine_config)
+                   : core::bsp_align(rank, dataset.reads, tasks.bounds, mine, engine_config);
+    run.tasks_done[rank.id()] = result.tasks_done;
+    run.returned[rank.id()] = 1;
+  });
+  run.breakdowns = world.breakdowns();
+  run.tracks = snapshot_tracks();
+  std::ostringstream out;
+  tracer.write_json(out);
+  run.json = out.str();
+  tracer.disable();
+  return run;
+}
+
+/// bsp and async, at 1 and 2 compute threads, fault-free and with rank 2
+/// killed at its 3rd fault step.
+std::vector<TracedEngineRun> breakdown_matrix() {
+  std::vector<TracedEngineRun> runs;
+  for (const bool async_mode : {false, true})
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}})
+      for (const bool crash : {false, true})
+        runs.push_back(run_traced_engine(async_mode, threads, crash));
+  return runs;
+}
+
+void expect_same_seconds(double breakdown, double report) {
+  const double tolerance = 1e-9 * std::max(std::abs(breakdown), std::abs(report));
+  EXPECT_LE(std::abs(breakdown - report), tolerance)
+      << "breakdown " << breakdown << " s, perf report " << report << " s";
+}
+
+TEST(TraceBreakdown, EqualsPerfReportAttributionOfTheSameRun) {
+  using obs::analysis::Category;
+  for (const TracedEngineRun& run : breakdown_matrix()) {
+    SCOPED_TRACE(run.label);
+    if (run.crash) {
+      EXPECT_EQ(run.returned[2], 0);
+      std::uint64_t reexecuted = 0;
+      for (const stat::Breakdown& b : run.breakdowns) reexecuted += b.faults.tasks_reexecuted;
+      EXPECT_GT(reexecuted, 0u);
+    }
+    const obs::analysis::Trace trace = obs::analysis::load_trace(run.json);
+    const obs::analysis::Report report = obs::analysis::analyze(trace);
+    const auto of = [](const obs::analysis::TrackStats& stats, Category c) {
+      return stats.seconds[static_cast<std::size_t>(c)];
+    };
+    std::size_t compared = 0;
+    for (const obs::analysis::TrackStats& stats : report.ranks) {
+      const std::uint32_t r = trace.tracks[stats.track].pid;
+      ASSERT_LT(r, run.returned.size());
+      if (!run.returned[r]) continue;
+      const stat::Breakdown& b = run.breakdowns[r];
+      expect_same_seconds(b.compute, of(stats, Category::kCompute));
+      expect_same_seconds(b.comm, of(stats, Category::kExchange));
+      expect_same_seconds(b.sync, of(stats, Category::kWait));
+      const double overhead = of(stats, Category::kOverhead) + of(stats, Category::kRecovery);
+      expect_same_seconds(b.overhead, overhead);
+      EXPECT_GT(b.compute, 0.0);
+      ++compared;
+    }
+    const auto survivors = std::count(run.returned.begin(), run.returned.end(), 1);
+    EXPECT_EQ(compared, static_cast<std::size_t>(survivors));
+  }
+}
+
+TEST(TraceBreakdown, ComputeBatchSpansCoverEveryTask) {
+  for (const TracedEngineRun& run : breakdown_matrix()) {
+    SCOPED_TRACE(run.label);
+    std::uint64_t spanned = 0;
+    std::uint64_t on_workers = 0;
+    for (const TrackSnapshot& track : run.tracks) {
+      ASSERT_LT(track.pid, run.returned.size());
+      if (!run.returned[track.pid]) continue;
+      for (const obs::TraceEvent& e : track.events) {
+        if (e.phase != obs::TraceEvent::Phase::kBegin) continue;
+        if (std::string(e.name) != obs::span::kComputeBatch) continue;
+        ASSERT_NE(e.key0, nullptr);
+        EXPECT_EQ(std::string(e.key0), "tasks");
+        spanned += e.val0;
+        if (track.tid > 0) on_workers += e.val0;
+      }
+    }
+    std::uint64_t done = 0;
+    for (std::size_t r = 0; r < run.returned.size(); ++r)
+      if (run.returned[r]) done += run.tasks_done[r];
+    EXPECT_GT(done, 0u);
+    EXPECT_EQ(spanned, done);
+    // Pooled, every kernel call runs on a worker's own track.
+    EXPECT_EQ(on_workers, run.threads > 1 ? done : 0u);
+  }
 }
 
 #endif  // GNB_TRACE_ENABLED

@@ -254,6 +254,52 @@ TEST(CriticalPath, RecoveryShapeChargesTheRecoveryCategory) {
   EXPECT_EQ(report.span_counts.at(obs::span::kRejoinAdmit), 1u);
 }
 
+TEST(Attribution, WorkerTracksChargeTheirRank) {
+  // A rank's alignment workers (its pid, no collectives) charge that rank;
+  // the main thread's track (its own pid, no collectives) charges no one;
+  // simulated cores share a pid but each has collectives, so each stays a
+  // rank.
+  TraceFixture f;
+  f.process(0, "rank 0 [monotonic]");
+  f.span(0, 0, obs::span::kComputePool, 0, 10'000);  // waits for its worker
+  f.span(0, 0, obs::span::kCollBarrier, 10'000, 11'000);
+  f.span(0, 1, obs::span::kComputeBatch, 1'000, 9'000);  // worker 0
+  f.process(1, "main [monotonic]");
+  f.span(1, 0, obs::span::kStagePartition, 0, 500);
+  f.process(2, "node 0 [virtual]");
+  f.complete(2, 0, obs::span::kCollBarrier, 0, 4'000);
+  f.complete(2, 1, obs::span::kCollBarrier, 0, 6'000);
+  const analysis::Trace trace = analysis::load_trace(f.json());
+  const analysis::Report report = analysis::analyze(trace);
+  ASSERT_EQ(report.ranks.size(), 3u);
+  const analysis::TrackStats& rank0 = report.ranks[0];
+  EXPECT_EQ(trace.tracks[rank0.track].pid, 0u);
+  EXPECT_EQ(trace.tracks[rank0.track].tid, 0u);
+  EXPECT_NEAR(rank0.seconds[cat(analysis::Category::kCompute)], 0.008, 1e-12);
+  EXPECT_NEAR(rank0.seconds[cat(analysis::Category::kWait)], 0.011, 1e-12);
+  EXPECT_NEAR(rank0.busy_seconds, 0.008, 1e-12);
+  EXPECT_EQ(rank0.span_count, 3u);
+  EXPECT_NEAR(report.ranks[1].seconds[cat(analysis::Category::kWait)], 0.004, 1e-12);
+  EXPECT_NEAR(report.ranks[2].seconds[cat(analysis::Category::kWait)], 0.006, 1e-12);
+  EXPECT_NEAR(report.attribution_seconds[cat(analysis::Category::kCompute)], 0.008, 1e-12);
+}
+
+TEST(LoadTrace, DroppedEventsCloseOpenSpansAtTrackEnd) {
+  // Drop-newest rings lose the final E events; a trace that says so is
+  // still analyzable, an intact one must balance.
+  TraceFixture f;
+  f.process(0, "rank 0 [monotonic]");
+  f.span(0, 0, obs::span::kCollBarrier, 0, 1'000);
+  f.raw("{\"name\":\"bsp.align\",\"ph\":\"B\",\"ts\":1000.000,\"pid\":0,\"tid\":0}");
+  f.instant(0, 0, obs::span::kFaultCrash, 3'000);
+  EXPECT_THROW((void)analysis::load_trace(f.json()), gnb::Error);
+  const analysis::Trace trace = analysis::load_trace(f.json("2"));
+  ASSERT_EQ(trace.tracks.size(), 1u);
+  ASSERT_EQ(trace.tracks[0].spans.size(), 2u);
+  EXPECT_EQ(trace.tracks[0].spans[1].name, obs::span::kBspAlign);
+  EXPECT_EQ(trace.tracks[0].spans[1].duration_ns(), 2'000'000);
+}
+
 // ---------- counted-metric curation ----------
 
 TEST(CountedMetric, SeparatesDeterministicFromHostDependent) {
@@ -261,7 +307,7 @@ TEST(CountedMetric, SeparatesDeterministicFromHostDependent) {
   EXPECT_TRUE(analysis::counted_metric("exchange.rounds"));
   EXPECT_TRUE(analysis::counted_metric("align.tasks"));
   EXPECT_TRUE(analysis::counted_metric("fault.crashes"));
-  EXPECT_TRUE(analysis::counted_metric("rejoin.count"));
+  EXPECT_TRUE(analysis::counted_metric("fault.rejoins"));
   EXPECT_TRUE(analysis::counted_metric("trace.dropped_events"));
   EXPECT_TRUE(analysis::counted_metric("rpc.requests_served"));
 
@@ -601,6 +647,7 @@ TEST(TraceDrops, WorldRunExportsDropCounterMetric) {
   tracer.enable(/*buffer_capacity=*/16);
   rt::World world(2);
   world.run([](rt::Rank&) {
+    GNB_SPAN(obs::span::kBspAlign);  // its end is among the dropped events
     for (int i = 0; i < 200; ++i) {
       GNB_SPAN(obs::span::kBspRound);
     }
@@ -608,6 +655,10 @@ TEST(TraceDrops, WorldRunExportsDropCounterMetric) {
   EXPECT_GT(tracer.dropped(), 0u);
   EXPECT_GT(world.metrics().counter(obs::metric::kTraceDropped), 0u);
   EXPECT_TRUE(analysis::counted_metric(obs::metric::kTraceDropped));
+  // The truncated trace still yields a breakdown: the open span closes at
+  // the track's last recorded event.
+  ASSERT_EQ(world.breakdowns().size(), 2u);
+  for (const stat::Breakdown& b : world.breakdowns()) EXPECT_GT(b.overhead, 0.0);
   tracer.disable();
 }
 

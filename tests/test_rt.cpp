@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 
+#include "obs/spans.hpp"
+#include "obs/trace.hpp"
 #include "rt/world.hpp"
 #include "util/rng.hpp"
 #include "util/wire.hpp"
@@ -177,14 +181,41 @@ TEST(World, RunTwiceOnSameWorld) {
 }
 
 TEST(World, BreakdownsCollected) {
+  // Phase seconds are a view of the trace: 0 while nothing records, and
+  // then each run's own spans by category; memory is metered either way.
   World world(2);
   world.run([&](Rank& rank) {
-    rank.timers().compute.add(1.5);
     rank.memory().charge(100);
+    rank.barrier();
   });
   ASSERT_EQ(world.breakdowns().size(), 2u);
-  EXPECT_DOUBLE_EQ(world.breakdowns()[0].compute, 1.5);
   EXPECT_EQ(world.breakdowns()[1].peak_memory, 100u);
+  for (const stat::Breakdown& b : world.breakdowns()) EXPECT_EQ(b.total(), 0.0);
+
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.enable();
+  world.run([&](Rank& rank) {
+    {
+      GNB_SPAN(obs::span::kComputeBatch);
+      std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    }
+    rank.barrier();
+  });
+  const std::vector<stat::Breakdown> first = world.breakdowns();
+  world.run([&](Rank& rank) { rank.barrier(); });  // same trace epoch, no compute
+  tracer.disable();
+  ASSERT_EQ(first.size(), 2u);
+#if GNB_TRACE_ENABLED
+  EXPECT_GE(first[0].compute, 0.003);
+  EXPECT_GE(first[1].compute, 0.003);
+  EXPECT_GT(first[0].sync, 0.0);
+  EXPECT_GT(first[1].sync, 0.0);
+#else
+  for (const stat::Breakdown& b : first) EXPECT_EQ(b.total(), 0.0);
+#endif
+  for (const stat::Breakdown& b : first) EXPECT_EQ(b.comm, 0.0);
+  // A run attributes only the events recorded during it.
+  for (const stat::Breakdown& b : world.breakdowns()) EXPECT_EQ(b.compute, 0.0);
 }
 
 // ---------- RPC ----------
@@ -425,14 +456,28 @@ TEST(ServiceBarrier, RepeatedUseInOneRun) {
 }
 
 TEST(Timers, CommChargedByAlltoallv) {
+  // The alltoallv span is exchange: its time is the rank's comm, and the
+  // alltoall and allgather spans are exchange and wait.
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.enable();
   World world(2);
   world.run([&](Rank& rank) {
     std::vector<Bytes> send(2, Bytes(128, 1));
     (void)rank.alltoallv(std::move(send));
-    EXPECT_GE(rank.timers().comm.total(), 0.0);
+    (void)rank.alltoall(std::vector<std::uint64_t>(2, 1));
+    (void)rank.allreduce_max(1.0);
   });
-  // comm shows up in the collected breakdowns
-  for (const auto& b : world.breakdowns()) EXPECT_GE(b.comm, 0.0);
+  tracer.disable();
+  for (const stat::Breakdown& b : world.breakdowns()) {
+#if GNB_TRACE_ENABLED
+    EXPECT_GT(b.comm, 0.0);
+    EXPECT_GT(b.sync, 0.0);
+#else
+    EXPECT_EQ(b.comm, 0.0);
+    EXPECT_EQ(b.sync, 0.0);
+#endif
+    EXPECT_EQ(b.compute, 0.0);
+  }
 }
 
 // ---------- peer death: fail-fast RPC and durable storage ----------

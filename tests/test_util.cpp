@@ -1,12 +1,11 @@
-// Unit tests for gnb_util: RNG, statistics, histograms, tables, memory
-// accounting, and wire packing.
+// Unit tests for gnb_util: RNG, statistics, tables, memory accounting,
+// timers, and wire packing.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <thread>
 
-#include "util/histogram.hpp"
 #include "util/memory.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -188,60 +187,6 @@ TEST(Stats, ReduceSpan) {
   EXPECT_DOUBLE_EQ(s.sum(), 6.0);
 }
 
-// ---------- histograms ----------
-
-TEST(CountHistogram, AddAndQuery) {
-  CountHistogram h;
-  h.add(3);
-  h.add(3);
-  h.add(7, 5);
-  EXPECT_EQ(h.count(3), 2u);
-  EXPECT_EQ(h.count(7), 5u);
-  EXPECT_EQ(h.count(1), 0u);
-  EXPECT_EQ(h.total(), 7u);
-}
-
-TEST(CountHistogram, RangeTotal) {
-  CountHistogram h;
-  for (std::uint64_t k = 1; k <= 10; ++k) h.add(k, k);
-  EXPECT_EQ(h.total_in(3, 5), 3u + 4 + 5);
-  EXPECT_EQ(h.total_in(11, 20), 0u);
-  EXPECT_EQ(h.total_in(0, 100), h.total());
-}
-
-TEST(CountHistogram, Merge) {
-  CountHistogram a, b;
-  a.add(1, 2);
-  b.add(1, 3);
-  b.add(9);
-  a.merge(b);
-  EXPECT_EQ(a.count(1), 5u);
-  EXPECT_EQ(a.count(9), 1u);
-}
-
-TEST(BinnedHistogram, BinningAndClamping) {
-  BinnedHistogram h(0, 10, 5);
-  h.add(0.5);   // bin 0
-  h.add(9.9);   // bin 4
-  h.add(-3);    // clamps to 0
-  h.add(100);   // clamps to 4
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(4), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(1), 4.0);
-}
-
-TEST(BinnedHistogram, RenderContainsCounts) {
-  BinnedHistogram h(0, 4, 2);
-  h.add(1);
-  h.add(3);
-  h.add(3.5);
-  const std::string text = h.render(10);
-  EXPECT_NE(text.find("1"), std::string::npos);
-  EXPECT_NE(text.find("2"), std::string::npos);
-}
-
 // ---------- table ----------
 
 TEST(Table, PrettyAlignsAndIncludesData) {
@@ -324,80 +269,6 @@ TEST(MemoryMeter, ProcessRssIsPositive) { EXPECT_GT(process_rss_bytes(), 0u); }
 
 // ---------- timers ----------
 
-TEST(Timer, StopwatchAccumulates) {
-  Stopwatch sw;
-  sw.add(1.5);
-  sw.add(0.5);
-  EXPECT_DOUBLE_EQ(sw.total(), 2.0);
-  sw.reset();
-  EXPECT_DOUBLE_EQ(sw.total(), 0.0);
-}
-
-TEST(Timer, StopwatchStartStopCharges) {
-  Stopwatch sw;
-  EXPECT_FALSE(sw.running());
-  sw.start();
-  EXPECT_TRUE(sw.running());
-  volatile double x = 1;
-  for (int i = 0; i < 100'000; ++i) x = x * 1.0000001;
-  sw.stop();
-  EXPECT_FALSE(sw.running());
-  EXPECT_GT(sw.total(), 0.0);
-}
-
-TEST(Timer, StopwatchPauseSuspendsCharging) {
-  Stopwatch sw;
-  sw.start();
-  sw.pause();
-  EXPECT_TRUE(sw.paused());
-  const double at_pause = sw.total();
-  // Anything elapsed while paused must not be charged.
-  volatile double x = 1;
-  for (int i = 0; i < 500'000; ++i) x = x * 1.0000001;
-  sw.resume();
-  EXPECT_FALSE(sw.paused());
-  sw.stop();
-  EXPECT_GE(sw.total(), at_pause);
-  // Pause/resume outside a running interval are no-ops.
-  Stopwatch idle;
-  idle.pause();
-  idle.resume();
-  EXPECT_FALSE(idle.running());
-  EXPECT_DOUBLE_EQ(idle.total(), 0.0);
-}
-
-TEST(Timer, StopwatchStopWhilePausedKeepsPausedCharge) {
-  Stopwatch sw;
-  sw.start();
-  sw.pause();
-  const double charged = sw.total();
-  sw.stop();  // stop during pause: the paused tail is not charged
-  EXPECT_DOUBLE_EQ(sw.total(), charged);
-  EXPECT_FALSE(sw.running());
-}
-
-TEST(Timer, ScopedPauseRestoresCharging) {
-  Stopwatch sw;
-  sw.start();
-  {
-    ScopedPause pause(sw);
-    EXPECT_TRUE(sw.paused());
-  }
-  EXPECT_FALSE(sw.paused());
-  EXPECT_TRUE(sw.running());
-  sw.stop();
-}
-
-TEST(Timer, ScopedChargeAddsElapsed) {
-  Stopwatch sw;
-  {
-    ScopedCharge charge(sw);
-    volatile double x = 1;
-    for (int i = 0; i < 100'000; ++i) x = x * 1.0000001;
-  }
-  EXPECT_GT(sw.total(), 0.0);
-}
-
 TEST(Timer, ThreadCpuAdvancesUnderWork) {
   const double t0 = thread_cpu_seconds();
   volatile double x = 1;
@@ -425,11 +296,6 @@ TEST(Wire, TruncatedBufferThrows) {
   std::vector<std::uint8_t> buf{1, 2};
   std::size_t off = 0;
   EXPECT_THROW(wire::get<std::uint32_t>(buf, off), Error);
-}
-
-TEST(BinnedHistogram, InvalidBoundsAbort) {
-  EXPECT_DEATH(BinnedHistogram(5, 5, 4), "");
-  EXPECT_DEATH(BinnedHistogram(0, 10, 0), "");
 }
 
 TEST(Wire, LittleEndianLayout) {

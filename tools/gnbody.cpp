@@ -72,14 +72,17 @@ using namespace gnb;
 
 namespace {
 
-/// Flush the recording tracer to `path`, warn loudly when the ring dropped
-/// events (the trace — and any perf report built from it — is truncated),
+/// Flush the recording tracer to `path` (none when empty: an in-memory
+/// trace for --breakdown), warn loudly when the ring dropped events (the
+/// trace — and any breakdown or perf report built from it — is truncated),
 /// then disable tracing.
 void finish_trace(const std::string& path, const char* what) {
   obs::Tracer& tracer = obs::Tracer::instance();
-  std::ofstream file(path);
-  GNB_THROW_IF(!file, "cannot open output: " << path);
-  tracer.write_json(file);
+  if (!path.empty()) {
+    std::ofstream file(path);
+    GNB_THROW_IF(!file, "cannot open output: " << path);
+    tracer.write_json(file);
+  }
   const std::uint64_t dropped = tracer.dropped();
   if (dropped > 0) {
     log::warn("trace ring dropped ", dropped,
@@ -87,7 +90,7 @@ void finish_trace(const std::string& path, const char* what) {
               "re-run with a larger trace buffer or a smaller workload");
   }
   tracer.disable();
-  log::info("wrote ", what, " to ", path);
+  if (!path.empty()) log::info("wrote ", what, " to ", path);
 }
 
 seq::ReadStore load_fasta(const std::string& path) {
@@ -277,8 +280,11 @@ int cmd_overlap(int argc, char** argv) {
 
   // Open the recording epoch before the pipeline runs and bind a driver
   // track (pid = nranks, after the rank pids) so the driver's stage spans
-  // land on their own Perfetto row next to the rank timelines.
-  if (!trace->empty()) {
+  // land on their own Perfetto row next to the rank timelines. The phase
+  // breakdown is a view of the trace, so --breakdown records one in
+  // memory when no --trace file is asked for.
+  const bool tracing = !trace->empty() || *breakdown;
+  if (tracing) {
     obs::Tracer& tracer = obs::Tracer::instance();
     tracer.enable();
     obs::Tracer::bind(
@@ -294,7 +300,7 @@ int cmd_overlap(int argc, char** argv) {
                                parse_wire_compression_cli(*wire_compression),
                                *ranks_per_node);
 
-  if (!trace->empty()) {
+  if (tracing) {
     obs::Tracer::bind(nullptr);
     finish_trace(*trace, "trace");
   }
