@@ -204,6 +204,191 @@ TEST(WireCodec, ModeledSizesMatchEncoderOnRunFreeReads) {
   }
 }
 
+namespace {
+
+/// `length` bases of a 12-base cycle in which no base repeats its
+/// neighbour, so the reads below carry exactly the runs they spell out.
+std::string no_runs(std::size_t length) {
+  static constexpr char kCycle[] = "ACGTCAGTGCTA";
+  std::string bases;
+  for (std::size_t i = 0; i < length; ++i) bases.push_back(kCycle[i % 12]);
+  return bases;
+}
+
+std::vector<std::uint8_t> from_hex(std::string_view hex) {
+  std::vector<std::uint8_t> bytes;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2)
+    bytes.push_back(
+        static_cast<std::uint8_t>(std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  return bytes;
+}
+
+/// One read's frames under off, pack2, pack2-rle and auto, in hex.
+struct GoldenFrames {
+  const char* name;
+  std::string bases;
+  const char* frames[4];
+};
+
+/// Read i is framed with id 0x01020300 + i. A 32-base word holds bases
+/// [32w, 32w + 32), so "straddling a word" means across bases 31 and 32.
+std::vector<GoldenFrames> golden_frames() {
+  return {
+      {"length 0", "",
+       {"000302010000",
+        "00030201010000",
+        "0003020102000000",
+        "00030201010000"}},
+      {"length 1", "G",
+       {"01030201000102",
+        "0103020101010002",
+        "010302010201000002",
+        "0103020101010002"}},
+      {"length 31", no_runs(31),
+       {"02030201001f00010203010002030201030000010203010002030201030000010203010002",
+        "02030201011f00e4e136e4e136e421",
+        "02030201021f0000e4e136e4e136e421",
+        "02030201011f00e4e136e4e136e421"}},
+      {"length 32", no_runs(32),
+       {"0303020100200001020301000203020103000001020301000203020103000001020301000203",
+        "03030201012000e4e136e4e136e4e1",
+        "0303020102200000e4e136e4e136e4e1",
+        "03030201012000e4e136e4e136e4e1"}},
+      {"length 33", no_runs(33),
+       {"040302010021000102030100020302010300000102030100020302010300000102030100020302",
+        "04030201012100e4e136e4e136e4e102",
+        "0403020102210000e4e136e4e136e4e102",
+        "04030201012100e4e136e4e136e4e102"}},
+      {"length 64", no_runs(64),
+       {"050302010040000102030100020302010300000102030100020302010300000102030100020302010300"
+        "00010203010002030201030000010203010002030201030000010203",
+        "05030201014000e4e136e4e136e4e136e4e136e4e136e4",
+        "0503020102400000e4e136e4e136e4e136e4e136e4e136e4",
+        "05030201014000e4e136e4e136e4e136e4e136e4e136e4"}},
+      {"length 65", no_runs(65),
+       {"060302010041000102030100020302010300000102030100020302010300000102030100020302010300"
+        "0001020301000203020103000001020301000203020103000001020301",
+        "06030201014100e4e136e4e136e4e136e4e136e4e136e401",
+        "0603020102410000e4e136e4e136e4e136e4e136e4e136e401",
+        "06030201014100e4e136e4e136e4e136e4e136e4e136e401"}},
+      {"runs of 3, 4 and 5", "CAAAGTTTTCGGGGGA",
+       {"07030201001001000000020303030301020202020200",
+        "0703020101100001fea72a",
+        "0703020102100002000101fea70a",
+        "0703020101100001fea72a"}},
+      {"run of 136 (a two-byte varint)", "AC" + std::string(136, 'T') + "GA",
+       {"08030201008c010001030303030303030303030303030303030303030303030303030303030303030303"
+        "030303030303030303030303030303030303030303030303030303030303030303030303030303030303"
+        "030303030303030303030303030303030303030303030303030303030303030303030303030303030303"
+        "030303030303030303030303030303030303030200",
+        "08030201018c0100f4ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"
+        "2f",
+        "08030201028c0100018401f42f",
+        "08030201028c0100018401f42f"}},
+      {"run straddling a word", no_runs(28) + std::string(9, 'C') + no_runs(5),
+       {"09030201002a000102030100020302010300000102030100020302010300000102030101010101010101"
+        "010001020301",
+        "09030201012a00e4e136e4e136e455559107",
+        "09030201022a000105e4e136e4e136e455e401",
+        "09030201012a00e4e136e4e136e455559107"}},
+      {"Ns straddling a word", no_runs(30) + "NNNN" + no_runs(4),
+       {"0a0302010026000102030100020302010300000102030100020302010300000102030100040404040001"
+        "0203",
+        "0a0302010126041e010101e4e136e4e136e401400e",
+        "0a0302010226041e0101010102e4e136e4e136e401e4",
+        "0a0302010126041e010101e4e136e4e136e401400e"}},
+      {"N inside a run of A", "GAANAAC",
+       {"0b030201000702000004000001",
+        "0b030201010701030210",
+        "0b0302010207010301010204",
+        "0b030201010701030210"}},
+      {"all-N", "NNNNN",
+       {"0c03020100050404040404",
+        "0c03020101050500010101010000",
+        "0c0302010205050001010101010100",
+        "0c03020101050500010101010000"}},
+      {"all-N straddling a word", std::string(40, 'N'),
+       {"0d0302010028040404040404040404040404040404040404040404040404040404040404040404040404"
+        "04040404",
+        "0d0302010128280001010101010101010101010101010101010101010101010101010101010101010101"
+        "010101010100000000000000000000",
+        "0d0302010228280001010101010101010101010101010101010101010101010101010101010101010101"
+        "0101010101012400",
+        "0d0302010228280001010101010101010101010101010101010101010101010101010101010101010101"
+        "0101010101012400"}},
+  };
+}
+
+/// Golden read `index`, with the id its frames carry.
+seq::Read golden_read(std::size_t index) {
+  return make_read(0x01020300u + static_cast<std::uint32_t>(index),
+                   golden_frames()[index].bases);
+}
+
+}  // namespace
+
+TEST(WireCodec, ReadFrameGoldenBytes) {
+  // Every frame is pinned byte for byte: the codec may change how it
+  // computes a frame, never what it ships. A read whose packed words hold
+  // a code under an N (reverse_complement leaves one there) frames like
+  // the same read parsed from text.
+  const std::vector<GoldenFrames> cases = golden_frames();
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const seq::Read read = golden_read(i);
+    seq::Read flipped = read;
+    flipped.sequence = seq::Sequence::from_string(read.sequence.reverse_complement().to_string())
+                           .reverse_complement();
+    ASSERT_EQ(flipped.sequence.to_string(), cases[i].bases);
+    for (std::size_t m = 0; m < std::size(kModes); ++m) {
+      SCOPED_TRACE(std::string(cases[i].name) + ", " + proto::to_string(kModes[m]));
+      const std::vector<std::uint8_t> golden = from_hex(cases[i].frames[m]);
+      std::vector<std::uint8_t> frame;
+      seq::encode_read(read, kModes[m], frame);
+      EXPECT_EQ(frame, golden);
+      EXPECT_EQ(seq::encoded_read_bytes(read, kModes[m]), golden.size());
+      std::vector<std::uint8_t> flipped_frame;
+      seq::encode_read(flipped, kModes[m], flipped_frame);
+      EXPECT_EQ(flipped_frame, golden);
+      EXPECT_EQ(seq::encoded_read_bytes(flipped, kModes[m]), golden.size());
+      std::size_t offset = 0;
+      const seq::Read decoded = seq::decode_read(golden, offset);
+      EXPECT_EQ(offset, golden.size());
+      EXPECT_EQ(decoded.id, read.id);
+      EXPECT_EQ(decoded.sequence, read.sequence);
+    }
+  }
+}
+
+TEST(WireCodec, Pack2DecodeIgnoresUnusedTailBits) {
+  // 33 bases fill 9 packed bytes; the last byte's top six bits are unused.
+  const seq::Read clean = golden_read(4);
+  ASSERT_EQ(clean.sequence.size(), 33u);
+  std::vector<std::uint8_t> frame;
+  seq::encode_read(clean, proto::WireCompression::kPack2, frame);
+  frame.back() |= 0xFC;
+  std::size_t offset = 0;
+  const seq::Read decoded = seq::decode_read(frame, offset);
+  EXPECT_EQ(offset, frame.size());
+  EXPECT_EQ(decoded.sequence, clean.sequence);
+}
+
+TEST(WireCodec, Pack2DecodeIgnoresCodesUnderNs) {
+  // Bases 30-33 are N; their packed codes (bits 4-7 of packed byte 7, bits
+  // 0-3 of byte 8) are set to T instead of the A the encoder writes.
+  const seq::Read clean = golden_read(10);
+  ASSERT_EQ(clean.sequence.n_count(), 4u);
+  std::vector<std::uint8_t> frame;
+  seq::encode_read(clean, proto::WireCompression::kPack2, frame);
+  const std::size_t body = frame.size() - (clean.sequence.size() + 3) / 4;
+  frame[body + 7] |= 0xF0;
+  frame[body + 8] |= 0x0F;
+  std::size_t offset = 0;
+  const seq::Read decoded = seq::decode_read(frame, offset);
+  EXPECT_EQ(offset, frame.size());
+  EXPECT_EQ(decoded.sequence, clean.sequence);
+  EXPECT_EQ(decoded.sequence.to_string(), golden_frames()[10].bases);
+}
+
 TEST(SharedCodec, TaskAndRecordGoldenBytes) {
   // The task and record layouts carried by rt::DurableStore manifests and
   // recovery log entries, assembly record manifests and the stage-2/3
