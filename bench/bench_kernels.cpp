@@ -2,7 +2,8 @@
 // kernel on true overlaps and false-positive candidates, the exact
 // Smith-Waterman baseline, k-mer extraction/counting, and sequence
 // pack/serialize — the per-task building blocks whose costs drive the
-// application-level models.
+// application-level models — plus the stage-2 record join and the read
+// codec rows of BENCH_kernels.json.
 
 #include <benchmark/benchmark.h>
 
@@ -20,10 +21,12 @@
 #include "core/bsp.hpp"
 #include "kmer/bella_filter.hpp"
 #include "kmer/counter.hpp"
+#include "kmer/records.hpp"
 #include "obs/trace.hpp"
 #include "pipeline/pipeline.hpp"
 #include "rt/world.hpp"
 #include "seq/read_store.hpp"
+#include "seq/wire_codec.hpp"
 #include "util/rng.hpp"
 #include "wl/genome.hpp"
 #include "wl/presets.hpp"
@@ -349,7 +352,8 @@ struct TaskSetWorkload {
   std::vector<align::AlignTask> tasks;
 };
 
-TaskSetWorkload make_task_set_workload(double coverage, double error, double mean_length) {
+/// Reads shaped like a bench/e2e input, on a 40 kb genome with 5 % repeats.
+wl::SampledDataset sample_dataset(double coverage, double error, double mean_length) {
   Xoshiro256 rng(11);
   wl::GenomeParams gp;
   gp.length = 40'000;
@@ -359,7 +363,10 @@ TaskSetWorkload make_task_set_workload(double coverage, double error, double mea
   rp.coverage = coverage;
   rp.error_rate = error;
   rp.mean_length = mean_length;
-  const wl::SampledDataset ds = wl::sample_reads(genome, rp, rng);
+  return wl::sample_reads(genome, rp, rng);
+}
+
+pipeline::PipelineConfig pipeline_config(double coverage, double error) {
   constexpr std::uint32_t k = 17;
   const kmer::ReliableBounds band =
       kmer::reliable_bounds(kmer::BellaParams{coverage, error, k, 1e-3});
@@ -367,8 +374,14 @@ TaskSetWorkload make_task_set_workload(double coverage, double error, double mea
   config.k = k;
   config.lo = band.lo;
   config.hi = band.hi;
+  return config;
+}
+
+TaskSetWorkload make_task_set_workload(double coverage, double error, double mean_length) {
+  const wl::SampledDataset ds = sample_dataset(coverage, error, mean_length);
   const std::vector<kmer::AlignTask> all =
-      pipeline::run_serial(ds.reads, config, /*ranks=*/1).sorted_union();
+      pipeline::run_serial(ds.reads, pipeline_config(coverage, error), /*ranks=*/1)
+          .sorted_union();
 
   TaskSetWorkload w;
   std::vector<align::Seed> seeds;
@@ -381,6 +394,119 @@ TaskSetWorkload make_task_set_workload(double coverage, double error, double mea
   for (std::size_t t = 0; t < seeds.size(); ++t)
     w.tasks.push_back(align::AlignTask{w.storage[2 * t], w.storage[2 * t + 1], seeds[t]});
   return w;
+}
+
+// --- stage-2 join and read codec on hifi-shaped reads ---------------------
+//
+// The two loops outside the alignment kernel that the critical path runs
+// per read or per candidate pair: the record join of stage 2, at 1 and 2
+// threads on one shard holding every record, and the read codec under
+// `auto` (size, encode, decode), in megabases per second. Each row is one
+// pass, timed as the mean over passes until at least 0.3 s have passed.
+
+struct LoopCase {
+  std::size_t threads = 1;
+  std::uint64_t items = 0;  // records joined, or bases coded
+  std::uint64_t tasks = 0;  // join only
+  std::size_t passes = 0;
+  double seconds = 0;       // per pass
+
+  [[nodiscard]] double mitems_per_s() const {
+    return seconds > 0 ? static_cast<double>(items) / seconds / 1e6 : 0;
+  }
+};
+
+template <class Pass>
+LoopCase time_passes(std::uint64_t items, Pass pass) {
+  LoopCase result;
+  result.items = items;
+  const auto start = std::chrono::steady_clock::now();
+  double elapsed = 0;
+  while (elapsed < 0.3) {
+    pass();
+    ++result.passes;
+    elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  }
+  result.seconds = elapsed / static_cast<double>(result.passes);
+  return result;
+}
+
+struct Stage2Rows {
+  LoopCase join[2];  // 1 and 2 threads
+  LoopCase size, encode, decode;
+};
+
+Stage2Rows run_stage2_rows() {
+  const wl::SampledDataset ds = sample_dataset(15, 0.03, 12'000);
+  const pipeline::PipelineConfig config = pipeline_config(15, 0.03);
+  const std::span<const seq::Read> reads(ds.reads.reads());
+  std::vector<std::size_t> lengths;
+  std::uint64_t bases = 0;
+  for (const seq::Read& read : reads) {
+    lengths.push_back(read.length());
+    bases += read.length();
+  }
+  const kmer::RecordRouting routing(1, bases);
+  const std::vector<std::vector<std::uint8_t>> shard =
+      kmer::pack_records(reads, config.k, kmer::Sketch(config.keep_frac), routing);
+  const std::uint64_t records =
+      (shard[0].size() - routing.parts() * sizeof(std::uint64_t)) / sizeof(kmer::WindowRecord);
+
+  Stage2Rows rows;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    std::uint64_t tasks = 0;
+    rows.join[threads - 1] = time_passes(records, [&] {
+      kmer::TaskTable table;
+      kmer::join_records(shard, routing, config.k, config.lo, config.hi, lengths, table,
+                         threads);
+      tasks = table.take_sorted().size();
+    });
+    rows.join[threads - 1].threads = threads;
+    rows.join[threads - 1].tasks = tasks;
+  }
+
+  constexpr auto kAuto = proto::WireCompression::kAuto;
+  std::vector<std::uint8_t> frames;
+  rows.size = time_passes(bases, [&] {
+    std::uint64_t bytes = 0;
+    for (const seq::Read& read : reads) bytes += seq::encoded_read_bytes(read, kAuto);
+    benchmark::DoNotOptimize(bytes);
+  });
+  rows.encode = time_passes(bases, [&] {
+    frames.clear();
+    for (const seq::Read& read : reads) seq::encode_read(read, kAuto, frames);
+    benchmark::DoNotOptimize(frames.data());
+  });
+  rows.decode = time_passes(bases, [&] {
+    std::size_t offset = 0;
+    while (offset < frames.size()) {
+      const seq::Read read = seq::decode_read(frames, offset);
+      benchmark::DoNotOptimize(read.sequence.words().data());
+    }
+  });
+  return rows;
+}
+
+void append_join_row(std::string& json, const char* label, const LoopCase& c) {
+  char buffer[512];
+  std::snprintf(buffer, sizeof(buffer),
+                "    {\"labels\":{\"case\":\"%s\"},\"threads\":%zu,\"records\":%llu,"
+                "\"tasks\":%llu,\"passes\":%zu,\"seconds\":%.6f,"
+                "\"mrecords_per_s\":%.1f},\n",
+                label, c.threads, static_cast<unsigned long long>(c.items),
+                static_cast<unsigned long long>(c.tasks), c.passes, c.seconds,
+                c.mitems_per_s());
+  json += buffer;
+}
+
+void append_codec_row(std::string& json, const char* label, const LoopCase& c) {
+  char buffer[512];
+  std::snprintf(buffer, sizeof(buffer),
+                "    {\"labels\":{\"case\":\"%s\"},\"mode\":\"auto\",\"bases\":%llu,"
+                "\"passes\":%zu,\"seconds\":%.6f,\"mbases_per_s\":%.1f},\n",
+                label, static_cast<unsigned long long>(c.items), c.passes, c.seconds,
+                c.mitems_per_s());
+  json += buffer;
 }
 
 // --- read cache + alignment pool: whole-task throughput --------------------
@@ -579,6 +705,8 @@ void write_cache_pool_report() {
   const BatchKernelCase hifi_simd =
       run_batch_kernel_case(hifi.tasks, proto::BatchAlignerKind::kSimd, 32);
 
+  const Stage2Rows stage2 = run_stage2_rows();
+
   std::string json;
   json += "{\n  \"bench\":\"kernels\",\n";
   char config_line[256];
@@ -593,6 +721,11 @@ void write_cache_pool_report() {
   append_cache_pool_row(json, "align_tasks_pool4_cached", pooled, true);
   append_cache_pool_row(json, "align_tasks_trace_off", trace.off, true);
   append_cache_pool_row(json, "align_tasks_trace_on", trace.on, true);
+  append_join_row(json, "join_records_hifi_threads1", stage2.join[0]);
+  append_join_row(json, "join_records_hifi_threads2", stage2.join[1]);
+  append_codec_row(json, "wire_size_hifi", stage2.size);
+  append_codec_row(json, "wire_encode_hifi", stage2.encode);
+  append_codec_row(json, "wire_decode_hifi", stage2.decode);
   append_batch_kernel_row(json, "batch_xdrop_scalar", kernel_scalar, true);
   append_batch_kernel_row(json, "batch_xdrop_simd", kernel_simd, true);
   append_batch_kernel_row(json, "batch_xdrop_tasks_ont_scalar", ont_scalar, true);
@@ -628,6 +761,16 @@ void write_cache_pool_report() {
         "(occupancy %.1f%%) -> BENCH_kernels.json\n",
         name, scalar->info.name, scalar->mcells_per_s, simd->info.name, simd->mcells_per_s,
         simd->occupancy * 100);
+  std::printf(
+      "stage-2 join on hifi-shaped reads: %llu records -> %llu tasks in %.2f ms at 1 "
+      "thread, %.2f ms at 2 -> BENCH_kernels.json\n",
+      static_cast<unsigned long long>(stage2.join[0].items),
+      static_cast<unsigned long long>(stage2.join[0].tasks), stage2.join[0].seconds * 1e3,
+      stage2.join[1].seconds * 1e3);
+  std::printf(
+      "read codec (auto) on hifi-shaped reads: size %.0f, encode %.0f, decode %.0f "
+      "Mbases/s -> BENCH_kernels.json\n",
+      stage2.size.mitems_per_s(), stage2.encode.mitems_per_s(), stage2.decode.mitems_per_s());
   std::printf(
       "trace overhead (compiled %s, %zu interleaved pairs): median off %.0f tasks/s vs on "
       "%.0f tasks/s, paired overhead median %.2f%% (quartiles %.2f%% to %.2f%%)%s "

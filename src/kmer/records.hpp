@@ -12,10 +12,18 @@
 // count table, and a run inside the band is that k-mer's posting list for
 // TaskTable::join. Because the sketch rule is a function of the k-mer, the
 // windows it drops are never sent.
+//
+// Both kernels split their work over the threads a Fanout lends them. The
+// packer gives each thread a contiguous chunk of the reads and
+// prefix-sums the chunks' per-slot counts into write cursors, so its
+// buffers are byte-identical at every thread count. The joiner hands
+// parts out one at a time; each thread joins into its own TaskTable, and
+// the tables merge under the min-seed rule, which makes the result
+// independent of which thread joined which part.
 
 #include <cstdint>
+#include <functional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "kmer/candidates.hpp"
@@ -32,12 +40,14 @@ struct WindowRecord {
 };
 static_assert(sizeof(WindowRecord) == 16);
 
-/// Longest read every window start of which fits the record's 31-bit
-/// position field.
-inline constexpr std::uint64_t kMaxRecordReadLength = std::uint64_t{1} << 31;
+/// Calls body(t) once for every t in [0, threads) at the same time, body(0)
+/// on the calling thread, and returns once every call has returned.
+using Fanout =
+    std::function<void(std::size_t threads, const std::function<void(std::size_t)>& body)>;
 
-/// Reject a read longer than kMaxRecordReadLength with a gnb::Error.
-void check_record_length(std::uint64_t length, std::string_view read_name);
+/// The Fanout on plain threads, started for the call. A helper's exception
+/// is rethrown on the calling thread.
+void fan_out(std::size_t threads, const std::function<void(std::size_t)>& body);
 
 /// Where a k-mer's records go: `shards` shards of `parts()` parts each,
 /// chosen from the low 32 bits of mix64(bits). (The sketch rule keeps the
@@ -68,20 +78,24 @@ class RecordRouting {
 };
 
 /// The records of the windows of `reads` that `sketch` keeps, one buffer per
-/// shard: parts() u64 record counts, then the records, part by part, both
-/// in host byte order (the buffers never leave the process). Reads must
-/// pass check_record_length.
+/// shard: parts() u64 record counts, then the records, part by part and in
+/// read order within a part, both in host byte order (the buffers never
+/// leave the process). Reads must pass check_record_length. Runs on
+/// `threads` threads of `fanout`; the buffers do not depend on how many.
 std::vector<std::vector<std::uint8_t>> pack_records(std::span<const seq::Read> reads,
                                                     std::uint32_t k, const Sketch& sketch,
-                                                    const RecordRouting& routing);
+                                                    const RecordRouting& routing,
+                                                    std::size_t threads = 1,
+                                                    const Fanout& fanout = fan_out);
 
 /// One shard's count, filter and join over the buffers every sender packed
 /// for it: part by part, gather, sort by k-mer, and join every run whose
 /// length lies in [lo, hi] into `table`. `read_lengths[id]` is every read's
-/// length, as TaskTable::join takes it.
+/// length, as TaskTable::join takes it. Runs on `threads` threads of
+/// `fanout`; the tasks do not depend on how many.
 void join_records(std::span<const std::vector<std::uint8_t>> buffers,
                   const RecordRouting& routing, std::uint32_t k, std::uint64_t lo,
                   std::uint64_t hi, const std::vector<std::size_t>& read_lengths,
-                  TaskTable& table);
+                  TaskTable& table, std::size_t threads = 1, const Fanout& fanout = fan_out);
 
 }  // namespace gnb::kmer

@@ -89,12 +89,16 @@ Category categorize(std::string_view name) {
       name == span::kBspLocalTasks || name == span::kAsyncLocalTasks) {
     return Category::kCompute;
   }
+  // Exchange is encode, ship and decode: the wire codec's frame packing
+  // and decoding count with the collectives and pulls that ship them.
   if (name == span::kCollAlltoallv || name == span::kCollAlltoall || name == span::kRpcPull ||
-      name == span::kBspRequestExchange || name == span::kAsyncPulls) {
+      name == span::kBspRequestExchange || name == span::kAsyncPulls ||
+      name == span::kWireCompress || name == span::kWireDecompress) {
     return Category::kExchange;
   }
-  // compute.pool is the rank thread waiting for its workers, whose kernel
-  // time their own tracks already carry as compute.batch.
+  // compute.pool is the rank thread waiting for its workers, whose work
+  // their own tracks already carry: compute.batch in the alignment phase,
+  // stage.* in stage 2.
   if (name == span::kCollBarrier || name == span::kCollSplitBarrier ||
       name == span::kCollServiceBarrier || name == span::kCollAllgather ||
       name == span::kComputePool) {

@@ -41,8 +41,8 @@ namespace gnb::obs::analysis {
 /// stat::Breakdown reads compute as compute, exchange as comm, wait as sync,
 /// and overhead plus recovery as overhead.
 enum class Category : std::uint8_t {
-  kCompute = 0,   // alignment / graph kernels
-  kExchange = 1,  // visible communication (alltoallv, pulls)
+  kCompute = 0,   // alignment / graph / stage kernels
+  kExchange = 1,  // encode, ship, decode (wire.*, alltoallv, pulls)
   kWait = 2,      // barrier waiting — imbalance made visible
   kRecovery = 3,  // crash/rejoin/corruption recovery (recovery.*)
   kOverhead = 4,  // container-span self time: traversal, dispatch

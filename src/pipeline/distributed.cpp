@@ -1,7 +1,9 @@
 #include "pipeline/distributed.hpp"
 
 #include <algorithm>
+#include <latch>
 #include <span>
+#include <string>
 
 #include "kmer/records.hpp"
 #include "obs/spans.hpp"
@@ -20,6 +22,41 @@ void check_inputs(const seq::ReadStore& store, const PipelineConfig& config) {
   kmer::check_k(config.k);
   for (const seq::Read& read : store.reads())
     kmer::check_record_length(read.length(), read.name);
+}
+
+/// The k-mer kernels' fanout on one rank: helper t (t >= 1) runs on the
+/// trace track an alignment worker would, (rank, t), inside a `span` span,
+/// and the rank thread waits for its helpers inside compute.pool. So the
+/// rank's attributed compute is the work its threads did, not the wait.
+kmer::Fanout stage_fanout(std::uint32_t rank, const char* span) {
+  return [rank, span](std::size_t threads, const std::function<void(std::size_t)>& body) {
+    std::latch helpers_done(static_cast<std::ptrdiff_t>(threads - 1));
+    kmer::fan_out(threads, [&](std::size_t t) {
+      if (t == 0) {
+        body(0);
+        if (threads > 1) {
+          GNB_SPAN(obs::span::kComputePool);
+          helpers_done.wait();
+        }
+        return;
+      }
+      struct CountDown {
+        std::latch& latch;
+        ~CountDown() { latch.count_down(); }
+      } count_down{helpers_done};
+      obs::Tracer& tracer = obs::Tracer::instance();
+      if (tracer.enabled()) {
+        obs::Tracer::bind(tracer.buffer(rank, static_cast<std::uint32_t>(t),
+                                        "rank " + std::to_string(rank),
+                                        "worker " + std::to_string(t - 1)));
+      }
+      {
+        GNB_SPAN(span);
+        body(t);
+      }
+      obs::Tracer::bind(nullptr);
+    });
+  };
 }
 
 }  // namespace
@@ -47,17 +84,21 @@ std::vector<AlignTask> run_distributed(rt::Rank& rank, const seq::ReadStore& sto
                                     std::min(config.keep_frac, 1.0)));
 
   // --- stage 2a: one record per sketched window, to its k-mer's shard ---
+  const auto id = static_cast<std::uint32_t>(rank.id());
+  const std::size_t threads = std::max<std::size_t>(config.threads, 1);
   std::vector<Bytes> records;
   {
     GNB_SPAN(obs::span::kStageKmerRecords, "reads", my_reads.size());
-    records = rank.alltoallv(kmer::pack_records(my_reads, config.k, sketch, routing));
+    records = rank.alltoallv(kmer::pack_records(my_reads, config.k, sketch, routing, threads,
+                                                stage_fanout(id, obs::span::kStageKmerRecords)));
   }
 
   // --- stage 2b: count, filter and join this shard's k-mers ---
   kmer::TaskTable candidates;
   {
     GNB_SPAN(obs::span::kStageKmerJoin, "parts", routing.parts());
-    kmer::join_records(records, routing, config.k, config.lo, config.hi, lengths, candidates);
+    kmer::join_records(records, routing, config.k, config.lo, config.hi, lengths, candidates,
+                       threads, stage_fanout(id, obs::span::kStageKmerJoin));
     std::vector<Bytes>().swap(records);
   }
 

@@ -8,7 +8,8 @@
 //   3. every pair shard sends its deduplicated tasks to every rank, and
 //      every rank replays stage 3's assignment (assign_tasks) over the
 //      whole set and keeps the tasks assigned to it.
-// Produces exactly pipeline::run_serial's per-rank task lists.
+// Produces exactly pipeline::run_serial's per-rank task lists. The k-mer
+// kernels of round 1 run on config.threads threads per rank.
 
 #include <vector>
 

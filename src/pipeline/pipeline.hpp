@@ -26,6 +26,10 @@ struct PipelineConfig {
   std::uint64_t hi = 8;
   /// Fraction sketching rate for posting lists (1 = exhaustive).
   double keep_frac = 1.0;
+  /// Threads per rank for run_distributed's k-mer kernels: the rank thread
+  /// plus threads - 1 helpers. The task lists do not depend on it, and
+  /// run_serial runs on the calling thread alone.
+  std::size_t threads = 1;
 };
 
 struct TaskSet {

@@ -59,6 +59,27 @@ Sequence Sequence::from_codes(std::span<const std::uint8_t> codes) {
   return s;
 }
 
+Sequence Sequence::from_words(std::size_t size, std::vector<std::uint64_t> words,
+                              std::vector<std::uint32_t> n_positions) {
+  GNB_CHECK_MSG(words.size() == words_for(size),
+                words.size() << " words cannot hold " << size << " bases");
+  for (std::size_t i = 0; i < n_positions.size(); ++i)
+    GNB_CHECK_MSG(n_positions[i] < size && (i == 0 || n_positions[i - 1] < n_positions[i]),
+                  "N positions must be ascending and below " << size);
+  Sequence s;
+  s.size_ = size;
+  s.words_ = std::move(words);
+  s.n_positions_ = std::move(n_positions);
+  s.clear_unused_bits();
+  return s;
+}
+
+void Sequence::clear_unused_bits() {
+  for (const std::uint32_t pos : n_positions_)
+    words_[pos >> 5] &= ~(std::uint64_t{3} << ((pos & 31) * 2));
+  if (size_ % 32 != 0) words_.back() &= (std::uint64_t{1} << (2 * (size_ % 32))) - 1;
+}
+
 std::uint8_t Sequence::code_at(std::size_t pos) const {
   GNB_CHECK_MSG(pos < size_, "sequence index " << pos << " out of range " << size_);
   if (is_n(pos)) return kN;
@@ -88,6 +109,7 @@ Sequence Sequence::reverse_complement() const {
   rc.n_positions_.reserve(n_positions_.size());
   for (auto it = n_positions_.rbegin(); it != n_positions_.rend(); ++it)
     rc.n_positions_.push_back(static_cast<std::uint32_t>(size_ - 1 - *it));
+  rc.clear_unused_bits();  // an N complemented to T
   return rc;
 }
 
@@ -135,6 +157,12 @@ Sequence Sequence::deserialize(std::span<const std::uint8_t> in, std::size_t& of
   for (auto& w : s.words_) w = get_le<std::uint64_t>(in, offset);
   s.n_positions_.resize(n_count);
   for (auto& np : s.n_positions_) np = get_le<std::uint32_t>(in, offset);
+  for (std::size_t i = 0; i < n_count; ++i) {
+    GNB_THROW_IF(s.n_positions_[i] >= s.size_ ||
+                     (i > 0 && s.n_positions_[i - 1] >= s.n_positions_[i]),
+                 "sequence deserialize: corrupt N positions");
+  }
+  s.clear_unused_bits();
   return s;
 }
 

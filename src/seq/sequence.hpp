@@ -4,8 +4,9 @@
 // A read of L bases uses ceil(L/32) 64-bit words plus a (usually tiny)
 // sorted vector of N positions. This keeps the working set small for the
 // data-intensive exchange phases while still supporting the 5-letter
-// alphabet. Serialization round-trips through a flat byte layout used by
-// both the BSP exchange buffers and the RPC reply payloads.
+// alphabet. The words are canonical: an N packs as A and the bits past the
+// last base are zero, so equal sequences have equal words, and the wire
+// codec (seq/wire_codec) frames them without unpacking.
 
 #include <cstdint>
 #include <span>
@@ -27,6 +28,12 @@ class Sequence {
   /// Build from codes (each in 0..4).
   static Sequence from_codes(std::span<const std::uint8_t> codes);
 
+  /// Build from `size` bases packed as words() packs them and their sorted,
+  /// distinct N positions (each below `size`). The bits under each N and
+  /// past the last base may hold anything; they are cleared.
+  static Sequence from_words(std::size_t size, std::vector<std::uint64_t> words,
+                             std::vector<std::uint32_t> n_positions);
+
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
@@ -41,6 +48,14 @@ class Sequence {
 
   /// Number of 'N' positions.
   [[nodiscard]] std::size_t n_count() const { return n_positions_.size(); }
+
+  /// The bases packed two bits each, 32 to a word: base i sits at bits
+  /// 2 (i mod 32) of word i / 32. An N and the bits past the last base
+  /// read as zero (A).
+  [[nodiscard]] std::span<const std::uint64_t> words() const { return words_; }
+
+  /// The positions that are 'N', ascending.
+  [[nodiscard]] std::span<const std::uint32_t> n_positions() const { return n_positions_; }
 
   [[nodiscard]] std::string to_string() const;
 
@@ -71,6 +86,8 @@ class Sequence {
   void set_packed(std::size_t pos, std::uint8_t code) {
     words_[pos >> 5] |= static_cast<std::uint64_t>(code & 3u) << ((pos & 31) * 2);
   }
+  /// Zero the bits under each N and past the last base.
+  void clear_unused_bits();
 
   std::size_t size_ = 0;
   std::vector<std::uint64_t> words_;       // 2-bit codes, 32 bases per word

@@ -1,6 +1,7 @@
 #include "seq/wire_codec.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "seq/alphabet.hpp"
 #include "util/error.hpp"
@@ -46,156 +47,212 @@ std::uint64_t get_varint(std::span<const std::uint8_t> in, std::size_t& offset) 
   return v;
 }
 
-/// N-position sidecar size: varint count + delta-coded positions. `codes`
-/// are unpacked codes (N = kN).
-std::uint64_t sidecar_bytes(const std::vector<std::uint8_t>& codes) {
-  std::uint64_t n_count = 0;
-  std::uint64_t bytes = 0;
+/// N-position sidecar size: varint count + delta-coded positions.
+std::uint64_t sidecar_bytes(std::span<const std::uint32_t> n_positions) {
+  std::uint64_t bytes = varint_len(n_positions.size());
   std::uint64_t prev = 0;
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    if (codes[i] != kN) continue;
-    bytes += varint_len(i - prev);
-    prev = i;
-    ++n_count;
+  for (const std::uint32_t pos : n_positions) {
+    bytes += varint_len(pos - prev);
+    prev = pos;
   }
-  return varint_len(n_count) + bytes;
+  return bytes;
 }
 
-void put_sidecar(const std::vector<std::uint8_t>& codes, std::vector<std::uint8_t>& out) {
-  std::uint64_t n_count = 0;
-  for (const std::uint8_t c : codes) n_count += c == kN ? 1 : 0;
-  put_varint(out, n_count);
+void put_sidecar(std::span<const std::uint32_t> n_positions, std::vector<std::uint8_t>& out) {
+  put_varint(out, n_positions.size());
   std::uint64_t prev = 0;
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    if (codes[i] != kN) continue;
-    put_varint(out, i - prev);
-    prev = i;
+  for (const std::uint32_t pos : n_positions) {
+    put_varint(out, pos - prev);
+    prev = pos;
   }
 }
 
-/// Walk the maximal homopolymer runs of the 2-bit stream (N packed as A,
-/// the in-memory convention). `on_run(code, length)` fires once per run.
-template <typename Fn>
-void scan_runs(const std::vector<std::uint8_t>& codes, Fn&& on_run) {
-  std::size_t i = 0;
-  while (i < codes.size()) {
-    const std::uint8_t code = codes[i] == kN ? kA : codes[i];
-    std::size_t j = i + 1;
-    while (j < codes.size() && (codes[j] == kN ? kA : codes[j]) == code) ++j;
-    on_run(code, static_cast<std::uint64_t>(j - i));
-    i = j;
-  }
+constexpr std::uint64_t kEvenBits = 0x5555555555555555ULL;
+
+/// The low `symbols` (< 32) 2-bit symbols of a word.
+constexpr std::uint64_t low_symbols(unsigned symbols) {
+  return (std::uint64_t{1} << (2 * symbols)) - 1;
 }
 
-/// pack2-rle body arithmetic: reduced-stream symbol count plus the escape
-/// table's exact byte cost.
-struct RleLayout {
-  std::uint64_t symbols = 0;
-  std::uint64_t n_runs = 0;
-  std::uint64_t extra_bytes = 0;
+/// One maximal homopolymer run of at least kMinRun symbols.
+struct Run {
+  std::uint64_t start;
+  std::uint64_t length;
 };
 
-RleLayout rle_layout(const std::vector<std::uint8_t>& codes) {
-  RleLayout layout;
-  scan_runs(codes, [&](std::uint8_t, std::uint64_t run) {
-    if (run >= kMinRun) {
-      layout.symbols += kMinRun;
-      ++layout.n_runs;
-      layout.extra_bytes += varint_len(run - kMinRun);
-    } else {
-      layout.symbols += run;
-    }
-  });
-  return layout;
-}
+/// The maximal runs of >= kMinRun identical symbols among the first
+/// `symbols` symbols of `words` (packed as Sequence::words() packs them),
+/// in order. Word-parallel: `same` marks each symbol equal to the one
+/// before it, and `deep` each symbol that is the kMinRun-th or later of
+/// its run, so only runs of kMinRun or more cost a loop iteration.
+std::vector<Run> long_runs(std::span<const std::uint64_t> words, std::uint64_t symbols) {
+  static_assert(kMinRun == 4, "deep tests the three previous symbols");
+  std::vector<Run> runs;
+  std::uint64_t prev_word = 0;
+  std::uint64_t prev_same = 0;
+  std::uint64_t open_first = 0;  // first deep symbol of the run being walked
+  std::uint64_t open_deep = 0;   // its deep symbols so far; 0 = no run open
+  const auto close = [&] {
+    runs.push_back({open_first - (kMinRun - 1), open_deep + (kMinRun - 1)});
+    open_deep = 0;
+  };
+  for (std::size_t w = 0; w * 32 < symbols; ++w) {
+    const std::uint64_t word = words[w];
+    const std::uint64_t diff = word ^ (word << 2 | prev_word >> 62);
+    std::uint64_t same = ~(diff | diff >> 1) & kEvenBits;
+    if (w == 0) same &= ~std::uint64_t{1};  // the first symbol has no predecessor
+    if (symbols - w * 32 < 32) same &= low_symbols(static_cast<unsigned>(symbols - w * 32));
+    std::uint64_t deep =
+        same & (same << 2 | prev_same >> 62) & (same << 4 | prev_same >> 60);
+    prev_word = word;
+    prev_same = same;
 
-/// Append `symbols` 2-bit codes packed four per byte, little-endian within
-/// each byte (symbol i occupies bits (i & 3) * 2).
-class BitPacker {
- public:
-  explicit BitPacker(std::vector<std::uint8_t>& out) : out_(out) {}
-  void push(std::uint8_t code) {
-    byte_ |= static_cast<std::uint8_t>((code & 3u) << ((count_ & 3u) * 2));
-    if ((++count_ & 3u) == 0) {
-      out_.push_back(byte_);
-      byte_ = 0;
+    if (open_deep > 0 && (deep & 1) == 0) close();
+    while (deep != 0) {
+      const unsigned at = static_cast<unsigned>(std::countr_zero(deep)) / 2;
+      const std::uint64_t ahead = ~(deep >> (2 * at)) & kEvenBits;
+      const unsigned count =
+          ahead == 0 ? 32 - at : static_cast<unsigned>(std::countr_zero(ahead)) / 2;
+      if (open_deep == 0) open_first = w * 32 + at;
+      open_deep += count;
+      if (at + count == 32) break;  // the run may go on in the next word
+      close();
+      deep &= ~(low_symbols(count) << (2 * at));
     }
   }
-  void flush() {
-    if ((count_ & 3u) != 0) out_.push_back(byte_);
+  if (open_deep > 0) close();
+  return runs;
+}
+
+/// Packs 2-bit symbols 32 to a word, in Sequence::words() order, and hands
+/// each full word — and at finish() the partial last one — to
+/// `emit(word, symbols)`.
+template <class Emit>
+class SymbolPacker {
+ public:
+  explicit SymbolPacker(Emit emit) : emit_(emit) {}
+
+  /// Append symbols [from, from + n) of `words`.
+  void copy(std::span<const std::uint64_t> words, std::uint64_t from, std::uint64_t n) {
+    while (n > 0) {
+      const auto shift = static_cast<unsigned>(from % 32);
+      const auto take = static_cast<unsigned>(std::min<std::uint64_t>(n, 32 - shift));
+      std::uint64_t bits = words[from / 32] >> (2 * shift);
+      if (take < 32) bits &= low_symbols(take);
+      put(bits, take);
+      from += take;
+      n -= take;
+    }
+  }
+
+  /// Append `n` copies of `code`.
+  void fill(std::uint8_t code, std::uint64_t n) {
+    const std::uint64_t pattern = code * kEvenBits;
+    for (; n >= 32; n -= 32) put(pattern, 32);
+    if (n > 0) put(pattern & low_symbols(static_cast<unsigned>(n)), static_cast<unsigned>(n));
+  }
+
+  void finish() {
+    if (count_ > 0) emit_(held_, count_);
   }
 
  private:
-  std::vector<std::uint8_t>& out_;
-  std::uint8_t byte_ = 0;
-  std::size_t count_ = 0;
+  /// Append `take` (1..32) symbols, the low 2 * take bits of `bits`.
+  void put(std::uint64_t bits, unsigned take) {
+    held_ |= bits << (2 * count_);
+    if (count_ + take < 32) {
+      count_ += take;
+      return;
+    }
+    emit_(held_, 32);
+    held_ = count_ == 0 ? 0 : bits >> (2 * (32 - count_));
+    count_ = count_ + take - 32;
+  }
+
+  Emit emit_;
+  std::uint64_t held_ = 0;
+  unsigned count_ = 0;  // symbols in held_, < 32
 };
+
+/// A SymbolPacker appending packed bytes to `out`: four symbols to a byte,
+/// symbol i of a byte at bits 2i, bytes in stream order.
+auto byte_packer(std::vector<std::uint8_t>& out) {
+  return SymbolPacker([&out](std::uint64_t word, unsigned symbols) {
+    for (unsigned byte = 0; byte < (symbols + 3) / 4; ++byte)
+      out.push_back(static_cast<std::uint8_t>(word >> (8 * byte)));
+  });
+}
+
+/// The first `symbols` symbols of a packed byte stream, as words.
+std::vector<std::uint64_t> unpack_bytes(std::span<const std::uint8_t> bytes,
+                                        std::uint64_t symbols) {
+  std::vector<std::uint64_t> words((symbols + 31) / 32, 0);
+  for (std::size_t i = 0; i < (symbols + 3) / 4; ++i)
+    words[i / 8] |= std::uint64_t{bytes[i]} << (8 * (i % 8));
+  return words;
+}
 
 std::uint64_t frame_overhead(std::uint64_t length) {
   return sizeof(std::uint32_t) + 1 /*codec byte*/ + varint_len(length);
 }
 
-std::uint64_t body_bytes(const std::vector<std::uint8_t>& codes, WireCompression mode) {
-  const auto length = static_cast<std::uint64_t>(codes.size());
-  switch (mode) {
-    case WireCompression::kOff:
-      return length;
-    case WireCompression::kPack2:
-      return sidecar_bytes(codes) + (length + 3) / 4;
-    case WireCompression::kPack2Rle: {
-      const RleLayout layout = rle_layout(codes);
-      return sidecar_bytes(codes) + varint_len(layout.n_runs) + layout.extra_bytes +
-             (layout.symbols + 3) / 4;
-    }
-    case WireCompression::kAuto:
-      break;
-  }
-  return std::min(body_bytes(codes, WireCompression::kPack2),
-                  body_bytes(codes, WireCompression::kPack2Rle));
+std::uint64_t pack2_body_bytes(const Sequence& s) {
+  return sidecar_bytes(s.n_positions()) + (s.size() + 3) / 4;
 }
 
-/// Resolve kAuto to the concrete codec framed for this read: the smaller
-/// of pack2 / pack2-rle, ties to pack2 (the cheaper decode).
-WireCompression resolve(const std::vector<std::uint8_t>& codes, WireCompression mode) {
-  if (mode != WireCompression::kAuto) return mode;
-  return body_bytes(codes, WireCompression::kPack2Rle) <
-                 body_bytes(codes, WireCompression::kPack2)
-             ? WireCompression::kPack2Rle
-             : WireCompression::kPack2;
+std::uint64_t rle_body_bytes(const Sequence& s, const std::vector<Run>& runs) {
+  std::uint64_t symbols = s.size();
+  std::uint64_t table = varint_len(runs.size());
+  for (const Run& run : runs) {
+    symbols -= run.length - kMinRun;
+    table += varint_len(run.length - kMinRun);
+  }
+  return sidecar_bytes(s.n_positions()) + table + (symbols + 3) / 4;
 }
 
 }  // namespace
 
 void encode_read(const Read& read, WireCompression mode, std::vector<std::uint8_t>& out) {
-  const std::vector<std::uint8_t> codes = read.sequence.unpack();
-  const WireCompression codec = resolve(codes, mode);
+  const Sequence& s = read.sequence;
+  std::vector<Run> runs;
+  if (mode == WireCompression::kPack2Rle || mode == WireCompression::kAuto)
+    runs = long_runs(s.words(), s.size());
+  // kAuto: the smaller of pack2 / pack2-rle, ties to pack2 (the cheaper
+  // decode).
+  const WireCompression codec =
+      mode != WireCompression::kAuto ? mode
+      : rle_body_bytes(s, runs) < pack2_body_bytes(s) ? WireCompression::kPack2Rle
+                                                      : WireCompression::kPack2;
   wire::put<std::uint32_t>(out, read.id);
   out.push_back(static_cast<std::uint8_t>(codec));
-  put_varint(out, codes.size());
+  put_varint(out, s.size());
   switch (codec) {
-    case WireCompression::kOff:
+    case WireCompression::kOff: {
+      const std::vector<std::uint8_t> codes = s.unpack();
       out.insert(out.end(), codes.begin(), codes.end());
       break;
+    }
     case WireCompression::kPack2: {
-      put_sidecar(codes, out);
-      BitPacker packer(out);
-      for (const std::uint8_t c : codes) packer.push(c == kN ? kA : c);
-      packer.flush();
+      put_sidecar(s.n_positions(), out);
+      auto packer = byte_packer(out);
+      packer.copy(s.words(), 0, s.size());
+      packer.finish();
       break;
     }
     case WireCompression::kPack2Rle: {
-      put_sidecar(codes, out);
-      const RleLayout layout = rle_layout(codes);
-      put_varint(out, layout.n_runs);
-      scan_runs(codes, [&](std::uint8_t, std::uint64_t run) {
-        if (run >= kMinRun) put_varint(out, run - kMinRun);
-      });
-      BitPacker packer(out);
-      scan_runs(codes, [&](std::uint8_t code, std::uint64_t run) {
-        const std::uint64_t literal = std::min<std::uint64_t>(run, kMinRun);
-        for (std::uint64_t i = 0; i < literal; ++i) packer.push(code);
-      });
-      packer.flush();
+      // A run keeps its first kMinRun symbols in the stream; the rest
+      // become its escape.
+      put_sidecar(s.n_positions(), out);
+      put_varint(out, runs.size());
+      for (const Run& run : runs) put_varint(out, run.length - kMinRun);
+      auto packer = byte_packer(out);
+      std::uint64_t from = 0;
+      for (const Run& run : runs) {
+        packer.copy(s.words(), from, run.start + kMinRun - from);
+        from = run.start + run.length;
+      }
+      packer.copy(s.words(), from, s.size() - from);
+      packer.finish();
       break;
     }
     case WireCompression::kAuto:
@@ -204,8 +261,20 @@ void encode_read(const Read& read, WireCompression mode, std::vector<std::uint8_
 }
 
 std::uint64_t encoded_read_bytes(const Read& read, WireCompression mode) {
-  const std::vector<std::uint8_t> codes = read.sequence.unpack();
-  return frame_overhead(codes.size()) + body_bytes(codes, mode);
+  const Sequence& s = read.sequence;
+  const std::uint64_t overhead = frame_overhead(s.size());
+  switch (mode) {
+    case WireCompression::kOff:
+      return overhead + s.size();
+    case WireCompression::kPack2:
+      return overhead + pack2_body_bytes(s);
+    case WireCompression::kPack2Rle:
+      return overhead + rle_body_bytes(s, long_runs(s.words(), s.size()));
+    case WireCompression::kAuto:
+      break;
+  }
+  return overhead +
+         std::min(pack2_body_bytes(s), rle_body_bytes(s, long_runs(s.words(), s.size())));
 }
 
 std::uint64_t raw_read_bytes(const Read& read) {
@@ -221,75 +290,81 @@ Read decode_read(std::span<const std::uint8_t> in, std::size_t& offset) {
                "wire codec: unknown codec byte " << static_cast<int>(codec_byte));
   const auto codec = static_cast<WireCompression>(codec_byte);
   const std::uint64_t length = get_varint(in, offset);
-  std::vector<std::uint8_t> codes;
-  codes.reserve(length);
+  std::vector<std::uint32_t> n_positions;
 
   if (codec == WireCompression::kOff) {
     GNB_THROW_IF(length > in.size() - offset, "wire codec: truncated off payload");
+    std::vector<std::uint64_t> words((length + 31) / 32, 0);
     for (std::uint64_t i = 0; i < length; ++i) {
-      const std::uint8_t c = in[offset++];
-      GNB_THROW_IF(c > kN, "wire codec: invalid base code " << static_cast<int>(c));
-      codes.push_back(c);
+      const std::uint8_t code = in[offset++];
+      GNB_THROW_IF(code > kN, "wire codec: invalid base code " << static_cast<int>(code));
+      if (code == kN)
+        n_positions.push_back(static_cast<std::uint32_t>(i));
+      else
+        words[i / 32] |= std::uint64_t{code} << (2 * (i % 32));
     }
-    read.sequence = Sequence::from_codes(codes);
+    read.sequence = Sequence::from_words(length, std::move(words), std::move(n_positions));
     return read;
   }
 
   // N sidecar, shared by both packed codecs.
   const std::uint64_t n_count = get_varint(in, offset);
   GNB_THROW_IF(n_count > length, "wire codec: N sidecar larger than read");
-  std::vector<std::uint64_t> n_positions;
   n_positions.reserve(n_count);
   std::uint64_t pos = 0;
   for (std::uint64_t i = 0; i < n_count; ++i) {
     pos += get_varint(in, offset);
     GNB_THROW_IF(pos >= length, "wire codec: N position out of range");
     GNB_THROW_IF(i > 0 && pos <= n_positions.back(), "wire codec: unsorted N sidecar");
-    n_positions.push_back(pos);
+    n_positions.push_back(static_cast<std::uint32_t>(pos));
   }
 
   if (codec == WireCompression::kPack2) {
     const std::uint64_t packed = (length + 3) / 4;
     GNB_THROW_IF(packed > in.size() - offset, "wire codec: truncated pack2 payload");
-    for (std::uint64_t i = 0; i < length; ++i)
-      codes.push_back(static_cast<std::uint8_t>((in[offset + i / 4] >> ((i & 3u) * 2)) & 3u));
+    std::vector<std::uint64_t> words = unpack_bytes(in.subspan(offset), length);
     offset += packed;
-  } else {
-    const std::uint64_t n_runs = get_varint(in, offset);
-    GNB_THROW_IF(n_runs > length, "wire codec: escape table larger than read");
-    std::vector<std::uint64_t> extras;
-    extras.reserve(n_runs);
-    for (std::uint64_t i = 0; i < n_runs; ++i) extras.push_back(get_varint(in, offset));
-    // Reduced symbol stream: every 4th consecutive identical symbol
-    // consumes the next escape and expands the run.
-    std::size_t next_extra = 0;
-    std::uint64_t bit_cursor = 0;
-    std::uint8_t prev = 0xFF;
-    std::uint64_t run = 0;
-    while (codes.size() < length) {
-      const std::uint64_t byte_index = offset + bit_cursor / 4;
-      GNB_THROW_IF(byte_index >= in.size(), "wire codec: truncated pack2-rle payload");
-      const auto code =
-          static_cast<std::uint8_t>((in[byte_index] >> ((bit_cursor & 3u) * 2)) & 3u);
-      ++bit_cursor;
-      codes.push_back(code);
-      run = code == prev ? run + 1 : 1;
-      prev = code;
-      if (run == kMinRun) {
-        GNB_THROW_IF(next_extra >= extras.size(), "wire codec: escape table underflow");
-        const std::uint64_t extra = extras[next_extra++];
-        GNB_THROW_IF(codes.size() + extra > length, "wire codec: run overflows read");
-        codes.insert(codes.end(), extra, code);
-        run = 0;
-        prev = 0xFF;
-      }
-    }
-    GNB_THROW_IF(next_extra != extras.size(), "wire codec: unconsumed escape entries");
-    offset += (bit_cursor + 3) / 4;
+    read.sequence = Sequence::from_words(length, std::move(words), std::move(n_positions));
+    return read;
   }
 
-  for (const std::uint64_t n_pos : n_positions) codes[n_pos] = kN;
-  read.sequence = Sequence::from_codes(codes);
+  // pack2-rle: the reduced stream holds length - sum(extras) symbols. In
+  // each of its runs of identical symbols, every kMinRun-th symbol
+  // consumes the next escape and repeats extra more times.
+  const std::uint64_t n_runs = get_varint(in, offset);
+  GNB_THROW_IF(n_runs > length, "wire codec: escape table larger than read");
+  std::vector<std::uint64_t> extras;
+  extras.reserve(n_runs);
+  std::uint64_t reduced = length;
+  for (std::uint64_t i = 0; i < n_runs; ++i) {
+    extras.push_back(get_varint(in, offset));
+    GNB_THROW_IF(extras.back() > reduced, "wire codec: run overflows read");
+    reduced -= extras.back();
+  }
+  const std::uint64_t packed = (reduced + 3) / 4;
+  GNB_THROW_IF(packed > in.size() - offset, "wire codec: truncated pack2-rle payload");
+  const std::vector<std::uint64_t> stream = unpack_bytes(in.subspan(offset), reduced);
+  offset += packed;
+
+  std::vector<std::uint64_t> words;
+  words.reserve((length + 31) / 32);
+  SymbolPacker packer([&words](std::uint64_t word, unsigned) { words.push_back(word); });
+  std::size_t next_extra = 0;
+  std::uint64_t from = 0;
+  for (const Run& run : long_runs(stream, reduced)) {
+    for (std::uint64_t at = run.start + kMinRun - 1; at < run.start + run.length;
+         at += kMinRun) {
+      GNB_THROW_IF(next_extra >= extras.size(), "wire codec: escape table underflow");
+      packer.copy(stream, from, at + 1 - from);
+      from = at + 1;
+      packer.fill(static_cast<std::uint8_t>((stream[at / 32] >> (2 * (at % 32))) & 3),
+                  extras[next_extra++]);
+    }
+  }
+  GNB_THROW_IF(next_extra != extras.size(), "wire codec: unconsumed escape entries");
+  packer.copy(stream, from, reduced - from);
+  packer.finish();
+  read.sequence = Sequence::from_words(length, std::move(words), std::move(n_positions));
   return read;
 }
 

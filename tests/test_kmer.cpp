@@ -370,6 +370,90 @@ TEST(Candidates, DisjointReadsShareNothing) {
   EXPECT_TRUE(discover_tasks(store, 15, 1, 100).empty());
 }
 
+namespace {
+
+AlignTask task_of(seq::ReadId a, seq::ReadId b, std::uint32_t a_pos, std::uint32_t b_pos,
+                  bool reversed, std::uint16_t length = 17) {
+  return AlignTask{a, b, align::Seed{a_pos, b_pos, length, reversed}};
+}
+
+void expect_same_tasks(const std::vector<AlignTask>& got, const std::vector<AlignTask>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].a, want[i].a) << "task " << i;
+    EXPECT_EQ(got[i].b, want[i].b) << "task " << i;
+    EXPECT_EQ(got[i].seed.a_pos, want[i].seed.a_pos) << "task " << i;
+    EXPECT_EQ(got[i].seed.b_pos, want[i].seed.b_pos) << "task " << i;
+    EXPECT_EQ(got[i].seed.length, want[i].seed.length) << "task " << i;
+    EXPECT_EQ(got[i].seed.b_reversed, want[i].seed.b_reversed) << "task " << i;
+  }
+}
+
+}  // namespace
+
+TEST(TaskTable, MergedHalvesEqualOneTable) {
+  // Offers split across two tables, merged either way round, keep the
+  // same seed_less-minimum per pair as one table offered everything.
+  Xoshiro256 rng(41);
+  std::vector<AlignTask> offers;
+  for (int i = 0; i < 3'000; ++i) {
+    const auto a = static_cast<seq::ReadId>(rng.below(40));
+    const auto b = static_cast<seq::ReadId>(a + 1 + rng.below(40));
+    offers.push_back(task_of(a, b, static_cast<std::uint32_t>(rng.below(50)),
+                             static_cast<std::uint32_t>(rng.below(50)), rng.below(2) == 1));
+  }
+  TaskTable whole;
+  for (const AlignTask& task : offers) whole.offer(task);
+  const std::vector<AlignTask> want = whole.take_sorted();
+  EXPECT_GT(want.size(), 400u);
+  for (const bool left_first : {true, false}) {
+    TaskTable left, right;
+    for (std::size_t i = 0; i < offers.size(); ++i) (i % 3 == 0 ? left : right).offer(offers[i]);
+    TaskTable& into = left_first ? left : right;
+    into.merge(left_first ? right : left);
+    SCOPED_TRACE(left_first ? "right into left" : "left into right");
+    expect_same_tasks(into.take_sorted(), want);
+  }
+}
+
+TEST(TaskTable, SeedsAtThePositionBoundPackExactly) {
+  // A read of kMaxRecordReadLength bases has window starts up to 2^31 - k;
+  // a bucket holds them exactly, and the minimum per pair is seed_less's.
+  constexpr std::uint32_t k = 17;
+  constexpr auto last = static_cast<std::uint32_t>(kMaxRecordReadLength - k);
+  TaskTable table;
+  table.offer(task_of(1, 2, last, last, true, k));
+  table.offer(task_of(1, 2, last, last, false, k));
+  table.offer(task_of(3, 4, last, last - 1, true, k));
+  table.offer(task_of(3, 4, last, last, false, k));
+  table.offer(task_of(5, 6, 0xFFFFFFFFu, last, true, k));
+  table.offer(task_of(0xFFFFFFFEu, 0xFFFFFFFFu, last - 1, 0, true, k));
+  expect_same_tasks(table.take_sorted(), {task_of(1, 2, last, last, false, k),
+                                          task_of(3, 4, last, last - 1, true, k),
+                                          task_of(5, 6, 0xFFFFFFFFu, last, true, k),
+                                          task_of(0xFFFFFFFEu, 0xFFFFFFFFu, last - 1, 0, true, k)});
+
+  // The join translates a reverse-strand window at the very start of a
+  // read of the longest length to b_pos = 2^31 - k.
+  const std::vector<std::size_t> lengths = {100, kMaxRecordReadLength};
+  const std::vector<Occurrence> occs = {{0, 5, false}, {1, 0, true}};
+  table.join(occs, k, lengths);
+  expect_same_tasks(table.take_sorted(), {task_of(0, 1, 5, last, true, k)});
+}
+
+TEST(TaskTable, RefusesSeedsItCannotPack) {
+  // Positions of a read longer than kMaxRecordReadLength would not fit a
+  // bucket; discover_tasks and run_serial reject such reads up front with
+  // check_record_length, and the table itself refuses them.
+  TaskTable table;
+  const std::vector<std::size_t> lengths = {100, kMaxRecordReadLength + 1};
+  const std::vector<Occurrence> occs = {{0, 5, false}, {1, 0, true}};
+  EXPECT_DEATH(table.join(occs, 17, lengths), "");
+  EXPECT_DEATH(table.offer(task_of(0, 1, 0, static_cast<std::uint32_t>(kMaxRecordReadLength),
+                                   false)),
+               "");
+}
+
 // ---------- oracle: counter and task set against a std::map brute force ----------
 
 namespace {
@@ -551,26 +635,28 @@ TEST_P(Oracle, RecordKernelMatchesSerialJoin) {
   const std::span<const seq::Read> reads(store.reads());
   for (const std::size_t shards : {1u, 2u, 3u, 5u}) {
     const std::uint64_t seven_parts = 7 * shards * RecordRouting::kPartRecords;
-    for (const std::uint64_t records : {std::uint64_t{0}, seven_parts}) {
+    for (const auto& [records, threads] : {std::pair{std::uint64_t{0}, std::size_t{1}},
+                                           std::pair{seven_parts, std::size_t{1}},
+                                           std::pair{seven_parts, std::size_t{3}}}) {
       const RecordRouting routing(shards, records);
       std::vector<std::vector<std::vector<std::uint8_t>>> inbox(shards);
       for (std::size_t sender = 0; sender < shards; ++sender) {
         const std::size_t begin = reads.size() * sender / shards;
         const std::size_t end = reads.size() * (sender + 1) / shards;
         auto buffers = pack_records(reads.subspan(begin, end - begin), c.k, Sketch(keep_frac),
-                                    routing);
+                                    routing, threads);
         for (std::size_t shard = 0; shard < shards; ++shard)
           inbox[shard].push_back(std::move(buffers[shard]));
       }
       TaskTable merged;
       for (std::size_t shard = 0; shard < shards; ++shard) {
         TaskTable table;
-        join_records(inbox[shard], routing, c.k, c.lo, c.hi, lengths, table);
-        for (const AlignTask& task : table.take_sorted()) merged.offer(task);
+        join_records(inbox[shard], routing, c.k, c.lo, c.hi, lengths, table, threads);
+        merged.merge(table);
       }
       const std::vector<AlignTask> tasks = merged.take_sorted();
       SCOPED_TRACE("shards " + std::to_string(shards) + ", parts " +
-                   std::to_string(routing.parts()));
+                   std::to_string(routing.parts()) + ", threads " + std::to_string(threads));
       ASSERT_EQ(tasks.size(), serial.size());
       for (std::size_t i = 0; i < tasks.size(); ++i) {
         EXPECT_EQ(tasks[i].a, serial[i].a);
@@ -624,6 +710,34 @@ TEST(Records, SketchedRoutingStaysBalanced) {
     ++hits[routing.slot(mix64(x))];
   }
   for (const std::size_t n : hits) EXPECT_NEAR(static_cast<double>(n), kept / 4.0, kept * 0.05);
+}
+
+TEST(Records, PackedBuffersDoNotDependOnThreads) {
+  // Three threads pack contiguous chunks into the same cursors one thread
+  // would use: every shard buffer is byte-identical, at one part per shard
+  // and at many, exhaustive and sketched.
+  const OracleCase c{17, 2, 8, 60, 300};
+  const seq::ReadStore store = oracle_reads(c, 77);
+  const std::span<const seq::Read> reads(store.reads());
+  for (const double keep_frac : {1.0, 0.3}) {
+    for (const std::uint64_t records : {std::uint64_t{0}, 9 * 3 * RecordRouting::kPartRecords}) {
+      const RecordRouting routing(3, records);
+      SCOPED_TRACE("parts " + std::to_string(routing.parts()) + ", keep_frac " +
+                   std::to_string(keep_frac));
+      const auto one = pack_records(reads, c.k, Sketch(keep_frac), routing, 1);
+      const auto three = pack_records(reads, c.k, Sketch(keep_frac), routing, 3);
+      EXPECT_EQ(three, one);
+      std::size_t bytes = 0;
+      for (const auto& buffer : one) bytes += buffer.size();
+      EXPECT_GT(bytes, 3 * routing.parts() * sizeof(std::uint64_t));
+    }
+  }
+  // More threads than reads, and no reads at all.
+  const RecordRouting routing(2, 0);
+  EXPECT_EQ(pack_records(reads.first(2), 17, Sketch(1.0), routing, 3),
+            pack_records(reads.first(2), 17, Sketch(1.0), routing, 1));
+  EXPECT_EQ(pack_records({}, 17, Sketch(1.0), routing, 3),
+            pack_records({}, 17, Sketch(1.0), routing, 1));
 }
 
 TEST(Records, OverlongReadIsATypedError) {

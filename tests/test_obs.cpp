@@ -26,7 +26,9 @@
 #include "obs/metrics.hpp"
 #include "obs/spans.hpp"
 #include "obs/trace.hpp"
+#include "pipeline/distributed.hpp"
 #include "pipeline/pipeline.hpp"
+#include "proto/config.hpp"
 #include "rt/fault.hpp"
 #include "rt/world.hpp"
 #include "sim/assignment.hpp"
@@ -110,7 +112,8 @@ const wl::SampledDataset& tiny_dataset() {
   return dataset;
 }
 
-RealRun run_real(bool async_mode, std::size_t nranks = 4) {
+RealRun run_real(bool async_mode, std::size_t nranks = 4,
+                 proto::WireCompression wire = proto::wire_compression_from_env()) {
   const wl::SampledDataset& dataset = tiny_dataset();
   pipeline::PipelineConfig config;
   config.k = wl::tiny_spec().k;
@@ -120,6 +123,7 @@ RealRun run_real(bool async_mode, std::size_t nranks = 4) {
   tracer.enable();
   rt::World world(nranks);
   core::EngineConfig engine_config;
+  engine_config.proto.wire_compression = wire;
   world.run([&](rt::Rank& rank) {
     if (async_mode) {
       core::async_align(rank, dataset.reads, tasks.bounds, tasks.per_rank[rank.id()],
@@ -507,6 +511,91 @@ TEST(TraceBreakdown, EqualsPerfReportAttributionOfTheSameRun) {
     }
     const auto survivors = std::count(run.returned.begin(), run.returned.end(), 1);
     EXPECT_EQ(compared, static_cast<std::size_t>(survivors));
+  }
+}
+
+TEST(TraceBreakdown, WireCodecIsExchange) {
+  // Encode, ship and decode are one exchange layer, in both engines: frame
+  // packing and frame decoding are charged to exchange, not overhead.
+  using obs::analysis::Category;
+  EXPECT_EQ(obs::analysis::categorize(obs::span::kWireCompress), Category::kExchange);
+  EXPECT_EQ(obs::analysis::categorize(obs::span::kWireDecompress), Category::kExchange);
+  for (const bool async_mode : {false, true}) {
+    SCOPED_TRACE(async_mode ? "async" : "bsp");
+    const RealRun run = run_real(async_mode, 4, proto::WireCompression::kPack2);
+    const obs::analysis::Trace trace = obs::analysis::load_trace(run.json);
+    std::size_t wire_spans = 0;
+    for (const obs::analysis::Track& track : trace.tracks) {
+      for (const obs::analysis::Span& span : track.spans) {
+        if (span.name != obs::span::kWireCompress && span.name != obs::span::kWireDecompress)
+          continue;
+        EXPECT_EQ(obs::analysis::categorize(span.name), Category::kExchange);
+        ++wire_spans;
+      }
+    }
+    EXPECT_GT(wire_spans, 0u);
+  }
+}
+
+TEST(TraceBreakdown, StageHelpersChargeTheirRankAsCompute) {
+  // With 3 threads per rank, stage 2's helpers run on the worker tracks
+  // (rank, 1) and (rank, 2) inside stage spans, charged to their rank as
+  // compute, while the rank thread waits for them inside compute.pool;
+  // the breakdown still equals perf report's attribution. At 1 thread
+  // there are neither helpers nor a compute.pool span.
+  using obs::analysis::Category;
+  const wl::SampledDataset dataset = wl::synthesize(wl::tiny_spec(), 7);
+  pipeline::PipelineConfig config;
+  config.k = wl::tiny_spec().k;
+  constexpr std::size_t kRanks = 2;
+  const std::vector<seq::ReadId> bounds = pipeline::compute_bounds(dataset.reads, kRanks);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    config.threads = threads;
+    obs::Tracer& tracer = obs::Tracer::instance();
+    tracer.enable();
+    rt::World world(kRanks);
+    world.run([&](rt::Rank& rank) {
+      (void)pipeline::run_distributed(rank, dataset.reads, config, bounds);
+    });
+    const std::vector<stat::Breakdown> breakdowns = world.breakdowns();
+    std::ostringstream out;
+    tracer.write_json(out);
+    tracer.disable();
+
+    const obs::analysis::Trace trace = obs::analysis::load_trace(out.str());
+    std::set<std::pair<std::uint32_t, std::uint32_t>> helper_tracks;
+    std::size_t pool_waits = 0;
+    for (const obs::analysis::Track& track : trace.tracks) {
+      for (const obs::analysis::Span& span : track.spans) {
+        if (span.name == obs::span::kComputePool) {
+          EXPECT_EQ(track.tid, 0u);
+          EXPECT_EQ(obs::analysis::categorize(span.name), Category::kWait);
+          EXPECT_EQ(span.depth, 1u);  // inside a stage span
+          ++pool_waits;
+        }
+        if (track.tid == 0) continue;
+        EXPECT_TRUE(span.name == obs::span::kStageKmerRecords ||
+                    span.name == obs::span::kStageKmerJoin)
+            << span.name;
+        EXPECT_EQ(obs::analysis::categorize(span.name), Category::kCompute);
+        helper_tracks.insert({track.pid, track.tid});
+      }
+    }
+    const std::size_t helpers = kRanks * (threads - 1);
+    EXPECT_EQ(helper_tracks.size(), helpers);
+    EXPECT_EQ(pool_waits, threads > 1 ? kRanks * 3 : 0u);  // two pack steps and the join
+
+    const obs::analysis::Report report = obs::analysis::analyze(trace);
+    ASSERT_EQ(report.ranks.size(), kRanks);
+    for (const obs::analysis::TrackStats& stats : report.ranks) {
+      const std::uint32_t r = trace.tracks[stats.track].pid;
+      ASSERT_LT(r, kRanks);
+      const auto of = [&](Category c) { return stats.seconds[static_cast<std::size_t>(c)]; };
+      expect_same_seconds(breakdowns[r].compute, of(Category::kCompute));
+      expect_same_seconds(breakdowns[r].sync, of(Category::kWait));
+      EXPECT_GT(breakdowns[r].compute, 0.0);
+    }
   }
 }
 

@@ -158,7 +158,8 @@ class DistributedEquivalence : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(DistributedEquivalence, MatchesSerialTaskSet) {
   // Both read sets, at k = 17 and k = 32 (a key of all 64 bits), exhaustive
-  // and sketched: every rank holds exactly run_serial's list.
+  // and sketched, with the k-mer kernels on 1, 2 and 3 threads per rank:
+  // every rank holds exactly run_serial's list.
   const std::size_t nranks = GetParam();
   for (const bool hostile : {false, true}) {
     const seq::ReadStore& store = hostile ? hostile_reads() : fixture().dataset.reads;
@@ -177,28 +178,31 @@ TEST_P(DistributedEquivalence, MatchesSerialTaskSet) {
           config.lo = band.lo;
           config.hi = band.hi;
         }
-        SCOPED_TRACE(std::string(hostile ? "hostile" : "clean") + " reads, k " +
-                     std::to_string(k) + ", keep_frac " + std::to_string(keep_frac));
         const TaskSet serial = run_serial(store, config, nranks);
         EXPECT_GT(serial.total_tasks(), 0u);
-
         const auto bounds = compute_bounds(store, nranks);
-        TaskSet distributed;
-        distributed.bounds = bounds;
-        distributed.per_rank.resize(nranks);
-        rt::World world(nranks);
-        world.run([&](rt::Rank& rank) {
-          distributed.per_rank[rank.id()] = run_distributed(rank, store, config, bounds);
-        });
-        check_owner_invariant(distributed);
-        for (std::size_t r = 0; r < nranks; ++r) {
-          const auto& want = serial.per_rank[r];
-          const auto& got = distributed.per_rank[r];
-          ASSERT_EQ(got.size(), want.size()) << "rank " << r;
-          for (std::size_t i = 0; i < want.size(); ++i)
-            EXPECT_TRUE(tasks_equal(got[i], want[i]))
-                << "rank " << r << " task " << i << ": (" << want[i].a << "," << want[i].b
-                << ") vs (" << got[i].a << "," << got[i].b << ")";
+        for (const std::size_t threads : {1u, 2u, 3u}) {
+          config.threads = threads;
+          SCOPED_TRACE(std::string(hostile ? "hostile" : "clean") + " reads, k " +
+                       std::to_string(k) + ", keep_frac " + std::to_string(keep_frac) +
+                       ", threads " + std::to_string(threads));
+          TaskSet distributed;
+          distributed.bounds = bounds;
+          distributed.per_rank.resize(nranks);
+          rt::World world(nranks);
+          world.run([&](rt::Rank& rank) {
+            distributed.per_rank[rank.id()] = run_distributed(rank, store, config, bounds);
+          });
+          check_owner_invariant(distributed);
+          for (std::size_t r = 0; r < nranks; ++r) {
+            const auto& want = serial.per_rank[r];
+            const auto& got = distributed.per_rank[r];
+            ASSERT_EQ(got.size(), want.size()) << "rank " << r;
+            for (std::size_t i = 0; i < want.size(); ++i)
+              EXPECT_TRUE(tasks_equal(got[i], want[i]))
+                  << "rank " << r << " task " << i << ": (" << want[i].a << "," << want[i].b
+                  << ") vs (" << got[i].a << "," << got[i].b << ")";
+          }
         }
       }
     }

@@ -146,8 +146,10 @@ OverlapRun run_overlap(const seq::ReadStore& reads, std::size_t ranks, std::uint
   config.k = k;
   config.lo = band.lo;
   config.hi = band.hi;
+  config.threads = compute_threads;
   // Stage 2/3 runs on its own fault-free World of the same rank count, so
-  // the fault plan's steps count from the alignment phase on.
+  // the fault plan's steps count from the alignment phase on. Its k-mer
+  // kernels use the rank's compute threads, as the alignment does.
   const pipeline::TaskSet tasks = pipeline::run_distributed(reads, config, ranks);
   log::info("discovered ", tasks.total_tasks(), " alignment tasks");
 
@@ -247,7 +249,8 @@ int cmd_overlap(int argc, char** argv) {
   auto min_overlap = cli.opt<std::uint64_t>("min-overlap", 100, "minimum overlap length");
   auto compute_threads = cli.opt<std::uint64_t>(
       "compute-threads", proto::compute_threads_from_env(1),
-      "alignment workers per rank (1 = inline serial; env GNB_COMPUTE_THREADS)");
+      "threads per rank for the k-mer stage and alignment workers (1 = inline serial; "
+      "env GNB_COMPUTE_THREADS)");
   auto batch_aligner = cli.opt<std::string>(
       "batch-aligner", proto::to_string(proto::batch_aligner_from_env()),
       "alignment kernel backend: scalar | simd | auto (env GNB_BATCH_ALIGNER)");
