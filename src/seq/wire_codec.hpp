@@ -22,6 +22,12 @@
 // bytes. The codec byte always names the concrete codec (`auto` resolves
 // per read before framing), so a mixed stream decodes without context.
 //
+// The packed codecs never unpack a read. A pack2 body is the bytes of
+// Sequence::words() in little-endian order (symbol i of a byte at bits 2i),
+// cut to ceil(length/4) bytes; the N sidecar comes from the N list; the
+// runs pack2-rle escapes, and so the pack2-rle and `auto` sizes, come from
+// one word-parallel scan of the words. Decoding fills the words directly.
+//
 // Invariants (tests/test_wire):
 //   * exact round trip: decode(encode(read)) == read for every mode,
 //     including empty, all-N, and all-homopolymer reads;
