@@ -198,9 +198,10 @@ BENCHMARK(BM_ReadSerializeRoundtrip);
 // --- batch aligner: scalar vs row-vectorized SIMD --------------------------
 //
 // Times the same task list through both align::BatchAligner backends. The
-// SIMD backend evaluates each extension's DP rows 8 cells per vector. Lane
-// occupancy is the share of issued vector slots that held a cell of the live
-// band; the rest are the unused tail of each row's last 8-cell chunk.
+// SIMD backend evaluates each extension's DP rows 32 int8 cells per vector
+// (8 int32 cells in its portable form). Lane occupancy is the share of
+// issued vector slots that held a cell of the live band; the rest are the
+// unused tail of each row's last chunk.
 
 struct BatchKernelWorkload {
   // Owned storage; `tasks` holds spans into it, so it is built only after the

@@ -210,11 +210,11 @@ std::unique_ptr<BatchAligner> make_batch_aligner(proto::BatchAlignerKind kind,
       break;
   }
 #if defined(GNB_HAVE_AVX2_TU)
-  // The AVX2 kernel runs int16 lanes only; scorings too wide for them
+  // The AVX2 kernel runs int8 lanes only; scorings too wide for them
   // (none of the defaults') fall back to the portable int32 kernel.
-  if (cpu_supports_avx2() && detail::fits_int16(params))
-    return std::make_unique<SimdBatchAligner>(params, detail::extend_batch_avx2_i16,
-                                              /*lanes=*/16, "simd-avx2", /*backend_id=*/2);
+  if (cpu_supports_avx2() && detail::fits_int8(params))
+    return std::make_unique<SimdBatchAligner>(params, detail::extend_batch_avx2_i8,
+                                              /*lanes=*/32, "simd-avx2", /*backend_id=*/2);
 #endif
   return std::make_unique<SimdBatchAligner>(params, detail::extend_batch_portable,
                                             /*lanes=*/8, "simd-portable", /*backend_id=*/1);

@@ -3,7 +3,7 @@
 // seed-and-extend tasks to a backend instead of invoking xdrop_align one
 // pair at a time. Two backends exist today — a scalar wrapper around
 // xdrop_align (the byte-identity oracle) and a row-vectorized SIMD kernel
-// that evaluates each extension's DP rows 16 int16 cells per AVX2 vector, or
+// that evaluates each extension's DP rows 32 int8 cells per AVX2 vector, or
 // 8 int32 cells in its portable form — and the same interface is where a
 // GPU backend plugs in next (the structural fix diBELLA's follow-up work
 // applies to this N-body bottleneck).
@@ -102,8 +102,8 @@ class BatchAligner {
 [[nodiscard]] proto::BatchAlignerKind resolve_batch_aligner(proto::BatchAlignerKind kind);
 
 /// Construct a backend. kAuto is resolved via resolve_batch_aligner. kSimd
-/// runs the AVX2 row kernel, 16 int16 lanes, when the binary has it, the CPU
-/// executes it and the scoring provably fits int16 (DESIGN.md §11; the
+/// runs the AVX2 row kernel, 32 int8 lanes, when the binary has it, the CPU
+/// executes it and the scoring provably fits int8 (DESIGN.md §11; the
 /// default x = 49 at unit scoring does); otherwise it runs the portable
 /// kernel, 8 int32 lanes. The returned instance owns its scratch and is not
 /// thread-safe.

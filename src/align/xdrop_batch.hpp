@@ -2,9 +2,9 @@
 // Row-vectorized X-drop extension: the kernel behind align::SimdBatchAligner.
 //
 // The kernel runs one extension at a time and evaluates each DP row of
-// xdrop_extend W cells per vector: 16 int16 cells in the AVX2 kernel, 8
+// xdrop_extend W cells per vector: 32 int8 cells in the AVX2 kernel, 8
 // int32 cells in the portable one, which also serves scorings too wide for
-// int16 (fits_int16). On long-read candidate sets the live band is wide:
+// int8 (fits_int8). On long-read candidate sets the live band is wide:
 // evaluated rows average 85 cells on 1.5 kb reads at 12 % error and 150
 // cells on 12 kb reads at 3 %, so one extension's row fills a register.
 //
@@ -27,8 +27,9 @@
 // Per W-column chunk of row i (columns j .. j+W-1):
 //   diag, up  two unaligned loads of the previous row (slots j - prev_lo and
 //             j - prev_lo + 1);
-//   sub       b[j-1 .. j+W-2] widened from bytes, compared with the broadcast
-//             a[i-1] (-1 when that base is N, so N matches nothing);
+//   sub       b[j-1 .. j+W-2] loaded as lanes (int8 lanes are the bytes
+//             themselves), compared with the broadcast a[i-1] (-1 when that
+//             base is N, so N matches nothing);
 //   t         max(diag + sub - delta, up + gap - delta);
 //   s'        the left-gap chain as an in-register max-plus prefix scan in
 //             log2(W) steps: y = max(y, shift_k(y) + k*gap) for
@@ -59,13 +60,13 @@
 //     prefix max that includes cell j equals testing against the best before
 //     cell j.
 //   - Sentinel-derived values must always drop: a sentinel plus at most m
-//     stays below -x. int32 adds wrap but never reach the limits; int16 adds
-//     saturate, and a term that saturates is below -2^15 + m < -x exactly
-//     when its exact value is, so it drops either way and a max it enters is
-//     unchanged wherever the result is live.
+//     stays below -x. int32 adds wrap but never reach the limits; int8 adds
+//     saturate, but only terms whose exact value is below -2^7 < -x do, so
+//     such a term drops either way and a max it enters is unchanged (every
+//     lane is >= -2^7).
 //   - So stored rows, score, best position, band bounds and `cells` are
 //     identical. This needs gap <= 0 and x >= 0; int32 needs x well below
-//     2^29 (|kNegInf|), int16 needs fits_int16 (DESIGN.md §11).
+//     2^29 (|kNegInf|), int8 needs fits_int8 (DESIGN.md §11).
 
 #include <algorithm>
 #include <bit>
@@ -84,18 +85,18 @@
 namespace gnb::align::detail {
 
 /// Pad bytes the kernel requires before b[0] and after b[nb-1]: it reads
-/// b[j-1 .. j+W-2] for every chunk, so b[-1] through b[nb+14] at W = 16.
-inline constexpr std::size_t kBPad = 16;
+/// b[j-1 .. j+W-2] for every chunk, so b[-1] through b[nb+30] at W = 32.
+inline constexpr std::size_t kBPad = 32;
 
-/// Whether the int16 instantiation is exact for `params`: with
-/// m = max(|match|, |mismatch|, |gap|), x + 16m < 2^14 (DESIGN.md §11).
-/// The default x = 49 at unit scoring gives 65.
-inline bool fits_int16(const XDropParams& params) {
+/// Whether the int8 instantiation is exact for `params`: with
+/// m = max(|match|, |mismatch|, |gap|), x + 32m < 2^7 (DESIGN.md §11).
+/// The default x = 49 at unit scoring gives 81.
+inline bool fits_int8(const XDropParams& params) {
   const Scoring& sc = params.scoring;
   const std::int64_t m = std::max({std::abs(std::int64_t{sc.match}),
                                    std::abs(std::int64_t{sc.mismatch}),
                                    std::abs(std::int64_t{sc.gap})});
-  return params.x >= 0 && params.x + 16 * m < (1 << 14);
+  return params.x >= 0 && params.x + 32 * m < (1 << 7);
 }
 
 /// One extension job. Both lengths are >= 1: callers resolve empty
@@ -115,10 +116,10 @@ struct RowPair {
   std::vector<T> a, b;
 };
 /// Row scratch for every instantiation; each uses the pair of its lane type.
-using RowScratch = std::tuple<RowPair<std::int16_t>, RowPair<std::int32_t>>;
+using RowScratch = std::tuple<RowPair<std::int8_t>, RowPair<std::int32_t>>;
 
 /// Reference vector ops, 8 int32 lanes: plain arrays, branch-free blends —
-/// the semantics the AVX2 int16 ops match with saturating adds and
+/// the semantics the AVX2 int8 ops match with saturating adds and
 /// subtracts. Compiled in the baseline TU this is the portable kernel (the
 /// compiler auto-vectorizes what it can).
 struct ScalarLaneOps {
@@ -142,8 +143,8 @@ struct ScalarLaneOps {
   static void store(T* p, V x) {
     for (int l = 0; l < W; ++l) p[l] = x.v[l];
   }
-  /// Zero-extend W bytes to lanes.
-  static V widen_bytes(const std::uint8_t* p) {
+  /// W bytes as lanes, zero-extended to the lane width.
+  static V load_bytes(const std::uint8_t* p) {
     V r;
     for (int l = 0; l < W; ++l) r.v[l] = p[l];
     return r;
@@ -302,7 +303,7 @@ Extension extend_rows(const ExtJob& job, const XDropParams& params,
     for (std::int32_t off = 0; off < count; off += W) {
       const V vdiag = Ops::load(src + off);
       const V vup = Ops::load(src + off + 1);
-      const V vsub = Ops::blend(Ops::cmpeq(Ops::widen_bytes(bj + off), va), vmatch, vmismatch);
+      const V vsub = Ops::blend(Ops::cmpeq(Ops::load_bytes(bj + off), va), vmatch, vmismatch);
       V y = Ops::max(Ops::add(vdiag, vsub), Ops::add(vup, vup_gap));
       [&]<int... kS>(std::integer_sequence<int, kS...>) {
         ((y = Ops::max(y, Ops::add(Ops::template shift_in_half<1 << kS>(y, vneginf),
@@ -367,11 +368,11 @@ template <class Ops>
 void extend_batch(std::span<const ExtJob> jobs, const XDropParams& params,
                   std::span<Extension> out, RowScratch& scratch, BatchStats& stats) {
   GNB_CHECK_MSG(params.x >= 0, "X-drop threshold must be non-negative");
-  if constexpr (sizeof(typename Ops::T) == 2)
-    GNB_CHECK_MSG(fits_int16(params), "scoring too wide for the int16 row kernel: x "
-                                          << params.x << ", match " << params.scoring.match
-                                          << ", mismatch " << params.scoring.mismatch
-                                          << ", gap " << params.scoring.gap);
+  if constexpr (sizeof(typename Ops::T) == 1)
+    GNB_CHECK_MSG(fits_int8(params), "scoring too wide for the int8 row kernel: x "
+                                         << params.x << ", match " << params.scoring.match
+                                         << ", mismatch " << params.scoring.mismatch
+                                         << ", gap " << params.scoring.gap);
   auto& rows = std::get<RowPair<typename Ops::T>>(scratch);
   for (std::size_t i = 0; i < jobs.size(); ++i)
     out[i] = extend_rows<Ops>(jobs[i], params, rows, stats);
@@ -383,15 +384,16 @@ using ExtendBatchFn = void (*)(std::span<const ExtJob>, const XDropParams&,
                                std::span<Extension>, RowScratch&, BatchStats&);
 
 /// Baseline-ISA instantiation (ScalarLaneOps, 8 int32 lanes), exact for any
-/// scoring. There is no portable int16 one: compiled for baseline x86-64 it
-/// ran at half the portable int32 kernel's speed (EXPERIMENTS.md).
+/// scoring. There is no portable narrow-lane one: a portable int16 kernel
+/// compiled for baseline x86-64 ran at half the portable int32 kernel's
+/// speed (EXPERIMENTS.md).
 void extend_batch_portable(std::span<const ExtJob> jobs, const XDropParams& params,
                            std::span<Extension> out, RowScratch& scratch, BatchStats& stats);
 
-/// AVX2 instantiation (16 int16 cells per ymm register), exact where
-/// fits_int16(params) holds; present only when the GNB_SIMD build option
+/// AVX2 instantiation (32 int8 cells per ymm register), exact where
+/// fits_int8(params) holds; present only when the GNB_SIMD build option
 /// compiled the -mavx2 translation unit (align::simd_compiled_in()).
-void extend_batch_avx2_i16(std::span<const ExtJob> jobs, const XDropParams& params,
-                           std::span<Extension> out, RowScratch& scratch, BatchStats& stats);
+void extend_batch_avx2_i8(std::span<const ExtJob> jobs, const XDropParams& params,
+                          std::span<Extension> out, RowScratch& scratch, BatchStats& stats);
 
 }  // namespace gnb::align::detail

@@ -38,7 +38,7 @@ std::size_t compute_threads_from_env(std::size_t fallback = 1);
 /// oracle, so the knob is a pure throughput choice.
 enum class BatchAlignerKind : std::uint8_t {
   kScalar,  // one xdrop_align call per task (the byte-identity oracle)
-  kSimd,    // row-vectorized kernel: 16 int16 cells per AVX2 vector where the
+  kSimd,    // row-vectorized kernel: 32 int8 cells per AVX2 vector where the
             // host has AVX2 and the scoring fits, else 8 int32 cells (portable)
   kAuto,    // runtime CPU dispatch: simd when the host supports it
 };

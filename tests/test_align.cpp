@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -532,12 +533,14 @@ TEST(Paf, RoundTripsThroughFormatAndParse) {
 // The fuzz sweep (test_fuzz_parity) hammers backend bit-identity across
 // randomized scoring and batch shapes; these tests pin deliberate edge
 // cases — empty batches, extensions that terminate on the first rows, mixed
-// lengths in one batch, row widths at 8- and 16-cell chunk edges, left-gap
+// lengths in one batch, row widths at 8- and 32-cell chunk edges, left-gap
 // chains and best updates that cross chunks, the column-0 edge cell, N on
-// both sides, scorings at the edge of the int16 bound — and the row-0 cell
+// both sides, scorings at the edge of the int8 bound — and the row-0 cell
 // accounting both backends must share. The RowKernel* cases run both
 // instantiations: the portable kernel's 8 int32 lanes directly, and the
-// dispatched one, 16 int16 lanes where AVX2 runs and the scoring fits.
+// dispatched one, 32 int8 lanes where AVX2 runs and the scoring fits. Each
+// RowKernel* test that needs a wide x to keep its case live also runs a
+// case the int8 bound admits, so the AVX2 kernel sees it too.
 
 TEST(BatchAligner, EmptyBatchReturnsEmpty) {
   for (const auto kind : {proto::BatchAlignerKind::kScalar, proto::BatchAlignerKind::kSimd}) {
@@ -562,38 +565,47 @@ TEST(BatchAligner, InfoReportsRequestedBackend) {
     EXPECT_STREQ(simd->info().name, "simd-portable");
 }
 
+namespace {
+
+/// Lanes of the dispatched `simd` instance at a scoring fits_int8 admits:
+/// the AVX2 kernel's 32 where the binary has it and the CPU runs it, the
+/// portable kernel's 8 otherwise.
+std::size_t widest_lanes() { return simd_compiled_in() && cpu_supports_avx2() ? 32 : 8; }
+
+}  // namespace
+
 TEST(BatchAligner, SelectsWidestExactInstantiation) {
-  // The AVX2 kernel's 16 int16 lanes whenever the scoring provably fits
+  // The AVX2 kernel's 32 int8 lanes whenever the scoring provably fits
   // (the default does), the portable kernel's 8 int32 lanes otherwise: at
-  // x = 100 000, and one past the largest x the bound x + 16m < 2^14 admits,
+  // x = 100 000, and one past the largest x the bound x + 32m < 2^7 admits,
   // m = max(|match|, |mismatch|, |gap|). Without AVX2 the portable kernel
   // runs at every scoring.
-  const std::size_t widest = simd_compiled_in() && cpu_supports_avx2() ? 16 : 8;
+  const std::size_t widest = widest_lanes();
   const auto lanes_at = [](const XDropParams& params) {
     const auto simd = make_batch_aligner(proto::BatchAlignerKind::kSimd, params);
-    EXPECT_STREQ(simd->info().name, simd->info().lanes == 16 ? "simd-avx2" : "simd-portable");
+    EXPECT_STREQ(simd->info().name, simd->info().lanes == 32 ? "simd-avx2" : "simd-portable");
     return simd->info().lanes;
   };
   EXPECT_EQ(lanes_at({}), widest);
   XDropParams unbanded;
   unbanded.x = 100'000;
   EXPECT_EQ(lanes_at(unbanded), 8u);
-  for (const std::int32_t gap : {-1, -8}) {
+  for (const std::int32_t gap : {-1, -2}) {
     SCOPED_TRACE("gap " + std::to_string(gap));
     XDropParams edge;
     edge.scoring.gap = gap;
-    edge.x = (1 << 14) - 1 - 16 * -gap;
-    EXPECT_TRUE(align::detail::fits_int16(edge));
+    edge.x = (1 << 7) - 1 - 32 * -gap;  // 95 at gap -1, 63 at gap -2
+    EXPECT_TRUE(align::detail::fits_int8(edge));
     EXPECT_EQ(lanes_at(edge), widest);
     ++edge.x;
-    EXPECT_FALSE(align::detail::fits_int16(edge));
+    EXPECT_FALSE(align::detail::fits_int8(edge));
     EXPECT_EQ(lanes_at(edge), 8u);
   }
   XDropParams steep;
-  steep.scoring.mismatch = -1000;
-  steep.x = 383;  // 383 + 16 * 1000 = 2^14 - 1
+  steep.scoring.mismatch = -3;
+  steep.x = 31;  // 31 + 32 * 3 = 2^7 - 1
   EXPECT_EQ(lanes_at(steep), widest);
-  steep.scoring.match = 1001;
+  steep.scoring.match = 4;
   EXPECT_EQ(lanes_at(steep), 8u);
 }
 
@@ -759,7 +771,7 @@ BatchStats expect_portable_row_kernel_exact(const std::vector<std::pair<Codes, C
   return stats;
 }
 
-/// Check (a, b) pairs through the `simd` backend (AVX2 int16 on capable
+/// Check (a, b) pairs through the `simd` backend (AVX2 int8 on capable
 /// hosts when the scoring fits) and through the portable kernel against the
 /// scalar oracle. Each pair is the rightward extension of one task and,
 /// reversed, the leftward extension of another. Returns (lanes, stats) for
@@ -810,20 +822,27 @@ TEST(BatchAligner, PortableRowKernelMatchesScalar) {
 }
 
 TEST(BatchAligner, RowKernelChunkEdgeWidths) {
-  // With x far above any score drop nothing is pruned, so every row after
-  // row 0 spans all nb + 1 columns: b of length w - 1 pins the width at w.
+  // With x above any score drop nothing is pruned, so every row after row 0
+  // spans all nb + 1 columns: b of length w - 1 pins the width at w. Over
+  // 24 rows and 65 columns every cell is >= -65 and the best <= 24, so the
+  // largest x the int8 bound admits (95) prunes nothing either; x = 1000
+  // runs the portable kernel on both sides.
   Xoshiro256 rng(82);
-  XDropParams wide;
-  wide.x = 1000;
   constexpr std::size_t kRows = 24;
-  for (const std::size_t width : {7, 8, 9, 15, 16, 17, 31, 32, 33}) {
-    SCOPED_TRACE("width " + std::to_string(width));
-    const std::vector<std::pair<Codes, Codes>> pairs{
-        {random_codes(kRows, rng), random_codes(width - 1, rng)}};
-    for (const auto& [lanes, stats] : expect_row_kernels_exact(pairs, wide)) {
-      EXPECT_EQ(stats.lane_steps_active, kRows * width) << lanes << " lanes";
-      EXPECT_EQ(stats.lane_steps, kRows * lanes * ((width + lanes - 1) / lanes))
-          << lanes << " lanes";
+  for (const std::int32_t x : {95, 1000}) {
+    XDropParams wide;
+    wide.x = x;
+    for (const std::size_t width : {7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65}) {
+      SCOPED_TRACE("x " + std::to_string(x) + " width " + std::to_string(width));
+      const std::vector<std::pair<Codes, Codes>> pairs{
+          {random_codes(kRows, rng), random_codes(width - 1, rng)}};
+      const auto runs = expect_row_kernels_exact(pairs, wide);
+      EXPECT_EQ(runs.front().first, align::detail::fits_int8(wide) ? widest_lanes() : 8);
+      for (const auto& [lanes, stats] : runs) {
+        EXPECT_EQ(stats.lane_steps_active, kRows * width) << lanes << " lanes";
+        EXPECT_EQ(stats.lane_steps, kRows * lanes * ((width + lanes - 1) / lanes))
+            << lanes << " lanes";
+      }
     }
   }
   // Width 1: with x = 0 an identical run keeps a 2-cell band on the
@@ -841,67 +860,98 @@ TEST(BatchAligner, RowKernelChunkEdgeWidths) {
 }
 
 TEST(BatchAligner, RowKernelLongInsertionCrossesChunks) {
-  // 24 inserted bases in b: the best path runs 24 columns along one row,
-  // a left-gap chain that crosses at least two 8-column chunk boundaries.
+  // `length` inserted bases in b: the best path runs `length` columns along
+  // one row, a left-gap chain that crosses at least two chunk boundaries —
+  // 8-column ones at 24 bases, 32-column ones at 72. At gap -1 both chains
+  // fit the int8 bound (x = 32 and 80); the 24-base chain at gap -3 needs
+  // x = 80 at m = 3, which the portable kernel runs.
   Xoshiro256 rng(83);
   const Codes a = random_codes(200, rng);
-  Codes b(a.begin(), a.begin() + 60);
-  const Codes insert = random_codes(24, rng);
-  b.insert(b.end(), insert.begin(), insert.end());
-  b.insert(b.end(), a.begin() + 60, a.end());
-  for (const std::int32_t gap : {-1, -3}) {
-    SCOPED_TRACE("gap " + std::to_string(gap));
+  struct Case {
+    std::uint32_t length;
+    std::int32_t gap;
+  };
+  for (const Case c : {Case{24, -1}, Case{24, -3}, Case{72, -1}}) {
+    SCOPED_TRACE("length " + std::to_string(c.length) + " gap " + std::to_string(c.gap));
+    Codes b(a.begin(), a.begin() + 60);
+    const Codes insert = random_codes(c.length, rng);
+    b.insert(b.end(), insert.begin(), insert.end());
+    b.insert(b.end(), a.begin() + 60, a.end());
     XDropParams params;
-    params.scoring.gap = gap;
-    params.x = 24 * -gap + 8;  // the chain stays live
+    params.scoring.gap = c.gap;
+    params.x = static_cast<std::int32_t>(c.length) * -c.gap + 8;  // the chain stays live
+    EXPECT_EQ(align::detail::fits_int8(params), c.gap == -1);
     expect_row_kernels_exact({{a, b}}, params);
     const Extension ext = xdrop_extend(a, b, params);
     EXPECT_EQ(ext.a_len, 200u);
-    EXPECT_EQ(ext.b_len, 224u);
-    EXPECT_EQ(ext.score, 200 + 24 * gap);
+    EXPECT_EQ(ext.b_len, 200u + c.length);
+    EXPECT_EQ(ext.score, 200 + static_cast<std::int32_t>(c.length) * c.gap);
   }
 }
 
 TEST(BatchAligner, RowKernelBestImprovesInTwoChunks) {
-  // With match = 2, unrelated reads and an unpruned band, some rows raise
-  // the running best in one chunk and again in a later one. A plain full DP
-  // confirms the case occurs among the pairs before comparing kernels.
-  XDropParams params;
-  params.x = 1000;
-  params.scoring.match = 2;
-  const Scoring sc = params.scoring;
-  Xoshiro256 rng(84);
-  std::vector<std::pair<Codes, Codes>> pairs;
-  std::size_t rows_hit[2] = {0, 0};  // at 8- and 16-cell chunks
-  for (int t = 0; t < 8; ++t) {
-    Codes a = random_codes(60, rng);
-    Codes b = random_codes(60, rng);
-    std::vector<std::int32_t> prev(b.size() + 1), curr(b.size() + 1);
-    for (std::size_t j = 0; j <= b.size(); ++j) prev[j] = static_cast<std::int32_t>(j) * sc.gap;
-    std::int32_t best = 0;
-    for (std::size_t i = 1; i <= a.size(); ++i) {
-      curr[0] = static_cast<std::int32_t>(i) * sc.gap;
-      for (std::size_t j = 1; j <= b.size(); ++j)
-        curr[j] = std::max({prev[j - 1] + sc.substitution(a[i - 1], b[j - 1]),
-                            prev[j] + sc.gap, curr[j - 1] + sc.gap});
-      std::size_t first_col = SIZE_MAX, last_col = SIZE_MAX;
-      for (std::size_t j = 0; j <= b.size(); ++j) {
-        if (curr[j] <= best) continue;
-        best = curr[j];
-        if (first_col == SIZE_MAX) first_col = j;
-        last_col = j;
+  // With match = 2, unrelated reads and a wide band, some rows raise the
+  // running best in one chunk and again in a later one. A plain X-drop DP
+  // (xdrop_extend's band and drop rule) confirms the case occurs among the
+  // pairs, at 8- and at 32-cell chunks, before comparing kernels. x = 63 is
+  // the largest the int8 bound admits at m = 2; x = 1000 prunes nothing and
+  // runs the portable kernel.
+  constexpr std::int32_t kDropped = std::numeric_limits<std::int32_t>::min() / 4;
+  for (const std::int32_t x : {63, 1000}) {
+    SCOPED_TRACE("x " + std::to_string(x));
+    XDropParams params;
+    params.x = x;
+    params.scoring.match = 2;
+    const Scoring sc = params.scoring;
+    Xoshiro256 rng(84);
+    std::vector<std::pair<Codes, Codes>> pairs;
+    std::size_t rows_hit[2] = {0, 0};  // at 8- and 32-cell chunks
+    for (int t = 0; t < 8; ++t) {
+      Codes a = random_codes(60, rng);
+      Codes b = random_codes(60, rng);
+      std::vector<std::int32_t> prev(b.size() + 1, kDropped), curr(b.size() + 1, kDropped);
+      std::int32_t best = 0;
+      std::size_t lo = 0, hi = 0;
+      for (std::size_t j = 0; j <= b.size() && static_cast<std::int32_t>(j) * sc.gap >= -x; ++j)
+        prev[j] = static_cast<std::int32_t>(j) * sc.gap;
+      for (std::size_t j = 0; j < prev.size() && prev[j] != kDropped; ++j) hi = j;
+      for (std::size_t i = 1; i <= a.size() && lo <= hi; ++i) {
+        const std::size_t row_lo = lo, row_hi = std::min(hi + 1, b.size());
+        std::size_t first_col = SIZE_MAX, last_col = SIZE_MAX;
+        lo = SIZE_MAX;
+        hi = 0;
+        std::fill(curr.begin(), curr.end(), kDropped);
+        for (std::size_t j = row_lo; j <= row_hi; ++j) {
+          std::int32_t cell = j == 0 ? static_cast<std::int32_t>(i) * sc.gap : kDropped;
+          if (j > 0) {
+            if (prev[j - 1] != kDropped)
+              cell = prev[j - 1] + sc.substitution(a[i - 1], b[j - 1]);
+            if (prev[j] != kDropped) cell = std::max(cell, prev[j] + sc.gap);
+            if (j > row_lo && curr[j - 1] != kDropped)
+              cell = std::max(cell, curr[j - 1] + sc.gap);
+          }
+          if (cell < best - x) continue;
+          curr[j] = cell;
+          lo = std::min(lo, j);
+          hi = std::max(hi, j);
+          if (cell <= best) continue;
+          best = cell;
+          if (first_col == SIZE_MAX) first_col = j - row_lo;
+          last_col = j - row_lo;
+        }
+        if (first_col != SIZE_MAX) {
+          rows_hit[0] += first_col / 8 != last_col / 8;
+          rows_hit[1] += first_col / 32 != last_col / 32;
+        }
+        std::swap(prev, curr);
       }
-      if (first_col != SIZE_MAX) {
-        rows_hit[0] += first_col / 8 != last_col / 8;
-        rows_hit[1] += first_col / 16 != last_col / 16;
-      }
-      std::swap(prev, curr);
+      EXPECT_EQ(best, xdrop_extend(a, b, params).score) << "pair " << t;
+      pairs.emplace_back(std::move(a), std::move(b));
     }
-    pairs.emplace_back(std::move(a), std::move(b));
+    EXPECT_GT(rows_hit[0], 0u);
+    EXPECT_GT(rows_hit[1], 0u);
+    expect_row_kernels_exact(pairs, params);
   }
-  EXPECT_GT(rows_hit[0], 0u);
-  EXPECT_GT(rows_hit[1], 0u);
-  expect_row_kernels_exact(pairs, params);
 }
 
 TEST(BatchAligner, RowKernelBandPinnedAtColumnZero) {
@@ -960,51 +1010,55 @@ TEST(BatchAligner, RowKernelZeroXAndSteepGap) {
   }
 }
 
-TEST(BatchAligner, RowKernelAtTheInt16Bound) {
-  // At the largest x the int16 bound admits, live cells reach -x relative
-  // to their row's base, the deepest values int16 lanes hold, and the scan
-  // constants reach 16*gap: row 0 and column 0 run down to the floor on a
-  // short read against a long one, a long insertion keeps a gap chain live
-  // near the floor, and N runs sit on both sides. Every case runs through
-  // both widths.
+TEST(BatchAligner, RowKernelAtTheInt8Bound) {
+  // At the largest x the int8 bound admits (95, 63 and 31 at gap -1, -2
+  // and -3), live cells reach -x relative to their row's base, the deepest
+  // values int8 lanes hold above the sentinel, and the scan constants reach
+  // 32*gap: row 0 and column 0 run down to the floor on a short read
+  // against a long one, an insertion keeps a gap chain live one gap above
+  // the floor, and N runs sit on both sides. Every case runs through both
+  // widths.
   Xoshiro256 rng(88);
-  for (const std::int32_t gap : {-1, -2, -4, -8}) {
+  for (const std::int32_t gap : {-1, -2, -3}) {
     SCOPED_TRACE("gap " + std::to_string(gap));
     XDropParams params;
     params.scoring.gap = gap;
-    params.x = (1 << 14) - 1 - 16 * -gap;
-    ASSERT_TRUE(align::detail::fits_int16(params));
+    params.x = (1 << 7) - 1 - 32 * -gap;
+    ASSERT_TRUE(align::detail::fits_int8(params));
     const std::size_t reach = static_cast<std::size_t>(params.x / -gap);
     const Codes a = random_codes(300, rng);
     Codes b(a.begin(), a.begin() + 100);
-    const Codes insert = random_codes(std::min<std::size_t>(reach - 20, 4000), rng);
+    const Codes insert = random_codes(reach - 1, rng);
     b.insert(b.end(), insert.begin(), insert.end());
     b.insert(b.end(), a.begin() + 100, a.end());
     Codes a_n = mutate(a, 0.03, rng);
     Codes b_n = mutate(a, 0.03, rng);
     std::fill(a_n.begin() + 40, a_n.begin() + 70, seq::kN);
     std::fill(b_n.begin() + 50, b_n.begin() + 90, seq::kN);
-    expect_row_kernels_exact({{a, b},
-                              {random_codes(40, rng), random_codes(reach + 40, rng)},
-                              {random_codes(reach + 40, rng), random_codes(40, rng)},
-                              {a_n, b_n}},
-                             params);
+    const std::vector<std::pair<Codes, Codes>> pairs{
+        {a, b},
+        {random_codes(40, rng), random_codes(reach + 40, rng)},
+        {random_codes(reach + 40, rng), random_codes(40, rng)},
+        {a_n, b_n}};
+    EXPECT_EQ(expect_row_kernels_exact(pairs, params).front().first, widest_lanes());
   }
-  // The steepest admitted scoring: 16*gap = -16000 in the scan constants.
-  // Unrelated extensions die in their first chunk, related ones at their
-  // first gap or mismatch.
+  // The steepest admitted scoring: every score at m = 3, so 32*gap = -96
+  // in the scan constants, and the mismatch and up-gap constants reach
+  // -3 - 3 after a rebase. Unrelated extensions die in their first chunk,
+  // related ones soon after their first gap or mismatch.
   XDropParams steep;
-  steep.scoring.mismatch = -1000;
-  steep.scoring.gap = -1000;
-  steep.x = 383;
-  ASSERT_TRUE(align::detail::fits_int16(steep));
+  steep.scoring.match = 3;
+  steep.scoring.mismatch = -3;
+  steep.scoring.gap = -3;
+  steep.x = 31;
+  ASSERT_TRUE(align::detail::fits_int8(steep));
   std::vector<std::pair<Codes, Codes>> pairs;
   for (int t = 0; t < 6; ++t) {
     Codes seq_a = random_codes(50 + rng.below(200), rng);
     Codes seq_b = t % 2 == 0 ? random_codes(50 + rng.below(200), rng) : mutate(seq_a, 0.05, rng);
     pairs.emplace_back(std::move(seq_a), std::move(seq_b));
   }
-  expect_row_kernels_exact(pairs, steep);
+  EXPECT_EQ(expect_row_kernels_exact(pairs, steep).front().first, widest_lanes());
 }
 
 TEST(BatchAligner, RowZeroCellAccountingMatchesScalar) {
