@@ -511,8 +511,10 @@ void World::run(const std::function<void(Rank&)>& body) {
 
   // The phase seconds are a view of the trace: every track of rank r (its
   // rank thread, pid r tid 0, and its alignment workers, tid 1 + w)
-  // charges rank r through the attribution `gnbody perf report` uses.
+  // charges rank r through the attribution `gnbody perf report` uses, and
+  // the rank thread's first to last event is the rank's wall extent.
   std::vector<obs::analysis::TrackStats> phases(nranks_);
+  std::vector<double> walls(nranks_, 0.0);
   if (tracer.enabled()) {
     std::vector<obs::analysis::TrackEvents> tracks;
     for (const obs::TraceBuffer* buf : tracer.buffers()) {
@@ -524,8 +526,11 @@ void World::run(const std::function<void(Rank&)>& body) {
       track.events = buf->events().subspan(start == trace_start.end() ? 0 : start->second);
     }
     const obs::analysis::Trace trace = obs::analysis::build_trace(tracks, dropped_delta);
-    for (const obs::analysis::Track& track : trace.tracks)
+    for (const obs::analysis::Track& track : trace.tracks) {
       obs::analysis::add_track_stats(phases[track.pid], track);
+      if (track.tid == 0)
+        walls[track.pid] = 1e-9 * static_cast<double>(track.last_ns - track.first_ns);
+    }
   }
 
   breakdowns_.clear();
@@ -540,6 +545,7 @@ void World::run(const std::function<void(Rank&)>& body) {
     breakdown.sync = seconds[static_cast<std::size_t>(Category::kWait)];
     breakdown.overhead = seconds[static_cast<std::size_t>(Category::kOverhead)] +
                          seconds[static_cast<std::size_t>(Category::kRecovery)];
+    breakdown.wall = walls[r];
     breakdown.peak_memory = ranks[r]->memory_.peak();
     breakdown.faults = ranks[r]->fault_counters_;
     // rt-level evidence: injected duplicates surface as orphan replies on

@@ -94,18 +94,18 @@ void export_metrics(const Summary& summary, obs::MetricsRegistry& registry) {
 Summary summarize(std::span<const Breakdown> ranks, double runtime) {
   Summary summary;
   RunningStats compute, overhead, comm, sync;
-  double total_max = 0;
+  double wall_max = 0;
   for (const Breakdown& b : ranks) {
     compute.add(b.compute);
     overhead.add(b.overhead);
     comm.add(b.comm);
     sync.add(b.sync);
-    total_max = std::max(total_max, b.total());
+    wall_max = std::max(wall_max, b.wall);
     summary.peak_memory_max = std::max(summary.peak_memory_max, b.peak_memory);
     summary.faults.merge(b.faults);
     summary.compute_layer.merge(b.compute_layer);
   }
-  summary.runtime = runtime < 0 ? total_max : runtime;
+  summary.runtime = runtime < 0 ? wall_max : runtime;
   summary.compute_avg = compute.mean();
   summary.overhead_avg = overhead.mean();
   summary.comm_avg = comm.mean();

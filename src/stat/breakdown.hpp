@@ -158,6 +158,10 @@ struct Breakdown {
   double overhead = 0;  // "Computation (Overhead)"
   double comm = 0;      // visible communication latency
   double sync = 0;      // barrier / exit-barrier waiting (imbalance)
+  /// Wall seconds from the rank thread's first to its last event of the
+  /// run. With pool workers the four categories above sum thread-seconds,
+  /// so they can exceed it.
+  double wall = 0;
   std::uint64_t peak_memory = 0;
   FaultCounters faults;
   ComputeCounters compute_layer;  // cache/pool activity (engines fill per rank)
@@ -206,9 +210,9 @@ struct Summary {
 /// on names — and `gnbody perf diff` can gate either.
 void export_metrics(const Summary& summary, obs::MetricsRegistry& registry);
 
-/// Reduce per-rank breakdowns. `runtime` < 0 defaults it to the slowest
-/// rank's total (the right phase duration when sync already includes the
-/// waiting, as both backends guarantee).
+/// Reduce per-rank breakdowns. `runtime` < 0 defaults it to the longest
+/// rank wall extent (Breakdown::wall); comm_fraction() is measured against
+/// it.
 [[nodiscard]] Summary summarize(std::span<const Breakdown> ranks, double runtime = -1.0);
 
 /// The standard breakdown table schema: `labels` name the leading key

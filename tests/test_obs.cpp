@@ -3,7 +3,8 @@
 // validation, sim-vs-real span-name parity on one small workload,
 // determinism of the event sequence across identically-seeded runs, the
 // phase breakdown as a view of the trace (equal to the perf report's
-// attribution, compute.batch spans covering every task), the metrics
+// attribution, compute.batch spans covering every task, the runtime a wall
+// extent rather than thread-seconds), the metrics
 // registry, and the FaultCounters descriptor-table export.
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -35,6 +37,7 @@
 #include "sim/machine.hpp"
 #include "sim/perf_model.hpp"
 #include "stat/breakdown.hpp"
+#include "util/timer.hpp"
 #include "wl/presets.hpp"
 
 using namespace gnb;
@@ -596,6 +599,59 @@ TEST(TraceBreakdown, StageHelpersChargeTheirRankAsCompute) {
       expect_same_seconds(breakdowns[r].sync, of(Category::kWait));
       EXPECT_GT(breakdowns[r].compute, 0.0);
     }
+  }
+}
+
+TEST(TraceBreakdown, RuntimeIsTheLongestRankWallExtent) {
+  // At 2 ranks x 2 compute threads the four categories sum thread-seconds:
+  // the rank thread waits in compute.pool while its workers compute, so the
+  // largest sum exceeds the phase. The summary's runtime is the longest
+  // rank thread's wall extent instead: within 5 % of the phase's extent over
+  // every track of the run, and inside the World run that holds it.
+  constexpr std::size_t kRanks = 2;
+  const wl::SampledDataset& dataset = tiny_dataset();
+  pipeline::PipelineConfig config;
+  config.k = wl::tiny_spec().k;
+  const pipeline::TaskSet tasks = pipeline::run_serial(dataset.reads, config, kRanks);
+  core::EngineConfig engine_config;
+  engine_config.proto.compute_threads = 2;
+  for (const bool async_mode : {false, true}) {
+    SCOPED_TRACE(async_mode ? "async" : "bsp");
+    obs::Tracer& tracer = obs::Tracer::instance();
+    tracer.enable();
+    rt::World world(kRanks);
+    const WallTimer timer;
+    world.run([&](rt::Rank& rank) {
+      const std::vector<kmer::AlignTask>& mine = tasks.per_rank[rank.id()];
+      if (async_mode) {
+        core::async_align(rank, dataset.reads, tasks.bounds, mine, engine_config);
+      } else {
+        core::bsp_align(rank, dataset.reads, tasks.bounds, mine, engine_config);
+      }
+    });
+    const double run_seconds = timer.seconds();
+    std::ostringstream out;
+    tracer.write_json(out);
+    tracer.disable();
+
+    const obs::analysis::Trace trace = obs::analysis::load_trace(out.str());
+    std::int64_t first_ns = std::numeric_limits<std::int64_t>::max();
+    std::int64_t last_ns = std::numeric_limits<std::int64_t>::min();
+    for (const obs::analysis::Track& track : trace.tracks) {
+      if (track.pid >= kRanks || track.spans.empty()) continue;
+      first_ns = std::min(first_ns, track.first_ns);
+      last_ns = std::max(last_ns, track.last_ns);
+    }
+    ASSERT_LT(first_ns, last_ns);
+    const double extent = 1e-9 * static_cast<double>(last_ns - first_ns);
+
+    const stat::Summary summary = stat::summarize(world.breakdowns());
+    double thread_seconds = 0;
+    for (const stat::Breakdown& b : world.breakdowns())
+      thread_seconds = std::max(thread_seconds, b.total());
+    EXPECT_NEAR(summary.runtime, extent, 0.05 * extent);
+    EXPECT_LE(summary.runtime, run_seconds);
+    EXPECT_GT(thread_seconds, summary.runtime);
   }
 }
 

@@ -134,7 +134,7 @@ struct OverlapRun {
 OverlapRun run_overlap(const seq::ReadStore& reads, std::size_t ranks, std::uint32_t k,
                        double coverage, double error, const std::string& engine_name,
                        std::int32_t min_score, std::uint32_t min_overlap,
-                       std::size_t compute_threads = 1, const rt::FaultPlan& faults = {},
+                       std::size_t compute_threads, const rt::FaultPlan& faults = {},
                        proto::BatchAlignerKind batch_aligner = proto::BatchAlignerKind::kAuto,
                        proto::WireCompression wire_compression =
                            proto::wire_compression_from_env(proto::WireCompression::kAuto),
@@ -356,6 +356,10 @@ int cmd_assemble(int argc, char** argv) {
   auto coverage = cli.opt<double>("coverage", 20, "assumed depth for the BELLA filter");
   auto error = cli.opt<double>("error", 0.12, "assumed error rate");
   auto min_overlap = cli.opt<std::uint64_t>("min-overlap", 250, "graph edge threshold");
+  auto compute_threads = cli.opt<std::uint64_t>(
+      "compute-threads", proto::compute_threads_from_env(1),
+      "threads per rank for the k-mer stage and alignment workers (1 = inline serial; "
+      "env GNB_COMPUTE_THREADS)");
   auto gfa = cli.opt<std::string>("gfa", "", "also write the string graph as GFA1");
   auto trace = cli.opt<std::string>(
       "trace", "", "write a Perfetto/Chrome trace-event JSON (monotonic clock)");
@@ -376,8 +380,8 @@ int cmd_assemble(int argc, char** argv) {
   const seq::ReadStore reads = load_fasta(*in);
   log::info("loaded ", reads.size(), " reads");
   const auto run = run_overlap(reads, *ranks, static_cast<std::uint32_t>(*k), *coverage,
-                               *error, "bsp", 100,
-                               static_cast<std::uint32_t>(*min_overlap));
+                               *error, "bsp", 100, static_cast<std::uint32_t>(*min_overlap),
+                               *compute_threads);
 
   // Phases 4-6 over rt::World: shard the accepted records by the owner of
   // read_a (any sharding with the same union gives the same bytes), run the
@@ -466,6 +470,10 @@ int cmd_correct(int argc, char** argv) {
   auto k = cli.opt<std::uint64_t>("k", 15, "k-mer length (<= 32)");
   auto coverage = cli.opt<double>("coverage", 20, "assumed depth for the BELLA filter");
   auto error = cli.opt<double>("error", 0.12, "assumed error rate");
+  auto compute_threads = cli.opt<std::uint64_t>(
+      "compute-threads", proto::compute_threads_from_env(1),
+      "threads per rank for the k-mer stage and alignment workers (1 = inline serial; "
+      "env GNB_COMPUTE_THREADS)");
   cli.parse(argc, argv);
   kmer::check_k(*k);
   pipeline::check_nranks(*ranks);
@@ -473,7 +481,7 @@ int cmd_correct(int argc, char** argv) {
   const seq::ReadStore reads = load_fasta(*in);
   log::info("loaded ", reads.size(), " reads");
   const auto records = run_overlap(reads, *ranks, static_cast<std::uint32_t>(*k), *coverage,
-                                   *error, "bsp", 80, 150)
+                                   *error, "bsp", 80, 150, *compute_threads)
                            .records;
   const correct::CorrectedSet corrected = correct::correct_reads(reads, records);
   log::info("corrected ", corrected.stats.reads_changed, "/",
