@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
+#include <ctime>
 #include <fstream>
 #include <span>
 #include <tuple>
@@ -18,6 +20,7 @@
 #include "align/cigar.hpp"
 #include "align/exact.hpp"
 #include "align/xdrop.hpp"
+#include "align/xdrop_batch.hpp"
 #include "core/bsp.hpp"
 #include "kmer/bella_filter.hpp"
 #include "kmer/counter.hpp"
@@ -290,38 +293,73 @@ BENCHMARK(BM_BatchXdropSimd);
 
 struct BatchKernelCase {
   align::BatchAlignerInfo info;
-  std::uint64_t tasks = 0;
-  std::uint64_t cells = 0;
-  double seconds = 0;
+  std::uint64_t tasks = 0;  // per pass
+  std::uint64_t cells = 0;  // per pass
+  double seconds = 0;       // thread CPU seconds of the median pass
   double mcells_per_s = 0;
   double occupancy = 0;
 };
 
-/// Time `tasks` through one backend, handed over `chunk` tasks per align()
-/// call, in whole passes until at least 0.3 s have passed.
-BatchKernelCase run_batch_kernel_case(std::span<const align::AlignTask> tasks,
-                                      proto::BatchAlignerKind kind, std::size_t chunk) {
-  const auto backend = align::make_batch_aligner(kind, {});
-  BatchKernelCase result;
-  result.info = backend->info();
-  const auto start = std::chrono::steady_clock::now();
-  double elapsed = 0;
-  while (elapsed < 0.3) {
+/// CPU seconds the calling thread has run.
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/// Passes timed per batch-kernel row, after one untimed pass.
+constexpr std::size_t kKernelPasses = 5;
+
+/// Time `tasks` through `backend`, handed over `chunk` tasks per align()
+/// call: one untimed pass grows the scratch and fills the caches, then
+/// kKernelPasses passes are timed in thread CPU time, which a preempted
+/// thread does not accrue. The row reports the median pass.
+BatchKernelCase run_batch_kernel_case(align::BatchAligner& backend,
+                                      std::span<const align::AlignTask> tasks,
+                                      std::size_t chunk) {
+  const auto pass = [&] {
     for (std::size_t begin = 0; begin < tasks.size(); begin += chunk) {
       const auto results =
-          backend->align(tasks.subspan(begin, std::min(chunk, tasks.size() - begin)));
+          backend.align(tasks.subspan(begin, std::min(chunk, tasks.size() - begin)));
       benchmark::DoNotOptimize(results.data());
     }
-    elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-                  .count();
+  };
+  pass();
+  const align::BatchStats before = backend.stats();
+  std::vector<double> seconds;
+  for (std::size_t p = 0; p < kKernelPasses; ++p) {
+    const double start = thread_cpu_seconds();
+    pass();
+    seconds.push_back(thread_cpu_seconds() - start);
   }
-  const align::BatchStats stats = backend->stats();
-  result.tasks = stats.tasks;
-  result.cells = stats.cells;
-  result.seconds = elapsed;
-  result.mcells_per_s = elapsed > 0 ? static_cast<double>(stats.cells) / elapsed / 1e6 : 0;
+  std::sort(seconds.begin(), seconds.end());
+  const align::BatchStats stats = backend.stats() - before;
+  BatchKernelCase result;
+  result.info = backend.info();
+  result.tasks = stats.tasks / kKernelPasses;
+  result.cells = stats.cells / kKernelPasses;
+  result.seconds = seconds[kKernelPasses / 2];
+  result.mcells_per_s =
+      result.seconds > 0 ? static_cast<double>(result.cells) / result.seconds / 1e6 : 0;
   result.occupancy = stats.occupancy();
   return result;
+}
+
+BatchKernelCase run_batch_kernel_case(std::span<const align::AlignTask> tasks,
+                                      proto::BatchAlignerKind kind, std::size_t chunk) {
+  return run_batch_kernel_case(*align::make_batch_aligner(kind, {}), tasks, chunk);
+}
+
+/// One row per row-kernel instantiation this host runs, widest first.
+std::vector<BatchKernelCase> run_row_kernel_cases(std::span<const align::AlignTask> tasks,
+                                                  std::size_t chunk) {
+  std::vector<BatchKernelCase> rows;
+  for (const align::detail::RowKernel& kernel : align::detail::row_kernels()) {
+    if (!kernel.runnable()) continue;
+    const auto backend = align::detail::make_row_kernel_aligner(kernel, {});
+    rows.push_back(run_batch_kernel_case(*backend, tasks, chunk));
+  }
+  return rows;
 }
 
 void append_batch_kernel_row(std::string& json, const char* label,
@@ -329,12 +367,12 @@ void append_batch_kernel_row(std::string& json, const char* label,
   char buffer[512];
   std::snprintf(buffer, sizeof(buffer),
                 "    {\"labels\":{\"case\":\"%s\"},\"backend\":\"%s\",\"lanes\":%zu,"
-                "\"tasks\":%llu,\"cells\":%llu,\"seconds\":%.6f,"
+                "\"tasks\":%llu,\"cells\":%llu,\"passes\":%zu,\"seconds\":%.6f,"
                 "\"mcells_per_s\":%.1f,\"lane_occupancy\":%.4f}%s\n",
                 label, c.info.name, c.info.lanes,
                 static_cast<unsigned long long>(c.tasks),
-                static_cast<unsigned long long>(c.cells), c.seconds, c.mcells_per_s,
-                c.occupancy, trailing_comma ? "," : "");
+                static_cast<unsigned long long>(c.cells), kKernelPasses, c.seconds,
+                c.mcells_per_s, c.occupancy, trailing_comma ? "," : "");
   json += buffer;
 }
 
@@ -699,12 +737,10 @@ void write_cache_pool_report() {
   const TaskSetWorkload hifi = make_task_set_workload(15, 0.03, 12'000);
   const BatchKernelCase ont_scalar =
       run_batch_kernel_case(ont.tasks, proto::BatchAlignerKind::kScalar, 32);
-  const BatchKernelCase ont_simd =
-      run_batch_kernel_case(ont.tasks, proto::BatchAlignerKind::kSimd, 32);
+  const std::vector<BatchKernelCase> ont_kernels = run_row_kernel_cases(ont.tasks, 32);
   const BatchKernelCase hifi_scalar =
       run_batch_kernel_case(hifi.tasks, proto::BatchAlignerKind::kScalar, 32);
-  const BatchKernelCase hifi_simd =
-      run_batch_kernel_case(hifi.tasks, proto::BatchAlignerKind::kSimd, 32);
+  const std::vector<BatchKernelCase> hifi_kernels = run_row_kernel_cases(hifi.tasks, 32);
 
   const Stage2Rows stage2 = run_stage2_rows();
 
@@ -729,10 +765,20 @@ void write_cache_pool_report() {
   append_codec_row(json, "wire_decode_hifi", stage2.decode);
   append_batch_kernel_row(json, "batch_xdrop_scalar", kernel_scalar, true);
   append_batch_kernel_row(json, "batch_xdrop_simd", kernel_simd, true);
-  append_batch_kernel_row(json, "batch_xdrop_tasks_ont_scalar", ont_scalar, true);
-  append_batch_kernel_row(json, "batch_xdrop_tasks_ont_simd", ont_simd, true);
-  append_batch_kernel_row(json, "batch_xdrop_tasks_hifi_scalar", hifi_scalar, true);
-  append_batch_kernel_row(json, "batch_xdrop_tasks_hifi_simd", hifi_simd, false);
+  // batch_xdrop_tasks_{ont,hifi}_scalar, then one row per instantiation:
+  // batch_xdrop_tasks_{ont,hifi}_{avx512,avx2,portable}.
+  std::vector<std::pair<std::string, const BatchKernelCase*>> task_rows;
+  for (const auto& [name, scalar, kernels] :
+       {std::tuple{"ont", &ont_scalar, &ont_kernels},
+        std::tuple{"hifi", &hifi_scalar, &hifi_kernels}}) {
+    const std::string prefix = std::string("batch_xdrop_tasks_") + name + "_";
+    task_rows.emplace_back(prefix + "scalar", scalar);
+    for (const BatchKernelCase& c : *kernels)
+      task_rows.emplace_back(prefix + (c.info.name + std::strlen("simd-")), &c);
+  }
+  for (std::size_t r = 0; r < task_rows.size(); ++r)
+    append_batch_kernel_row(json, task_rows[r].first.c_str(), *task_rows[r].second,
+                            r + 1 < task_rows.size());
   json += "  ],\n";
   char tail[512];
   std::snprintf(tail, sizeof(tail),
@@ -755,13 +801,17 @@ void write_cache_pool_report() {
       "%.1f%%) -> BENCH_kernels.json\n",
       kernel_scalar.info.name, kernel_scalar.mcells_per_s, kernel_simd.info.name,
       kernel_simd.mcells_per_s, kernel_speedup, kernel_simd.occupancy * 100);
-  for (const auto& [name, scalar, simd] :
-       {std::tuple{"ont", &ont_scalar, &ont_simd}, std::tuple{"hifi", &hifi_scalar, &hifi_simd}})
-    std::printf(
-        "batch kernel on %s candidate tasks: %s %.1f Mcells/s vs %s %.1f Mcells/s "
-        "(occupancy %.1f%%) -> BENCH_kernels.json\n",
-        name, scalar->info.name, scalar->mcells_per_s, simd->info.name, simd->mcells_per_s,
-        simd->occupancy * 100);
+  for (const auto& [name, scalar, kernels] :
+       {std::tuple{"ont", &ont_scalar, &ont_kernels},
+        std::tuple{"hifi", &hifi_scalar, &hifi_kernels}}) {
+    std::printf("batch kernel on %s candidate tasks (median of %zu passes, thread CPU time): "
+                "%s %.1f Mcells/s",
+                name, kKernelPasses, scalar->info.name, scalar->mcells_per_s);
+    for (const BatchKernelCase& c : *kernels)
+      std::printf(", %s %.1f (occupancy %.1f%%)", c.info.name, c.mcells_per_s,
+                  c.occupancy * 100);
+    std::printf(" -> BENCH_kernels.json\n");
+  }
   std::printf(
       "stage-2 join on hifi-shaped reads: %llu records -> %llu tasks in %.2f ms at 1 "
       "thread, %.2f ms at 2 -> BENCH_kernels.json\n",

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "align/xdrop_batch.hpp"
@@ -49,9 +50,8 @@ class ScalarBatchAligner final : public BatchAligner {
 /// Extensions plus the scalar-scored seed.
 class SimdBatchAligner final : public BatchAligner {
  public:
-  SimdBatchAligner(const XDropParams& params, detail::ExtendBatchFn kernel, std::size_t lanes,
-                   const char* name, std::uint64_t backend_id)
-      : params_(params), kernel_(kernel), lanes_(lanes), name_(name), backend_id_(backend_id) {}
+  SimdBatchAligner(const XDropParams& params, const detail::RowKernel& kernel)
+      : params_(params), kernel_(kernel) {}
 
   std::vector<Alignment> align(std::span<const AlignTask> tasks) override {
     ++stats_.batches;
@@ -114,7 +114,7 @@ class SimdBatchAligner final : public BatchAligner {
     }
 
     extensions_.assign(jobs_.size(), Extension{});
-    kernel_(jobs_, params_, extensions_, rows_, stats_);
+    kernel_.run(jobs_, params_, extensions_, rows_, stats_);
 
     std::vector<Alignment> results;
     results.reserve(tasks.size());
@@ -146,7 +146,8 @@ class SimdBatchAligner final : public BatchAligner {
   }
 
   [[nodiscard]] BatchAlignerInfo info() const override {
-    return BatchAlignerInfo{name_, backend_id_, lanes_, /*simd=*/true};
+    return BatchAlignerInfo{kernel_.name, kernel_.backend_id,
+                            static_cast<std::size_t>(kernel_.lanes), /*simd=*/true};
   }
   [[nodiscard]] const BatchStats& stats() const override { return stats_; }
 
@@ -162,10 +163,7 @@ class SimdBatchAligner final : public BatchAligner {
   }
 
   const XDropParams params_;
-  const detail::ExtendBatchFn kernel_;
-  const std::size_t lanes_;
-  const char* name_;
-  const std::uint64_t backend_id_;
+  const detail::RowKernel& kernel_;
   BatchStats stats_;
 
   // Per-call staging, reused across align() calls.
@@ -179,14 +177,6 @@ class SimdBatchAligner final : public BatchAligner {
 
 }  // namespace
 
-bool simd_compiled_in() {
-#if defined(GNB_HAVE_AVX2_TU)
-  return true;
-#else
-  return false;
-#endif
-}
-
 bool cpu_supports_avx2() {
 #if defined(__x86_64__) || defined(__i386__)
   return __builtin_cpu_supports("avx2") != 0;
@@ -194,6 +184,45 @@ bool cpu_supports_avx2() {
   return false;
 #endif
 }
+
+bool cpu_supports_avx512() {
+#if defined(__x86_64__) || defined(__i386__)
+  return __builtin_cpu_supports("avx512bw") != 0 && __builtin_cpu_supports("avx512vbmi") != 0;
+#else
+  return false;
+#endif
+}
+
+namespace detail {
+
+#if defined(GNB_HAVE_AVX512_TU)
+constexpr ExtendBatchFn kAvx512 = extend_batch_avx512_i8;
+#else
+constexpr ExtendBatchFn kAvx512 = nullptr;
+#endif
+#if defined(GNB_HAVE_AVX2_TU)
+constexpr ExtendBatchFn kAvx2 = extend_batch_avx2_i8;
+#else
+constexpr ExtendBatchFn kAvx2 = nullptr;
+#endif
+
+std::span<const RowKernel> row_kernels() {
+  static constexpr RowKernel kKernels[] = {
+      {"simd-avx512", 3, 64, true, kAvx512, cpu_supports_avx512},
+      {"simd-avx2", 2, 32, true, kAvx2, cpu_supports_avx2},
+      {"simd-portable", 1, 8, false, extend_batch_portable, [] { return true; }},
+  };
+  return kKernels;
+}
+
+std::unique_ptr<BatchAligner> make_row_kernel_aligner(const RowKernel& kernel,
+                                                      const XDropParams& params) {
+  GNB_CHECK_MSG(kernel.runnable() && kernel.exact_for(params),
+                kernel.name << " cannot run here or is not exact for x " << params.x);
+  return std::make_unique<SimdBatchAligner>(params, kernel);
+}
+
+}  // namespace detail
 
 proto::BatchAlignerKind resolve_batch_aligner(proto::BatchAlignerKind kind) {
   // The row kernel always exists (portable fallback), so `auto` means simd;
@@ -203,21 +232,16 @@ proto::BatchAlignerKind resolve_batch_aligner(proto::BatchAlignerKind kind) {
 
 std::unique_ptr<BatchAligner> make_batch_aligner(proto::BatchAlignerKind kind,
                                                  const XDropParams& params) {
-  switch (resolve_batch_aligner(kind)) {
-    case proto::BatchAlignerKind::kScalar:
-      return std::make_unique<ScalarBatchAligner>(params);
-    default:
-      break;
-  }
-#if defined(GNB_HAVE_AVX2_TU)
-  // The AVX2 kernel runs int8 lanes only; scorings too wide for them
-  // (none of the defaults') fall back to the portable int32 kernel.
-  if (cpu_supports_avx2() && detail::fits_int8(params))
-    return std::make_unique<SimdBatchAligner>(params, detail::extend_batch_avx2_i8,
-                                              /*lanes=*/32, "simd-avx2", /*backend_id=*/2);
-#endif
-  return std::make_unique<SimdBatchAligner>(params, detail::extend_batch_portable,
-                                            /*lanes=*/8, "simd-portable", /*backend_id=*/1);
+  if (resolve_batch_aligner(kind) == proto::BatchAlignerKind::kScalar)
+    return std::make_unique<ScalarBatchAligner>(params);
+  // The widest instantiation the binary has, the CPU runs and the scoring
+  // fits. The portable int32 kernel, last in the table, runs anywhere and
+  // takes any scoring, so the search always ends on a kernel.
+  const auto kernels = detail::row_kernels();
+  const auto kernel = std::find_if(kernels.begin(), kernels.end(), [&](const auto& k) {
+    return k.runnable() && k.exact_for(params);
+  });
+  return detail::make_row_kernel_aligner(*kernel, params);
 }
 
 std::string batch_aligner_report(proto::BatchAlignerKind requested) {
@@ -226,9 +250,15 @@ std::string batch_aligner_report(proto::BatchAlignerKind requested) {
   std::ostringstream out;
   out << "batch aligner: " << info.name << " (" << info.lanes
       << (info.lanes == 1 ? " lane" : " lanes") << ", requested "
-      << proto::to_string(requested) << "; cpu avx2="
-      << (cpu_supports_avx2() ? "yes" : "no")
-      << ", built=" << (simd_compiled_in() ? "avx2+portable" : "portable") << ")";
+      << proto::to_string(requested) << "; cpu avx2=" << (cpu_supports_avx2() ? "yes" : "no")
+      << " avx512=" << (cpu_supports_avx512() ? "yes" : "no") << ", built=";
+  const char* sep = "";
+  for (const detail::RowKernel& kernel : detail::row_kernels()) {
+    if (kernel.run == nullptr) continue;
+    out << sep << (std::string_view(kernel.name).substr(std::string_view("simd-").size()));
+    sep = "+";
+  }
+  out << ")";
   return out.str();
 }
 

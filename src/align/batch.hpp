@@ -3,10 +3,10 @@
 // seed-and-extend tasks to a backend instead of invoking xdrop_align one
 // pair at a time. Two backends exist today — a scalar wrapper around
 // xdrop_align (the byte-identity oracle) and a row-vectorized SIMD kernel
-// that evaluates each extension's DP rows 32 int8 cells per AVX2 vector, or
-// 8 int32 cells in its portable form — and the same interface is where a
-// GPU backend plugs in next (the structural fix diBELLA's follow-up work
-// applies to this N-body bottleneck).
+// that evaluates each extension's DP rows 64 int8 cells per AVX-512 vector,
+// 32 per AVX2 vector, or 8 int32 cells in its portable form — and the same
+// interface is where a GPU backend plugs in next (the structural fix
+// diBELLA's follow-up work applies to this N-body bottleneck).
 //
 // Contract: every backend returns bit-identical Alignments (score,
 // coordinates, cells) for the same tasks. That is what makes `auto` a safe
@@ -89,12 +89,12 @@ class BatchAligner {
   [[nodiscard]] virtual const BatchStats& stats() const = 0;
 };
 
-/// Whether this binary carries the AVX2 translation unit (GNB_SIMD=ON and
-/// the toolchain could compile it).
-[[nodiscard]] bool simd_compiled_in();
-
 /// Whether the host CPU executes AVX2 (runtime cpuid probe).
 [[nodiscard]] bool cpu_supports_avx2();
+
+/// Whether the host CPU executes AVX512BW and AVX512VBMI, the two the
+/// 64-lane row kernel needs (runtime cpuid probe).
+[[nodiscard]] bool cpu_supports_avx512();
 
 /// Resolve kAuto to a concrete backend for this host: kSimd always (the
 /// row kernel has a portable fallback when AVX2 is unavailable). kScalar
@@ -102,10 +102,11 @@ class BatchAligner {
 [[nodiscard]] proto::BatchAlignerKind resolve_batch_aligner(proto::BatchAlignerKind kind);
 
 /// Construct a backend. kAuto is resolved via resolve_batch_aligner. kSimd
-/// runs the AVX2 row kernel, 32 int8 lanes, when the binary has it, the CPU
-/// executes it and the scoring provably fits int8 (DESIGN.md §11; the
-/// default x = 49 at unit scoring does); otherwise it runs the portable
-/// kernel, 8 int32 lanes. The returned instance owns its scratch and is not
+/// runs the widest row-kernel instantiation that the binary has, the CPU
+/// executes and the scoring provably fits (DESIGN.md §11): the AVX-512
+/// kernel's 64 int8 lanes, then the AVX2 kernel's 32 (the default x = 49 at
+/// unit scoring fits both), then the portable kernel's 8 int32 lanes, which
+/// takes any scoring. The returned instance owns its scratch and is not
 /// thread-safe.
 [[nodiscard]] std::unique_ptr<BatchAligner> make_batch_aligner(proto::BatchAlignerKind kind,
                                                                const XDropParams& params);

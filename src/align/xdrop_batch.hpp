@@ -2,11 +2,12 @@
 // Row-vectorized X-drop extension: the kernel behind align::SimdBatchAligner.
 //
 // The kernel runs one extension at a time and evaluates each DP row of
-// xdrop_extend W cells per vector: 32 int8 cells in the AVX2 kernel, 8
-// int32 cells in the portable one, which also serves scorings too wide for
-// int8 (fits_int8). On long-read candidate sets the live band is wide:
-// evaluated rows average 85 cells on 1.5 kb reads at 12 % error and 150
-// cells on 12 kb reads at 3 %, so one extension's row fills a register.
+// xdrop_extend W cells per vector: 64 int8 cells in the AVX-512 kernel, 32
+// in the AVX2 kernel, 8 int32 cells in the portable one, which also serves
+// scorings too wide for int8 (fits_int8). On long-read candidate sets the
+// live band is wide: evaluated rows average 85 cells on 1.5 kb reads at 12 %
+// error and 150 cells on 12 kb reads at 3 %, so one extension's row fills a
+// register. One template, extend_rows<Ops>, serves every width.
 //
 // Storage: rows live in *offset space*. Slot s of a row holds column
 // (row_lo + s - 1), where row_lo is the row's first evaluated column. Slot 0
@@ -31,12 +32,15 @@
 //             themselves), compared with the broadcast a[i-1] (-1 when that
 //             base is N, so N matches nothing);
 //   t         max(diag + sub - delta, up + gap - delta);
-//   s'        the left-gap chain as an in-register max-plus prefix scan in
-//             log2(W) steps: y = max(y, shift_k(y) + k*gap) for
-//             k = 1, .., W/4 within each half of the vector, one step that
-//             carries the low half's last lane into the high half, then
-//             max(y, carry + (lane+1)*gap) with the previous chunk's last
-//             lane as carry (sentinel at row start).
+//   s'        the left-gap chain, max over k <= l of t[k] + (l-k)*gap,
+//             computed as an in-register prefix max of z[k] = t[k] - k*gap,
+//             then s'[l] = z'[l] + l*gap. The prefix max takes log2(W)
+//             steps over blocks of Ops::kBlock lanes (one 128-bit block):
+//             z = max(z, shift_k(z)) for k = 1, 2, .., kBlock/2 within each
+//             block, then for d = 1, 2, .., W/(2 kBlock) blocks every block
+//             takes the max with the last lane of the block d below it.
+//             Last, max(s', carry + (l+1)*gap) with the previous chunk's
+//             last lane as carry (sentinel at row start).
 // The column-0 cell needs no special case: it is evaluated only while the
 // previous row's column 0 is live, which holds (i-1)*gap, so up + gap is the
 // all-gap edge value i*gap, and its diag and carry sources are sentinels.
@@ -45,7 +49,7 @@
 // every lane compares against the broadcast best - x. Otherwise a prefix max
 // in the same steps gives the best before each lane; the new best is its
 // last lane and best_j the first lane equal to it. Band bounds come from the
-// live-lane byte mask.
+// live-lane mask, one bit per lane.
 //
 // Why this is exact (bit-identical to xdrop_extend):
 //   - xdrop_extend computes s[j] = max(t[j], stored[j-1] + gap), where a
@@ -63,15 +67,23 @@
 //     stays below -x. int32 adds wrap but never reach the limits; int8 adds
 //     saturate, but only terms whose exact value is below -2^7 < -x do, so
 //     such a term drops either way and a max it enters is unchanged (every
-//     lane is >= -2^7).
+//     lane is >= -2^7). z = t - l*gap is at most W*m < 2^7 and never
+//     saturates; shifting back saturates only below -2^7.
 //   - So stored rows, score, best position, band bounds and `cells` are
 //     identical. This needs gap <= 0 and x >= 0; int32 needs x well below
-//     2^29 (|kNegInf|), int8 needs fits_int8 (DESIGN.md §11).
+//     2^29 (|kNegInf|), int8 needs fits_int8 at the kernel's W (DESIGN.md
+//     §11).
+//
+// Each instantiation with an ISA beyond the baseline lives in a translation
+// unit compiled for that ISA, and the CPU may lack it. So the kernel
+// instantiates nothing with external linkage there: its Ops types are
+// TU-local, and the growth of the row scratch and the parameter check run
+// in baseline code (xdrop_batch_portable.cpp).
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
+#include <memory>
 #include <span>
 #include <tuple>
 #include <utility>
@@ -80,24 +92,18 @@
 #include "align/batch.hpp"
 #include "align/xdrop.hpp"
 #include "seq/alphabet.hpp"
-#include "util/error.hpp"
 
 namespace gnb::align::detail {
 
 /// Pad bytes the kernel requires before b[0] and after b[nb-1]: it reads
-/// b[j-1 .. j+W-2] for every chunk, so b[-1] through b[nb+30] at W = 32.
-inline constexpr std::size_t kBPad = 32;
+/// b[j-1 .. j+W-2] for every chunk, so b[-1] through b[nb+62] at W = 64.
+inline constexpr std::size_t kBPad = 64;
 
-/// Whether the int8 instantiation is exact for `params`: with
-/// m = max(|match|, |mismatch|, |gap|), x + 32m < 2^7 (DESIGN.md §11).
-/// The default x = 49 at unit scoring gives 81.
-inline bool fits_int8(const XDropParams& params) {
-  const Scoring& sc = params.scoring;
-  const std::int64_t m = std::max({std::abs(std::int64_t{sc.match}),
-                                   std::abs(std::int64_t{sc.mismatch}),
-                                   std::abs(std::int64_t{sc.gap})});
-  return params.x >= 0 && params.x + 32 * m < (1 << 7);
-}
+/// Whether an int8 instantiation of `lanes` lanes is exact for `params`:
+/// with m = max(|match|, |mismatch|, |gap|), x + lanes*m < 2^7 (DESIGN.md
+/// §11). The default x = 49 at unit scoring gives 81 at 32 lanes and 113 at
+/// 64.
+[[nodiscard]] bool fits_int8(const XDropParams& params, int lanes);
 
 /// One extension job. Both lengths are >= 1: callers resolve empty
 /// extensions to a zero Extension directly. `b` carries kBPad readable bytes
@@ -118,17 +124,28 @@ struct RowPair {
 /// Row scratch for every instantiation; each uses the pair of its lane type.
 using RowScratch = std::tuple<RowPair<std::int8_t>, RowPair<std::int32_t>>;
 
-/// Reference vector ops, 8 int32 lanes: plain arrays, branch-free blends —
-/// the semantics the AVX2 int8 ops match with saturating adds and
+/// Refill both rows of `rows` with `cap` sentinels (instantiated for int8
+/// and int32 in the baseline TU).
+template <class T>
+void grow_rows(RowPair<T>& rows, std::size_t cap, T sentinel);
+
+/// Throw unless x >= 0 and, for an int8 kernel of `int8_lanes` lanes (0 for
+/// an int32 one), fits_int8(params, int8_lanes).
+void check_row_kernel_params(const XDropParams& params, int int8_lanes);
+
+/// Reference vector ops, 8 int32 lanes: plain arrays and lane-wise selects —
+/// the semantics the AVX int8 ops match with saturating adds and
 /// subtracts. Compiled in the baseline TU this is the portable kernel (the
 /// compiler auto-vectorizes what it can).
 struct ScalarLaneOps {
   using T = std::int32_t;
   static constexpr int W = 8;
+  static constexpr int kBlock = 4;  // int32 lanes per 128-bit block
   static constexpr T kNegInf = detail::kNegInf;
   struct V {
     T v[W];
   };
+  using Mask = V;  // all-ones or all-zeros lanes
 
   static V broadcast(T x) {
     V r;
@@ -164,44 +181,51 @@ struct ScalarLaneOps {
     for (int l = 0; l < W; ++l) r.v[l] = a.v[l] > b.v[l] ? a.v[l] : b.v[l];
     return r;
   }
-  static V cmpgt(V a, V b) {
+  static Mask cmpgt(V a, V b) {
     V r;
     for (int l = 0; l < W; ++l) r.v[l] = a.v[l] > b.v[l] ? -1 : 0;
     return r;
   }
-  static V cmpeq(V a, V b) {
+  static Mask cmpeq(V a, V b) {
     V r;
     for (int l = 0; l < W; ++l) r.v[l] = a.v[l] == b.v[l] ? -1 : 0;
     return r;
   }
-  /// Lane-wise select: mask lanes are all-ones or all-zeros.
-  static V blend(V m, V a, V b) {
+  /// Lane-wise select: `a` where `m` is set, `b` elsewhere.
+  static V blend(Mask m, V a, V b) {
     V r;
-    for (int l = 0; l < W; ++l) r.v[l] = (m.v[l] & a.v[l]) | (~m.v[l] & b.v[l]);
+    for (int l = 0; l < W; ++l) r.v[l] = m.v[l] != 0 ? a.v[l] : b.v[l];
     return r;
   }
-  /// Within each half of W / 2 lanes, lane l takes a[l - kK]; the first kK
-  /// lanes of each half take `fill`.
+  /// Within each block, lane l takes a[l - kK]; the first kK lanes of each
+  /// block take `fill`.
   template <int kK>
-  static V shift_in_half(V a, V fill) {
+  static V shift_in_block(V a, V fill) {
     V r;
-    for (int l = 0; l < W; ++l) r.v[l] = l % (W / 2) < kK ? fill.v[l] : a.v[l - kK];
+    for (int l = 0; l < W; ++l) r.v[l] = l % kBlock < kK ? fill.v[l] : a.v[l - kK];
     return r;
   }
-  /// Every lane takes the low half's last lane.
-  static V broadcast_low_last(V a) { return broadcast(a.v[W / 2 - 1]); }
+  /// Every lane of block b >= 2^kS takes the last lane of block b - 2^kS;
+  /// the lanes of the lower blocks keep their own value.
+  template <int kS>
+  static V from_block_below(V a) {
+    constexpr int kDist = kBlock << kS;
+    V r;
+    for (int l = 0; l < W; ++l)
+      r.v[l] = l < kDist ? a.v[l] : a.v[(l / kBlock) * kBlock - kDist + kBlock - 1];
+    return r;
+  }
   static V broadcast_last(V a) { return broadcast(a.v[W - 1]); }
-  static T last(V a) { return a.v[W - 1]; }
-  static bool any(V m) {
+  static T first(V a) { return a.v[0]; }
+  static bool any(Mask m) {
     for (int l = 0; l < W; ++l)
       if (m.v[l] != 0) return true;
     return false;
   }
-  /// Byte mask: lane l sets bits [4l, 4l + 4) when its sign bit is set, as a
-  /// byte movemask does.
-  static std::uint32_t movemask(V m) {
-    std::uint32_t r = 0;
-    for (int l = 0; l < W; ++l) r |= (m.v[l] < 0 ? 0xFu : 0u) << (4 * l);
+  /// One bit per lane, set where the lane's mask is set.
+  static std::uint64_t movemask(Mask m) {
+    std::uint64_t r = 0;
+    for (int l = 0; l < W; ++l) r |= (m.v[l] < 0 ? std::uint64_t{1} : 0) << l;
     return r;
   }
 };
@@ -215,21 +239,22 @@ Extension extend_rows(const ExtJob& job, const XDropParams& params,
   using T = typename Ops::T;
   using V = typename Ops::V;
   constexpr int W = Ops::W;
-  constexpr int kHalf = W / 2;
-  // log2(W) shift steps per scan: log2(W/2) within the halves, then one
-  // across them.
-  constexpr int kHalfSteps = std::countr_zero(static_cast<unsigned>(kHalf));
-  static_assert(W * sizeof(T) == 32, "masks are one 32-bit byte mask per vector");
+  constexpr int kBlock = Ops::kBlock;
+  // log2(W) steps per prefix max: log2(kBlock) within the blocks, then
+  // log2(W / kBlock) across them.
+  constexpr int kBlockSteps = std::countr_zero(static_cast<unsigned>(kBlock));
+  constexpr int kCrossSteps = std::countr_zero(static_cast<unsigned>(W / kBlock));
+  static_assert(std::has_single_bit(static_cast<unsigned>(kBlock)) && W % kBlock == 0 &&
+                    std::has_single_bit(static_cast<unsigned>(W / kBlock)) && W <= 64,
+                "W is a power of two of whole blocks, one mask bit per lane");
+  constexpr std::uint64_t kAllLanes = W == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << W) - 1;
   const Scoring& sc = params.scoring;
   const std::int32_t x = params.x;
   const std::int32_t nb = job.nb;
 
   // Highest slot written: chunks*W + W <= (nb + 1 + W - 1) + W.
   const std::size_t cap = static_cast<std::size_t>(nb) + 2 * W + 1;
-  if (rows.a.size() < cap) {
-    rows.a.assign(cap, Ops::kNegInf);
-    rows.b.assign(cap, Ops::kNegInf);
-  }
+  if (rows.a.size() < cap) grow_rows(rows, cap, Ops::kNegInf);
   T* prev = rows.a.data();
   T* curr = rows.b.data();
 
@@ -238,23 +263,27 @@ Extension extend_rows(const ExtJob& job, const XDropParams& params,
   const V vzero = Ops::broadcast(0);
   const V vx = Ops::broadcast(lane(x));
   const V vnegx = Ops::broadcast(lane(-x));
-  V vgap_step[kHalfSteps];  // k*gap for the in-half shift by k = 2^s
-  for (int s = 0; s < kHalfSteps; ++s) vgap_step[s] = Ops::broadcast(lane((1 << s) * sc.gap));
-  // Per lane l: its index; (l+1)*gap for the carry; and what the cross-half
-  // steps add to the low half's last lane: (l - W/2 + 1)*gap in the gap scan
-  // and 0 in the prefix max on the high half, the sentinel on the low half,
-  // which those steps must leave alone.
-  T lane_ix[W], lane_gap[W], half_gap[W], half_zero[W];
+  // Per lane l: its index, the gap back to lane 0 (-l*gap, which takes the
+  // left-gap chain to prefix-max space) and (l+1)*gap for the carry.
+  T lane_ix[W], lane_back[W], lane_gap[W];
   for (int l = 0; l < W; ++l) {
     lane_ix[l] = lane(l);
+    lane_back[l] = lane(-l * sc.gap);
     lane_gap[l] = lane((l + 1) * sc.gap);
-    half_gap[l] = l < kHalf ? Ops::kNegInf : lane((l - kHalf + 1) * sc.gap);
-    half_zero[l] = l < kHalf ? Ops::kNegInf : T{0};
   }
   const V vlane = Ops::load(lane_ix);
+  const V vlane_back = Ops::load(lane_back);
   const V vlane_gap = Ops::load(lane_gap);
-  const V vhalf_gap = Ops::load(half_gap);
-  const V vhalf_zero = Ops::load(half_zero);
+  // Lane l becomes the max of lanes 0..l in log2(W) shift steps.
+  const auto prefix_max = [&](V v) {
+    [&]<int... kS>(std::integer_sequence<int, kS...>) {
+      ((v = Ops::max(v, Ops::template shift_in_block<1 << kS>(v, vneginf))), ...);
+    }(std::make_integer_sequence<int, kBlockSteps>{});
+    [&]<int... kS>(std::integer_sequence<int, kS...>) {
+      ((v = Ops::max(v, Ops::template from_block_below<kS>(v))), ...);
+    }(std::make_integer_sequence<int, kCrossSteps>{});
+    return v;
+  };
 
   Extension ext;
   std::int32_t best = 0, best_i = 0, best_j = 0;
@@ -305,46 +334,33 @@ Extension extend_rows(const ExtJob& job, const XDropParams& params,
       const V vup = Ops::load(src + off + 1);
       const V vsub = Ops::blend(Ops::cmpeq(Ops::load_bytes(bj + off), va), vmatch, vmismatch);
       V y = Ops::max(Ops::add(vdiag, vsub), Ops::add(vup, vup_gap));
-      [&]<int... kS>(std::integer_sequence<int, kS...>) {
-        ((y = Ops::max(y, Ops::add(Ops::template shift_in_half<1 << kS>(y, vneginf),
-                                   vgap_step[kS]))),
-         ...);
-      }(std::make_integer_sequence<int, kHalfSteps>{});
-      y = Ops::max(y, Ops::add(Ops::broadcast_low_last(y), vhalf_gap));
+      // The left-gap chain, max over k <= l of y[k] + (l-k)*gap, is a
+      // prefix max of y[k] - k*gap, shifted back by l*gap.
+      y = Ops::sub(prefix_max(Ops::add(y, vlane_back)), vlane_back);
       y = Ops::max(y, Ops::add(vcarry, vlane_gap));
       vcarry = Ops::broadcast_last(y);
       // Lanes past the row's last column drop (sentinels for the next row).
       if (count - off < W)
         y = Ops::blend(Ops::cmpgt(Ops::broadcast(lane(count - off)), vlane), y, vneginf);
 
-      V vdropped;
+      typename Ops::Mask dropped;
       if (!Ops::any(Ops::cmpgt(y, vbest))) {
-        vdropped = Ops::cmpgt(vfloor, y);
+        dropped = Ops::cmpgt(vfloor, y);
       } else {
-        // Every lane of p is >= the running best >= 0, above anything the
-        // sentinel half of vhalf_zero lets through.
-        V p = Ops::max(y, vbest);
-        [&]<int... kS>(std::integer_sequence<int, kS...>) {
-          ((p = Ops::max(p, Ops::template shift_in_half<1 << kS>(p, vneginf))), ...);
-        }(std::make_integer_sequence<int, kHalfSteps>{});
-        p = Ops::max(p, Ops::add(Ops::broadcast_low_last(p), vhalf_zero));
-        vdropped = Ops::cmpgt(Ops::sub(p, vx), y);
-        const T rel_best = Ops::last(p);
-        best = base + rel_best;
+        const V p = prefix_max(Ops::max(y, vbest));
+        dropped = Ops::cmpgt(Ops::sub(p, vx), y);
+        vbest = Ops::broadcast_last(p);
+        vfloor = Ops::sub(vbest, vx);
+        best = base + Ops::first(vbest);
         best_i = i;
-        vbest = Ops::broadcast(rel_best);
-        vfloor = Ops::broadcast(lane(rel_best - x));
-        best_j = row_lo + off +
-                 std::countr_zero(Ops::movemask(Ops::cmpeq(y, vbest))) /
-                     static_cast<std::int32_t>(sizeof(T));
+        best_j = row_lo + off + std::countr_zero(Ops::movemask(Ops::cmpeq(y, vbest)));
       }
-      const std::uint32_t live = ~Ops::movemask(vdropped);
+      const std::uint64_t live = ~Ops::movemask(dropped) & kAllLanes;
       if (live != 0) {
-        if (new_lo < 0)
-          new_lo = row_lo + off + std::countr_zero(live) / static_cast<std::int32_t>(sizeof(T));
-        new_hi = row_lo + off + (std::bit_width(live) - 1) / static_cast<std::int32_t>(sizeof(T));
+        if (new_lo < 0) new_lo = row_lo + off + std::countr_zero(live);
+        new_hi = row_lo + off + static_cast<std::int32_t>(std::bit_width(live)) - 1;
       }
-      Ops::store(curr + 1 + off, Ops::blend(vdropped, vneginf, y));
+      Ops::store(curr + 1 + off, Ops::blend(dropped, vneginf, y));
     }
     Ops::store(curr + 1 + chunks * W, vneginf);
 
@@ -367,12 +383,7 @@ Extension extend_rows(const ExtJob& job, const XDropParams& params,
 template <class Ops>
 void extend_batch(std::span<const ExtJob> jobs, const XDropParams& params,
                   std::span<Extension> out, RowScratch& scratch, BatchStats& stats) {
-  GNB_CHECK_MSG(params.x >= 0, "X-drop threshold must be non-negative");
-  if constexpr (sizeof(typename Ops::T) == 1)
-    GNB_CHECK_MSG(fits_int8(params), "scoring too wide for the int8 row kernel: x "
-                                         << params.x << ", match " << params.scoring.match
-                                         << ", mismatch " << params.scoring.mismatch
-                                         << ", gap " << params.scoring.gap);
+  check_row_kernel_params(params, sizeof(typename Ops::T) == 1 ? Ops::W : 0);
   auto& rows = std::get<RowPair<typename Ops::T>>(scratch);
   for (std::size_t i = 0; i < jobs.size(); ++i)
     out[i] = extend_rows<Ops>(jobs[i], params, rows, stats);
@@ -391,9 +402,43 @@ void extend_batch_portable(std::span<const ExtJob> jobs, const XDropParams& para
                            std::span<Extension> out, RowScratch& scratch, BatchStats& stats);
 
 /// AVX2 instantiation (32 int8 cells per ymm register), exact where
-/// fits_int8(params) holds; present only when the GNB_SIMD build option
-/// compiled the -mavx2 translation unit (align::simd_compiled_in()).
+/// fits_int8(params, 32) holds; present only when the GNB_SIMD build option
+/// compiled the -mavx2 translation unit.
 void extend_batch_avx2_i8(std::span<const ExtJob> jobs, const XDropParams& params,
                           std::span<Extension> out, RowScratch& scratch, BatchStats& stats);
+
+/// AVX-512 instantiation (64 int8 cells per zmm register, AVX512BW and
+/// VBMI), exact where fits_int8(params, 64) holds; present only when the
+/// GNB_SIMD build option compiled its translation unit.
+void extend_batch_avx512_i8(std::span<const ExtJob> jobs, const XDropParams& params,
+                            std::span<Extension> out, RowScratch& scratch, BatchStats& stats);
+
+/// One compiled-in instantiation of the row kernel, as make_batch_aligner
+/// dispatches to it.
+struct RowKernel {
+  const char* name;          // BatchAlignerInfo::name
+  std::uint64_t backend_id;  // BatchAlignerInfo::backend_id
+  int lanes;                 // DP cells per vector
+  bool int8;                 // int8 lanes: exact only where fits_int8(params, lanes)
+  ExtendBatchFn run;         // nullptr when the binary lacks its translation unit
+  bool (*cpu_runs)();        // whether the host CPU executes its ISA
+
+  /// Whether this binary carries it and the host CPU executes it.
+  [[nodiscard]] bool runnable() const { return run != nullptr && cpu_runs(); }
+  /// Whether it is bit-identical to xdrop_extend under `params`.
+  [[nodiscard]] bool exact_for(const XDropParams& params) const {
+    return !int8 || fits_int8(params, lanes);
+  }
+};
+
+/// Every instantiation, widest first; the portable one is last and always
+/// runnable.
+[[nodiscard]] std::span<const RowKernel> row_kernels();
+
+/// A `simd` backend running `kernel`, which must be runnable and exact for
+/// `params`: make_batch_aligner's choice, or another instantiation that
+/// bench_kernels times beside it.
+[[nodiscard]] std::unique_ptr<BatchAligner> make_row_kernel_aligner(const RowKernel& kernel,
+                                                                    const XDropParams& params);
 
 }  // namespace gnb::align::detail

@@ -67,6 +67,7 @@ const char* ComputeCounters::kernel_backend_name(std::uint64_t id) {
     case 0: return "scalar";
     case 1: return "simd-portable";
     case 2: return "simd-avx2";
+    case 3: return "simd-avx512";
     default: return "unknown";
   }
 }

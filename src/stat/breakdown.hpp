@@ -102,12 +102,13 @@ struct ComputeCounters {
   // the rest are work sums. lane_steps vs lane_steps_active gives the
   // SIMD lane occupancy the kernel table prints: the share of vector slots
   // that held a DP cell of the live band.
-  std::uint64_t kernel_backend = 0;           // 0 scalar, 1 simd-portable, 2 simd-avx2
+  std::uint64_t kernel_backend = 0;           // 0 scalar, 1 simd-portable, 2 simd-avx2,
+                                              // 3 simd-avx512
   std::uint64_t kernel_lanes = 1;             // DP cells per vector of the running kernel
   std::uint64_t kernel_batches = 0;           // align() calls
   std::uint64_t kernel_tasks = 0;             // tasks aligned through the seam
   std::uint64_t kernel_cells = 0;             // DP cells evaluated by the kernel
-  std::uint64_t kernel_lane_steps = 0;        // vector slots issued (8 per chunk)
+  std::uint64_t kernel_lane_steps = 0;        // vector slots issued (`lanes` per chunk)
   std::uint64_t kernel_lane_steps_active = 0; // slots that held a live-band cell
 
   struct Field {

@@ -9,7 +9,10 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "align/banded.hpp"
 #include "align/batch.hpp"
@@ -533,14 +536,19 @@ TEST(Paf, RoundTripsThroughFormatAndParse) {
 // The fuzz sweep (test_fuzz_parity) hammers backend bit-identity across
 // randomized scoring and batch shapes; these tests pin deliberate edge
 // cases — empty batches, extensions that terminate on the first rows, mixed
-// lengths in one batch, row widths at 8- and 32-cell chunk edges, left-gap
-// chains and best updates that cross chunks, the column-0 edge cell, N on
-// both sides, scorings at the edge of the int8 bound — and the row-0 cell
-// accounting both backends must share. The RowKernel* cases run both
-// instantiations: the portable kernel's 8 int32 lanes directly, and the
-// dispatched one, 32 int8 lanes where AVX2 runs and the scoring fits. Each
-// RowKernel* test that needs a wide x to keep its case live also runs a
-// case the int8 bound admits, so the AVX2 kernel sees it too.
+// lengths in one batch, row widths at 8-, 32- and 64-cell chunk edges,
+// left-gap chains and best updates that cross chunks, the column-0 edge
+// cell, N on both sides, scorings at the edge of the int8 bounds — and the
+// row-0 cell accounting both backends must share.
+//
+// The dispatcher runs only the widest instantiation the host allows, so the
+// RowKernel* cases, AllLanesEarlyTerminate and MixedLengthsRetireAndRefill
+// also call every instantiation this binary has and this CPU runs directly
+// (detail::row_kernels()): 64 int8 lanes (AVX-512), 32 int8 lanes (AVX2)
+// and 8 int32 lanes (portable), each where the scoring fits its bound. Each
+// test that needs a wide x to keep its case live also runs a case the int8
+// bounds admit. RowKernels/RowKernelInstantiation.* names each
+// instantiation and skips, with the reason, any this host cannot run.
 
 TEST(BatchAligner, EmptyBatchReturnsEmpty) {
   for (const auto kind : {proto::BatchAlignerKind::kScalar, proto::BatchAlignerKind::kSimd}) {
@@ -552,6 +560,26 @@ TEST(BatchAligner, EmptyBatchReturnsEmpty) {
   }
 }
 
+namespace {
+
+using align::detail::RowKernel;
+
+/// The instantiation called `name` in detail::row_kernels().
+const RowKernel& row_kernel(std::string_view name) {
+  for (const RowKernel& kernel : align::detail::row_kernels())
+    if (kernel.name == name) return kernel;
+  throw std::logic_error("no row kernel " + std::string(name));
+}
+
+/// Name of the widest instantiation this host runs at the default scoring.
+const char* widest_kernel() {
+  return row_kernel("simd-avx512").runnable() ? "simd-avx512"
+         : row_kernel("simd-avx2").runnable() ? "simd-avx2"
+                                              : "simd-portable";
+}
+
+}  // namespace
+
 TEST(BatchAligner, InfoReportsRequestedBackend) {
   const auto scalar = make_batch_aligner(proto::BatchAlignerKind::kScalar, {});
   EXPECT_STREQ(scalar->info().name, "scalar");
@@ -559,52 +587,59 @@ TEST(BatchAligner, InfoReportsRequestedBackend) {
   EXPECT_FALSE(scalar->info().simd);
   const auto simd = make_batch_aligner(proto::BatchAlignerKind::kSimd, {});
   EXPECT_TRUE(simd->info().simd);
-  if (simd_compiled_in() && cpu_supports_avx2())
-    EXPECT_STREQ(simd->info().name, "simd-avx2");
-  else
-    EXPECT_STREQ(simd->info().name, "simd-portable");
+  EXPECT_STREQ(simd->info().name, widest_kernel());
+  // The startup log line names the kernel that runs.
+  const std::string report = batch_aligner_report(proto::BatchAlignerKind::kAuto);
+  EXPECT_NE(report.find(std::string("batch aligner: ") + widest_kernel()), std::string::npos)
+      << report;
 }
 
-namespace {
-
-/// Lanes of the dispatched `simd` instance at a scoring fits_int8 admits:
-/// the AVX2 kernel's 32 where the binary has it and the CPU runs it, the
-/// portable kernel's 8 otherwise.
-std::size_t widest_lanes() { return simd_compiled_in() && cpu_supports_avx2() ? 32 : 8; }
-
-}  // namespace
-
 TEST(BatchAligner, SelectsWidestExactInstantiation) {
-  // The AVX2 kernel's 32 int8 lanes whenever the scoring provably fits
-  // (the default does), the portable kernel's 8 int32 lanes otherwise: at
-  // x = 100 000, and one past the largest x the bound x + 32m < 2^7 admits,
-  // m = max(|match|, |mismatch|, |gap|). Without AVX2 the portable kernel
-  // runs at every scoring.
-  const std::size_t widest = widest_lanes();
+  // At unit scoring (m = 1) the 64-lane kernel's bound x + 64m < 2^7 admits
+  // x up to 63 and the 32-lane kernel's x + 32m < 2^7 up to 95; past both,
+  // the portable kernel's 8 int32 lanes run. The default x = 49 fits both
+  // int8 kernels. Where the binary lacks a kernel or the CPU cannot run it,
+  // the next narrower one takes its place.
+  const bool avx512 = row_kernel("simd-avx512").runnable();
+  const bool avx2 = row_kernel("simd-avx2").runnable();
+  const std::size_t at32 = avx2 ? 32 : 8;
+  const std::size_t at64 = avx512 ? 64 : at32;
   const auto lanes_at = [](const XDropParams& params) {
     const auto simd = make_batch_aligner(proto::BatchAlignerKind::kSimd, params);
-    EXPECT_STREQ(simd->info().name, simd->info().lanes == 32 ? "simd-avx2" : "simd-portable");
-    return simd->info().lanes;
+    const BatchAlignerInfo info = simd->info();
+    EXPECT_STREQ(info.name, info.lanes == 64   ? "simd-avx512"
+                            : info.lanes == 32 ? "simd-avx2"
+                                               : "simd-portable");
+    EXPECT_EQ(info.backend_id, info.lanes == 64 ? 3u : info.lanes == 32 ? 2u : 1u);
+    return info.lanes;
   };
-  EXPECT_EQ(lanes_at({}), widest);
+  EXPECT_EQ(lanes_at({}), at64);
+  for (const auto& [x, fits64, fits32, lanes] :
+       {std::tuple{63, true, true, at64}, std::tuple{64, false, true, at32},
+        std::tuple{95, false, true, at32}, std::tuple{96, false, false, std::size_t{8}}}) {
+    SCOPED_TRACE("x " + std::to_string(x));
+    XDropParams edge;
+    edge.x = x;
+    EXPECT_EQ(align::detail::fits_int8(edge, 64), fits64);
+    EXPECT_EQ(align::detail::fits_int8(edge, 32), fits32);
+    EXPECT_EQ(lanes_at(edge), lanes);
+  }
   XDropParams unbanded;
   unbanded.x = 100'000;
   EXPECT_EQ(lanes_at(unbanded), 8u);
-  for (const std::int32_t gap : {-1, -2}) {
-    SCOPED_TRACE("gap " + std::to_string(gap));
-    XDropParams edge;
-    edge.scoring.gap = gap;
-    edge.x = (1 << 7) - 1 - 32 * -gap;  // 95 at gap -1, 63 at gap -2
-    EXPECT_TRUE(align::detail::fits_int8(edge));
-    EXPECT_EQ(lanes_at(edge), widest);
-    ++edge.x;
-    EXPECT_FALSE(align::detail::fits_int8(edge));
-    EXPECT_EQ(lanes_at(edge), 8u);
-  }
+  // At m = 2 no x fits 64 lanes; 32 lanes admit x up to 63.
+  XDropParams wide_gap;
+  wide_gap.scoring.gap = -2;
+  wide_gap.x = 0;
+  EXPECT_FALSE(align::detail::fits_int8(wide_gap, 64));
+  wide_gap.x = 63;
+  EXPECT_EQ(lanes_at(wide_gap), at32);
+  ++wide_gap.x;
+  EXPECT_EQ(lanes_at(wide_gap), 8u);
   XDropParams steep;
   steep.scoring.mismatch = -3;
   steep.x = 31;  // 31 + 32 * 3 = 2^7 - 1
-  EXPECT_EQ(lanes_at(steep), widest);
+  EXPECT_EQ(lanes_at(steep), at32);
   steep.scoring.match = 4;
   EXPECT_EQ(lanes_at(steep), 8u);
 }
@@ -642,13 +677,121 @@ void expect_batches_equal(const std::vector<Alignment>& base,
   }
 }
 
+/// `codes` with exactly align::detail::kBPad bytes on each side and nothing
+/// more, so ASan flags a row-kernel read past the documented padding.
+class PaddedCodes {
+ public:
+  explicit PaddedCodes(const Codes& codes) : buf_(codes.size() + 2 * align::detail::kBPad, 0) {
+    std::copy(codes.begin(), codes.end(), buf_.begin() + align::detail::kBPad);
+  }
+  [[nodiscard]] const std::uint8_t* data() const { return buf_.data() + align::detail::kBPad; }
+
+ private:
+  std::vector<std::uint8_t> buf_;
+};
+
+using Pairs = std::vector<std::pair<Codes, Codes>>;
+
+/// Run one instantiation directly on (a, b) pairs and compare every
+/// Extension with xdrop_extend. Returns the kernel's stats.
+BatchStats expect_row_kernel_exact(const RowKernel& kernel, const Pairs& pairs,
+                                   const XDropParams& params) {
+  SCOPED_TRACE(kernel.name);
+  std::vector<PaddedCodes> padded;
+  padded.reserve(pairs.size());
+  std::vector<align::detail::ExtJob> jobs;
+  for (const auto& [a, b] : pairs) {
+    padded.emplace_back(b);
+    jobs.push_back(align::detail::ExtJob{a.data(), static_cast<std::int32_t>(a.size()),
+                                         padded.back().data(),
+                                         static_cast<std::int32_t>(b.size())});
+  }
+  std::vector<Extension> out(jobs.size());
+  align::detail::RowScratch rows;
+  BatchStats stats;
+  kernel.run(jobs, params, out, rows, stats);
+  for (std::size_t t = 0; t < pairs.size(); ++t) {
+    const Extension expected = xdrop_extend(pairs[t].first, pairs[t].second, params);
+    EXPECT_EQ(out[t].score, expected.score) << "job " << t;
+    EXPECT_EQ(out[t].a_len, expected.a_len) << "job " << t;
+    EXPECT_EQ(out[t].b_len, expected.b_len) << "job " << t;
+    EXPECT_EQ(out[t].cells, expected.cells) << "job " << t;
+  }
+  return stats;
+}
+
+/// One direct run of an instantiation over a set of pairs.
+struct KernelRun {
+  std::size_t lanes;
+  BatchStats stats;
+};
+
+/// expect_row_kernel_exact for every instantiation this host runs whose
+/// bound admits `params`, widest first.
+std::vector<KernelRun> expect_kernels_exact(const Pairs& pairs, const XDropParams& params) {
+  std::vector<KernelRun> runs;
+  for (const RowKernel& kernel : align::detail::row_kernels())
+    if (kernel.runnable() && kernel.exact_for(params))
+      runs.push_back({static_cast<std::size_t>(kernel.lanes),
+                      expect_row_kernel_exact(kernel, pairs, params)});
+  return runs;
+}
+
+/// Whether `runs` holds a run of `lanes` lanes.
+bool ran_at(const std::vector<KernelRun>& runs, std::size_t lanes) {
+  return std::any_of(runs.begin(), runs.end(),
+                     [&](const KernelRun& run) { return run.lanes == lanes; });
+}
+
+/// Check (a, b) pairs through the dispatched `simd` backend against the
+/// scalar oracle — each pair is the rightward extension of one task and,
+/// reversed, the leftward extension of another — and through every
+/// instantiation directly (expect_kernels_exact). Returns the direct runs.
+std::vector<KernelRun> expect_row_kernels_exact(const Pairs& pairs, const XDropParams& params) {
+  TaskBatch batch;
+  for (const auto& [a, b] : pairs) {
+    Codes ra(a.rbegin(), a.rend());
+    Codes rb(b.rbegin(), b.rend());
+    ra.push_back(0);
+    rb.push_back(0);
+    const Seed left_seed{static_cast<std::uint32_t>(a.size()),
+                         static_cast<std::uint32_t>(b.size()), 1, false};
+    batch.add(std::move(ra), std::move(rb), left_seed);
+    Codes fa{0};
+    Codes fb{0};
+    fa.insert(fa.end(), a.begin(), a.end());
+    fb.insert(fb.end(), b.begin(), b.end());
+    batch.add(std::move(fa), std::move(fb), Seed{0, 0, 1, false});
+  }
+  const auto tasks = batch.tasks();
+  const auto scalar = make_batch_aligner(proto::BatchAlignerKind::kScalar, params);
+  const auto simd = make_batch_aligner(proto::BatchAlignerKind::kSimd, params);
+  expect_batches_equal(scalar->align(tasks), simd->align(tasks));
+  return expect_kernels_exact(pairs, params);
+}
+
+/// The (a, b) pair of every non-empty extension of `tasks`: the reversed
+/// prefixes before each seed, and the suffixes after it.
+Pairs extension_pairs(const std::vector<AlignTask>& tasks) {
+  Pairs pairs;
+  for (const AlignTask& task : tasks) {
+    const Seed& seed = task.seed;
+    if (seed.a_pos > 0 && seed.b_pos > 0)
+      pairs.emplace_back(Codes(task.a.rend() - seed.a_pos, task.a.rend()),
+                         Codes(task.b.rend() - seed.b_pos, task.b.rend()));
+    if (seed.a_pos + seed.length < task.a.size() && seed.b_pos + seed.length < task.b.size())
+      pairs.emplace_back(Codes(task.a.begin() + seed.a_pos + seed.length, task.a.end()),
+                         Codes(task.b.begin() + seed.b_pos + seed.length, task.b.end()));
+  }
+  return pairs;
+}
+
 }  // namespace
 
 TEST(BatchAligner, AllLanesEarlyTerminate) {
-  // Every task is an unrelated pair: each lane's band collapses within a few
-  // rows, exercising retire-and-refill on all lanes at once. Cell counts
-  // must match the scalar kernel exactly (the early-termination rows are
-  // where the old row-0 miscount lived).
+  // Every task is an unrelated pair: each extension's band collapses within
+  // a few rows. Cell counts must match the scalar kernel exactly (the
+  // early-termination rows are where the old row-0 miscount lived).
   Xoshiro256 rng(77);
   TaskBatch batch;
   for (int t = 0; t < 20; ++t) {
@@ -661,13 +804,14 @@ TEST(BatchAligner, AllLanesEarlyTerminate) {
   const auto scalar = make_batch_aligner(proto::BatchAlignerKind::kScalar, {});
   const auto simd = make_batch_aligner(proto::BatchAlignerKind::kSimd, {});
   expect_batches_equal(scalar->align(tasks), simd->align(tasks));
+  expect_kernels_exact(extension_pairs(tasks), {});
 }
 
 TEST(BatchAligner, MixedLengthsRetireAndRefill) {
-  // Lengths spanning two orders of magnitude in one batch: short lanes
-  // retire and refill while long lanes keep extending, so lane lifetimes
-  // interleave maximally. Identical sequences make every extension run to
-  // its full length (no early termination hides a bookkeeping bug).
+  // Lengths spanning two orders of magnitude in one batch: short extensions
+  // end while long ones keep extending, so the row scratch is reused at
+  // every width. Identical sequences make every extension run to its full
+  // length (no early termination hides a bookkeeping bug).
   Xoshiro256 rng(78);
   TaskBatch batch;
   const std::size_t lengths[] = {8, 900, 16, 700, 31, 500, 64, 300,
@@ -683,6 +827,7 @@ TEST(BatchAligner, MixedLengthsRetireAndRefill) {
   const auto scalar = make_batch_aligner(proto::BatchAlignerKind::kScalar, {});
   const auto simd = make_batch_aligner(proto::BatchAlignerKind::kSimd, {});
   expect_batches_equal(scalar->align(tasks), simd->align(tasks));
+  expect_kernels_exact(extension_pairs(tasks), {});
   // Full-length identical extensions: score equals read length (match = +1).
   const auto results = scalar->align(tasks);
   for (std::size_t t = 0; t < results.size(); ++t)
@@ -729,116 +874,74 @@ TEST(BatchAligner, StatsAccumulateAcrossBatches) {
 
 namespace {
 
-/// `codes` with exactly align::detail::kBPad bytes on each side and nothing
-/// more, so ASan flags a row-kernel read past the documented padding.
-class PaddedCodes {
- public:
-  explicit PaddedCodes(const Codes& codes) : buf_(codes.size() + 2 * align::detail::kBPad, 0) {
-    std::copy(codes.begin(), codes.end(), buf_.begin() + align::detail::kBPad);
-  }
-  [[nodiscard]] const std::uint8_t* data() const { return buf_.data() + align::detail::kBPad; }
-
- private:
-  std::vector<std::uint8_t> buf_;
-};
-
-/// Run the portable row kernel directly on (a, b) pairs and compare every
-/// Extension with xdrop_extend. The dispatcher picks AVX2 on capable hosts,
-/// which would leave the portable instantiation untested exactly where CI
-/// runs. Returns the kernel's stats.
-BatchStats expect_portable_row_kernel_exact(const std::vector<std::pair<Codes, Codes>>& pairs,
-                                            const XDropParams& params) {
-  std::vector<PaddedCodes> padded;
-  padded.reserve(pairs.size());
-  std::vector<align::detail::ExtJob> jobs;
-  for (const auto& [a, b] : pairs) {
-    padded.emplace_back(b);
-    jobs.push_back(align::detail::ExtJob{a.data(), static_cast<std::int32_t>(a.size()),
-                                         padded.back().data(),
-                                         static_cast<std::int32_t>(b.size())});
-  }
-  std::vector<Extension> out(jobs.size());
-  align::detail::RowScratch rows;
-  BatchStats stats;
-  align::detail::extend_batch_portable(jobs, params, out, rows, stats);
-  for (std::size_t t = 0; t < pairs.size(); ++t) {
-    const Extension expected = xdrop_extend(pairs[t].first, pairs[t].second, params);
-    EXPECT_EQ(out[t].score, expected.score) << "job " << t;
-    EXPECT_EQ(out[t].a_len, expected.a_len) << "job " << t;
-    EXPECT_EQ(out[t].b_len, expected.b_len) << "job " << t;
-    EXPECT_EQ(out[t].cells, expected.cells) << "job " << t;
-  }
-  return stats;
-}
-
-/// Check (a, b) pairs through the `simd` backend (AVX2 int8 on capable
-/// hosts when the scoring fits) and through the portable kernel against the
-/// scalar oracle. Each pair is the rightward extension of one task and,
-/// reversed, the leftward extension of another. Returns (lanes, stats) for
-/// one run of each pair: the backend's first, then the portable kernel's.
-std::vector<std::pair<std::size_t, BatchStats>> expect_row_kernels_exact(
-    const std::vector<std::pair<Codes, Codes>>& pairs, const XDropParams& params) {
-  TaskBatch batch;
-  for (const auto& [a, b] : pairs) {
-    Codes ra(a.rbegin(), a.rend());
-    Codes rb(b.rbegin(), b.rend());
-    ra.push_back(0);
-    rb.push_back(0);
-    const Seed left_seed{static_cast<std::uint32_t>(a.size()),
-                         static_cast<std::uint32_t>(b.size()), 1, false};
-    batch.add(std::move(ra), std::move(rb), left_seed);
-    Codes fa{0};
-    Codes fb{0};
-    fa.insert(fa.end(), a.begin(), a.end());
-    fb.insert(fb.end(), b.begin(), b.end());
-    batch.add(std::move(fa), std::move(fb), Seed{0, 0, 1, false});
-  }
-  const auto tasks = batch.tasks();
-  const auto scalar = make_batch_aligner(proto::BatchAlignerKind::kScalar, params);
-  const auto simd = make_batch_aligner(proto::BatchAlignerKind::kSimd, params);
-  expect_batches_equal(scalar->align(tasks), simd->align(tasks));
-  // Every pair ran twice, as a leftward and as a rightward extension.
-  BatchStats once = simd->stats();
-  once.lane_steps /= 2;
-  once.lane_steps_active /= 2;
-  return {{simd->info().lanes, once},
-          {8, expect_portable_row_kernel_exact(pairs, params)}};
-}
+/// Each instantiation by its index in detail::row_kernels().
+class RowKernelInstantiation : public ::testing::TestWithParam<std::size_t> {};
 
 }  // namespace
 
-TEST(BatchAligner, PortableRowKernelMatchesScalar) {
+TEST_P(RowKernelInstantiation, MatchesXdropExtend) {
+  // Related (12 % error) and unrelated pairs of 40-440 bases, at the default
+  // scoring and at the widest x the kernel admits at unit scoring: its int8
+  // bound, or x = 1000 for the portable int32 kernel.
+  const RowKernel& kernel = align::detail::row_kernels()[GetParam()];
+  if (kernel.run == nullptr)
+    GTEST_SKIP() << kernel.name << " is not compiled in (GNB_SIMD=OFF, or the compiler "
+                 << "does not accept its ISA flags)";
+  if (!kernel.cpu_runs()) GTEST_SKIP() << kernel.name << ": this CPU lacks its ISA";
   Xoshiro256 rng(81);
-  std::vector<std::pair<Codes, Codes>> pairs;
+  Pairs pairs;
   for (std::size_t t = 0; t < 19; ++t) {
     Codes seq_a = random_codes(40 + rng.below(400), rng);
     Codes seq_b = t % 3 == 0 ? random_codes(40 + rng.below(400), rng) : mutate(seq_a, 0.12, rng);
     pairs.emplace_back(std::move(seq_a), std::move(seq_b));
   }
-  const BatchStats stats = expect_portable_row_kernel_exact(pairs, XDropParams{});
-  EXPECT_EQ(stats.lane_steps % 8, 0u);
-  EXPECT_GE(stats.lane_steps, stats.lane_steps_active);
-  EXPECT_GT(stats.lane_steps_active, 0u);
+  XDropParams widest;
+  widest.x = kernel.int8 ? (1 << 7) - 1 - kernel.lanes : 1000;
+  for (const XDropParams& params : {XDropParams{}, widest}) {
+    SCOPED_TRACE("x " + std::to_string(params.x));
+    ASSERT_TRUE(kernel.exact_for(params));
+    const BatchStats stats = expect_row_kernel_exact(kernel, pairs, params);
+    EXPECT_EQ(stats.lane_steps % static_cast<std::uint64_t>(kernel.lanes), 0u);
+    EXPECT_GE(stats.lane_steps, stats.lane_steps_active);
+    EXPECT_GT(stats.lane_steps_active, 0u);
+  }
 }
 
+INSTANTIATE_TEST_SUITE_P(RowKernels, RowKernelInstantiation,
+                         ::testing::Range<std::size_t>(0, align::detail::row_kernels().size()),
+                         [](const ::testing::TestParamInfo<std::size_t>& param) {
+                           // "simd-avx512" -> "avx512"
+                           return std::string(align::detail::row_kernels()[param.param].name)
+                               .substr(5);
+                         });
+
 TEST(BatchAligner, RowKernelChunkEdgeWidths) {
-  // With x above any score drop nothing is pruned, so every row after row 0
-  // spans all nb + 1 columns: b of length w - 1 pins the width at w. Over
-  // 24 rows and 65 columns every cell is >= -65 and the best <= 24, so the
-  // largest x the int8 bound admits (95) prunes nothing either; x = 1000
-  // runs the portable kernel on both sides.
+  // When x exceeds every score drop nothing is pruned, so every row after
+  // row 0 spans all nb + 1 columns: b of length w - 1 pins the width at w.
+  // Three cases keep that true over 24 rows:
+  //   - at gap 0 every cell is >= 0 and the best <= 24, so x = 63, the
+  //     64-lane bound, prunes nothing at any width: every instantiation
+  //     runs every width, 127-129 included;
+  //   - at gap -1 every cell of 65 columns is >= -65, so x = 95, the
+  //     32-lane bound, prunes nothing there;
+  //   - x = 1000 runs the portable kernel alone, at every width.
   Xoshiro256 rng(82);
   constexpr std::size_t kRows = 24;
-  for (const std::int32_t x : {95, 1000}) {
+  struct Case {
+    std::int32_t x, gap;
+    std::size_t max_width;
+  };
+  for (const Case c : {Case{63, 0, 129}, Case{95, -1, 65}, Case{1000, -1, 129}}) {
     XDropParams wide;
-    wide.x = x;
-    for (const std::size_t width : {7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65}) {
-      SCOPED_TRACE("x " + std::to_string(x) + " width " + std::to_string(width));
-      const std::vector<std::pair<Codes, Codes>> pairs{
-          {random_codes(kRows, rng), random_codes(width - 1, rng)}};
-      const auto runs = expect_row_kernels_exact(pairs, wide);
-      EXPECT_EQ(runs.front().first, align::detail::fits_int8(wide) ? widest_lanes() : 8);
-      for (const auto& [lanes, stats] : runs) {
+    wide.x = c.x;
+    wide.scoring.gap = c.gap;
+    for (const std::size_t width :
+         {7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129}) {
+      if (width > c.max_width) continue;
+      SCOPED_TRACE("x " + std::to_string(c.x) + " gap " + std::to_string(c.gap) + " width " +
+                   std::to_string(width));
+      const Pairs pairs{{random_codes(kRows, rng), random_codes(width - 1, rng)}};
+      for (const auto& [lanes, stats] : expect_row_kernels_exact(pairs, wide)) {
         EXPECT_EQ(stats.lane_steps_active, kRows * width) << lanes << " lanes";
         EXPECT_EQ(stats.lane_steps, kRows * lanes * ((width + lanes - 1) / lanes))
             << lanes << " lanes";
@@ -861,17 +964,22 @@ TEST(BatchAligner, RowKernelChunkEdgeWidths) {
 
 TEST(BatchAligner, RowKernelLongInsertionCrossesChunks) {
   // `length` inserted bases in b: the best path runs `length` columns along
-  // one row, a left-gap chain that crosses at least two chunk boundaries —
-  // 8-column ones at 24 bases, 32-column ones at 72. At gap -1 both chains
-  // fit the int8 bound (x = 32 and 80); the 24-base chain at gap -3 needs
-  // x = 80 at m = 3, which the portable kernel runs.
+  // one row, a left-gap chain that crosses chunk boundaries — two 8-column
+  // ones at 24 bases, two 32-column ones at 72, and a 64-column one at 55,
+  // which starts about 30 columns into its row. x = length * |gap| + 8
+  // keeps the chain live: at gap -1 every chain fits the 32-lane bound,
+  // and the 24- and 55-base ones (x = 32 and 63) the 64-lane bound too;
+  // the 24-base chain at gap -3 needs x = 80 at m = 3, which the portable
+  // kernel runs.
   Xoshiro256 rng(83);
   const Codes a = random_codes(200, rng);
   struct Case {
     std::uint32_t length;
     std::int32_t gap;
+    bool fits32, fits64;
   };
-  for (const Case c : {Case{24, -1}, Case{24, -3}, Case{72, -1}}) {
+  for (const Case c : {Case{24, -1, true, true}, Case{24, -3, false, false},
+                       Case{72, -1, true, false}, Case{55, -1, true, true}}) {
     SCOPED_TRACE("length " + std::to_string(c.length) + " gap " + std::to_string(c.gap));
     Codes b(a.begin(), a.begin() + 60);
     const Codes insert = random_codes(c.length, rng);
@@ -880,8 +988,10 @@ TEST(BatchAligner, RowKernelLongInsertionCrossesChunks) {
     XDropParams params;
     params.scoring.gap = c.gap;
     params.x = static_cast<std::int32_t>(c.length) * -c.gap + 8;  // the chain stays live
-    EXPECT_EQ(align::detail::fits_int8(params), c.gap == -1);
-    expect_row_kernels_exact({{a, b}}, params);
+    EXPECT_EQ(align::detail::fits_int8(params, 32), c.fits32);
+    EXPECT_EQ(align::detail::fits_int8(params, 64), c.fits64);
+    const auto runs = expect_row_kernels_exact({{a, b}}, params);
+    EXPECT_EQ(ran_at(runs, 64), c.fits64 && row_kernel("simd-avx512").runnable());
     const Extension ext = xdrop_extend(a, b, params);
     EXPECT_EQ(ext.a_len, 200u);
     EXPECT_EQ(ext.b_len, 200u + c.length);
@@ -890,30 +1000,48 @@ TEST(BatchAligner, RowKernelLongInsertionCrossesChunks) {
 }
 
 TEST(BatchAligner, RowKernelBestImprovesInTwoChunks) {
-  // With match = 2, unrelated reads and a wide band, some rows raise the
-  // running best in one chunk and again in a later one. A plain X-drop DP
-  // (xdrop_extend's band and drop rule) confirms the case occurs among the
-  // pairs, at 8- and at 32-cell chunks, before comparing kernels. x = 63 is
-  // the largest the int8 bound admits at m = 2; x = 1000 prunes nothing and
-  // runs the portable kernel.
+  // Rows that raise the running best in one chunk and go on into a later
+  // one, which must test against the raised floor. A plain X-drop DP
+  // (xdrop_extend's band and drop rule) confirms, per chunk width, that
+  // the pairs hold rows raising the best past their first chunk and rows
+  // raising it before their last, before comparing kernels:
+  //   - match = 2 on unrelated 60-base reads, at 8- and 32-cell chunks,
+  //     where some rows raise the best in two different chunks too; x = 63
+  //     is the largest the 32-lane bound admits at m = 2, and x = 1000
+  //     prunes nothing and runs the portable kernel;
+  //   - unit scoring on unrelated 200-base reads, at 64-cell chunks, with
+  //     x = 63, the 64-lane bound. At m = 1, the only scoring 64 lanes
+  //     admit, every cell of a row is at most the previous best + 1, so a
+  //     row raises the best once at most.
   constexpr std::int32_t kDropped = std::numeric_limits<std::int32_t>::min() / 4;
-  for (const std::int32_t x : {63, 1000}) {
-    SCOPED_TRACE("x " + std::to_string(x));
+  struct Case {
+    std::int32_t x, match;
+    std::size_t length;
+    std::vector<std::size_t> chunk_widths;
+    bool twice;  // some row raises the best in two different chunks
+  };
+  for (const Case& c : {Case{63, 2, 60, {8, 32}, true}, Case{1000, 2, 60, {8, 32}, true},
+                        Case{63, 1, 200, {64}, false}}) {
+    SCOPED_TRACE("x " + std::to_string(c.x) + " match " + std::to_string(c.match));
     XDropParams params;
-    params.x = x;
-    params.scoring.match = 2;
+    params.x = c.x;
+    params.scoring.match = c.match;
     const Scoring sc = params.scoring;
     Xoshiro256 rng(84);
-    std::vector<std::pair<Codes, Codes>> pairs;
-    std::size_t rows_hit[2] = {0, 0};  // at 8- and 32-cell chunks
+    Pairs pairs;
+    // Per chunk width: rows raising the best in a chunk past their first,
+    // in a chunk before their last, and in two different chunks.
+    std::vector<std::size_t> late(c.chunk_widths.size()), early(late), twice(late);
     for (int t = 0; t < 8; ++t) {
-      Codes a = random_codes(60, rng);
-      Codes b = random_codes(60, rng);
+      Codes a = random_codes(c.length, rng);
+      Codes b = random_codes(c.length, rng);
       std::vector<std::int32_t> prev(b.size() + 1, kDropped), curr(b.size() + 1, kDropped);
       std::int32_t best = 0;
       std::size_t lo = 0, hi = 0;
-      for (std::size_t j = 0; j <= b.size() && static_cast<std::int32_t>(j) * sc.gap >= -x; ++j)
+      for (std::size_t j = 0; j <= b.size(); ++j) {
+        if (static_cast<std::int32_t>(j) * sc.gap < -c.x) break;
         prev[j] = static_cast<std::int32_t>(j) * sc.gap;
+      }
       for (std::size_t j = 0; j < prev.size() && prev[j] != kDropped; ++j) hi = j;
       for (std::size_t i = 1; i <= a.size() && lo <= hi; ++i) {
         const std::size_t row_lo = lo, row_hi = std::min(hi + 1, b.size());
@@ -930,7 +1058,7 @@ TEST(BatchAligner, RowKernelBestImprovesInTwoChunks) {
             if (j > row_lo && curr[j - 1] != kDropped)
               cell = std::max(cell, curr[j - 1] + sc.gap);
           }
-          if (cell < best - x) continue;
+          if (cell < best - c.x) continue;
           curr[j] = cell;
           lo = std::min(lo, j);
           hi = std::max(hi, j);
@@ -939,18 +1067,25 @@ TEST(BatchAligner, RowKernelBestImprovesInTwoChunks) {
           if (first_col == SIZE_MAX) first_col = j - row_lo;
           last_col = j - row_lo;
         }
-        if (first_col != SIZE_MAX) {
-          rows_hit[0] += first_col / 8 != last_col / 8;
-          rows_hit[1] += first_col / 32 != last_col / 32;
+        for (std::size_t w = 0; w < c.chunk_widths.size() && first_col != SIZE_MAX; ++w) {
+          const std::size_t width = c.chunk_widths[w];
+          late[w] += first_col >= width;
+          early[w] += first_col / width < (row_hi - row_lo) / width;
+          twice[w] += first_col / width != last_col / width;
         }
         std::swap(prev, curr);
       }
       EXPECT_EQ(best, xdrop_extend(a, b, params).score) << "pair " << t;
       pairs.emplace_back(std::move(a), std::move(b));
     }
-    EXPECT_GT(rows_hit[0], 0u);
-    EXPECT_GT(rows_hit[1], 0u);
-    expect_row_kernels_exact(pairs, params);
+    for (std::size_t w = 0; w < c.chunk_widths.size(); ++w) {
+      SCOPED_TRACE(std::to_string(c.chunk_widths[w]) + "-cell chunks");
+      EXPECT_GT(late[w], 0u);
+      EXPECT_GT(early[w], 0u);
+      EXPECT_EQ(twice[w] > 0, c.twice);
+    }
+    const auto runs = expect_row_kernels_exact(pairs, params);
+    EXPECT_EQ(ran_at(runs, 64), c.match == 1 && row_kernel("simd-avx512").runnable());
   }
 }
 
@@ -993,7 +1128,7 @@ TEST(BatchAligner, RowKernelNRunsOnBothSides) {
 
 TEST(BatchAligner, RowKernelZeroXAndSteepGap) {
   Xoshiro256 rng(87);
-  std::vector<std::pair<Codes, Codes>> pairs;
+  Pairs pairs;
   for (int t = 0; t < 6; ++t) {
     Codes a = random_codes(100 + rng.below(200), rng);
     Codes b = t % 2 == 0 ? mutate(a, 0.12, rng) : random_codes(100 + rng.below(200), rng);
@@ -1011,20 +1146,21 @@ TEST(BatchAligner, RowKernelZeroXAndSteepGap) {
 }
 
 TEST(BatchAligner, RowKernelAtTheInt8Bound) {
-  // At the largest x the int8 bound admits (95, 63 and 31 at gap -1, -2
-  // and -3), live cells reach -x relative to their row's base, the deepest
-  // values int8 lanes hold above the sentinel, and the scan constants reach
-  // 32*gap: row 0 and column 0 run down to the floor on a short read
-  // against a long one, an insertion keeps a gap chain live one gap above
-  // the floor, and N runs sit on both sides. Every case runs through both
-  // widths.
+  // At the largest x each int8 bound admits — 63 for 64 lanes at gap -1,
+  // and 95, 63 and 31 for 32 lanes at gap -1, -2 and -3 — live cells reach
+  // -x relative to their row's base, the deepest values int8 lanes hold
+  // above the sentinel, and the scan constants reach W*gap: row 0 and
+  // column 0 run down to the floor on a short read against a long one, an
+  // insertion keeps a gap chain live one gap above the floor, and N runs sit
+  // on both sides. Every case runs through every instantiation it fits.
   Xoshiro256 rng(88);
-  for (const std::int32_t gap : {-1, -2, -3}) {
-    SCOPED_TRACE("gap " + std::to_string(gap));
+  for (const auto& [lanes, gap] : {std::pair{64, -1}, std::pair{32, -1}, std::pair{32, -2},
+                                   std::pair{32, -3}}) {
+    SCOPED_TRACE(std::to_string(lanes) + " lanes, gap " + std::to_string(gap));
     XDropParams params;
     params.scoring.gap = gap;
-    params.x = (1 << 7) - 1 - 32 * -gap;
-    ASSERT_TRUE(align::detail::fits_int8(params));
+    params.x = (1 << 7) - 1 - lanes * -gap;
+    ASSERT_TRUE(align::detail::fits_int8(params, lanes));
     const std::size_t reach = static_cast<std::size_t>(params.x / -gap);
     const Codes a = random_codes(300, rng);
     Codes b(a.begin(), a.begin() + 100);
@@ -1035,15 +1171,16 @@ TEST(BatchAligner, RowKernelAtTheInt8Bound) {
     Codes b_n = mutate(a, 0.03, rng);
     std::fill(a_n.begin() + 40, a_n.begin() + 70, seq::kN);
     std::fill(b_n.begin() + 50, b_n.begin() + 90, seq::kN);
-    const std::vector<std::pair<Codes, Codes>> pairs{
-        {a, b},
-        {random_codes(40, rng), random_codes(reach + 40, rng)},
-        {random_codes(reach + 40, rng), random_codes(40, rng)},
-        {a_n, b_n}};
-    EXPECT_EQ(expect_row_kernels_exact(pairs, params).front().first, widest_lanes());
+    const Pairs pairs{{a, b},
+                      {random_codes(40, rng), random_codes(reach + 40, rng)},
+                      {random_codes(reach + 40, rng), random_codes(40, rng)},
+                      {a_n, b_n}};
+    const auto runs = expect_row_kernels_exact(pairs, params);
+    EXPECT_EQ(ran_at(runs, static_cast<std::size_t>(lanes)),
+              row_kernel(lanes == 64 ? "simd-avx512" : "simd-avx2").runnable());
   }
-  // The steepest admitted scoring: every score at m = 3, so 32*gap = -96
-  // in the scan constants, and the mismatch and up-gap constants reach
+  // The steepest scoring 32 lanes admit: every score at m = 3, so 32*gap =
+  // -96 in the scan constants, and the mismatch and up-gap constants reach
   // -3 - 3 after a rebase. Unrelated extensions die in their first chunk,
   // related ones soon after their first gap or mismatch.
   XDropParams steep;
@@ -1051,14 +1188,15 @@ TEST(BatchAligner, RowKernelAtTheInt8Bound) {
   steep.scoring.mismatch = -3;
   steep.scoring.gap = -3;
   steep.x = 31;
-  ASSERT_TRUE(align::detail::fits_int8(steep));
-  std::vector<std::pair<Codes, Codes>> pairs;
+  ASSERT_TRUE(align::detail::fits_int8(steep, 32));
+  Pairs pairs;
   for (int t = 0; t < 6; ++t) {
     Codes seq_a = random_codes(50 + rng.below(200), rng);
     Codes seq_b = t % 2 == 0 ? random_codes(50 + rng.below(200), rng) : mutate(seq_a, 0.05, rng);
     pairs.emplace_back(std::move(seq_a), std::move(seq_b));
   }
-  EXPECT_EQ(expect_row_kernels_exact(pairs, steep).front().first, widest_lanes());
+  EXPECT_EQ(ran_at(expect_row_kernels_exact(pairs, steep), 32),
+            row_kernel("simd-avx2").runnable());
 }
 
 TEST(BatchAligner, RowZeroCellAccountingMatchesScalar) {
